@@ -61,8 +61,14 @@ def _fmt(obj):
     return obj
 
 
-def _emit(payload: dict, out: Optional[str]):
-    text = json.dumps(_fmt(payload), sort_keys=True, indent=2) + "\n"
+def _render(payload: dict) -> str:
+    try:
+        return json.dumps(_fmt(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EngineError("report contains a non-finite number") from exc
+
+
+def _write(text: str, out: Optional[str]):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -70,9 +76,30 @@ def _emit(payload: dict, out: Optional[str]):
             fh.write(text)
 
 
+def _emit(payload: dict, out: Optional[str]):
+    _write(_render(payload), out)
+
+
 def _require(cond, message):
     if not cond:
         raise SchemaError(message)
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """Spec numbers as a float array; non-numeric or non-finite ones are schema errors."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must hold numbers") from exc
+    _require(np.isfinite(arr).all(), f"{what} must hold finite numbers")
+    return arr
+
+
+def _tolerance(override: Optional[float], doc: dict) -> float:
+    tol = override if override is not None else doc.get("tolerance", 1e-9)
+    arr = _numbers(tol, "'tolerance'")
+    _require(arr.shape == (), "'tolerance' must be a number")
+    return float(arr)
 
 
 @dataclass
@@ -91,6 +118,7 @@ def _parse_model(doc: dict, config: Config) -> ScenarioModel:
         _require(isinstance(doc[key], list), f"{key!r} must be a list")
     _require(all(isinstance(v, (int, float)) for v in doc["reference"]),
              "'reference' must be a list of numbers")
+    _numbers(doc["reference"], "'reference'")
     _require(isinstance(doc["partitions"], dict), "partitions must map stage labels to atom lists")
     grid = [str(g) for g in doc["grid"]]
     parts = []
@@ -114,6 +142,8 @@ def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:
     _require(vertices is None or (isinstance(vertices, list)
              and all(isinstance(v, list) for v in vertices)),
              "vertices must be a list of weight lists")
+    for v in vertices or []:
+        _numbers(v, "vertex weights")
     _require(raw_cons is None or isinstance(raw_cons, list),
              "constraints must be a list")
     cons = None
@@ -122,13 +152,15 @@ def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:
         for c in raw_cons:
             _require(isinstance(c, dict) and "a" in c and "b" in c,
                      "constraint needs fields 'a' and 'b'")
-            a = np.asarray(c["a"], dtype=float)
+            a = _numbers(c["a"], "constraint row 'a'")
             _require(a.shape == (model.n,), "constraint row length must match outcomes")
+            b = _numbers(c["b"], "constraint bound 'b'")
+            _require(b.shape == (), "constraint bound 'b' must be a number")
             op = c.get("op", "<=")
             if op == "<=":
-                cons.append(LinearConstraint(a, float(c["b"])))
+                cons.append(LinearConstraint(a, float(b)))
             elif op == ">=":
-                cons.append(LinearConstraint(-a, -float(c["b"])))
+                cons.append(LinearConstraint(-a, -float(b)))
             else:
                 raise SchemaError(f"unsupported constraint op {op!r}; "
                                   "express equalities as two inequalities")
@@ -142,8 +174,7 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
     if "version" in doc:
         _require(str(doc["version"]) == SPEC_VERSION,
                  f"unsupported spec version {doc['version']!r}")
-    tol = tolerance if tolerance is not None else float(doc.get("tolerance", 1e-9))
-    config = Config(tol=tol)
+    config = Config(tol=_tolerance(tolerance, doc))
     model = _parse_model(doc, config)
     market = None
     if "financial_partitions" in doc:
@@ -157,7 +188,7 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
     claims = {}
     for name, values in doc.get("claims", {}).items():
         _require(isinstance(values, list), f"claim {name!r} must be a list")
-        v = np.asarray(values, dtype=float)
+        v = _numbers(values, f"claim {name!r}")
         _require(v.shape == (model.n,), f"claim {name!r} length must match outcomes")
         claims[str(name)] = Claim(v)
     return SpecBundle(model, market, risk_sets, claims, config)
@@ -277,8 +308,7 @@ def cmd_psi(args) -> dict:
     with open(args.spec, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     _require(isinstance(doc, dict), "spec document must be a JSON object")
-    tol = args.tolerance if args.tolerance is not None else float(doc.get("tolerance", 1e-9))
-    config = Config(tol=tol)
+    config = Config(tol=_tolerance(args.tolerance, doc))
     for key in ("financial_factor", "intermediate_factor"):
         _require(key in doc, f"psi spec is missing {key!r}")
     fin = _parse_model(doc["financial_factor"], config)
@@ -290,7 +320,7 @@ def cmd_psi(args) -> dict:
     pi = _parse_risk_set(sets["Pi"], fin)
     phi = _parse_risk_set(sets["Phi"], pm.model)
     q = psi_build(pi, phi, pm)
-    claims = [Claim(np.asarray(v, dtype=float)) for v in doc.get("claims", {}).values()]
+    claims = [Claim(_numbers(v, f"claim {name!r}")) for name, v in doc.get("claims", {}).items()]
     claims += _sample_claims(pm.model, count=20)
     report = psi_verify(pi, phi, pm, q, claims)
     return {
@@ -304,7 +334,7 @@ def cmd_psi(args) -> dict:
 def cmd_example6(args) -> dict:
     eps = args.epsilon
     _require(0 < eps < 1, "--epsilon must lie strictly between 0 and 1")
-    tol = args.tolerance if args.tolerance is not None else 1e-9
+    tol = _tolerance(args.tolerance, {})
     model = twobytwo.build_model()
     rs = twobytwo.pricing_set(model, eps)
     checks = []
@@ -419,6 +449,8 @@ def main(argv=None) -> int:
     out = getattr(args, "out", "-")
     try:
         payload = args.func(args)
+        code = payload.pop("_exit", 0)
+        text = _render(payload)
     except (json.JSONDecodeError, OSError) as exc:
         _emit({"error": {"code": "SCHEMA", "message": str(exc), "details": {}}}, out)
         return 2
@@ -434,8 +466,7 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit({"error": exc.to_dict()}, out)
         return 4
-    code = payload.pop("_exit", 0)
-    _emit(payload, out)
+    _write(text, out)
     return code
 
 

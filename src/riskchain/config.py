@@ -11,7 +11,6 @@ class Config:
                    inequalities and golden diffs
     dedup_tol      max-norm threshold below which two measure vectors are the
                    same vertex
-    strict_tol     tolerance for exact identities (tower property, telescoping)
     max_outcomes   largest outcome space vertex enumeration will accept
     max_grid       largest number of stages a model may declare
     work_bound     cap on per-node combination counts in projections and
@@ -20,7 +19,6 @@ class Config:
 
     tol: float = 1e-9
     dedup_tol: float = 1e-9
-    strict_tol: float = 1e-12
     max_outcomes: int = 16
     max_grid: int = 9
     work_bound: int = 4096

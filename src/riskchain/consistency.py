@@ -70,6 +70,13 @@ def paste_assembly(model, sources, config=None) -> RiskSet:
     stages[i+1]``: a RiskSet contributes its extreme node kernels, ``None``
     leaves the step free (every point-mass kernel, i.e. the full simplex).
     Vertices are telescoping products of one extreme kernel per node.
+
+    At a node, each kernel's candidate rows are built by a running broadcast
+    over its charged children, ``acc = acc[:, None] + p_i * P_i[None]``, in
+    ``itertools.product`` order with the additions done left to right, so
+    every row is bit-identical to summing ``p_i * cond_i`` per combination.
+    The candidates are then reduced by ``_extreme_rows``.  ``work_bound`` is
+    checked before any candidate array is built.
     """
     config = config or model.config
     bound = config.work_bound
@@ -97,22 +104,23 @@ def paste_assembly(model, sources, config=None) -> RiskSet:
             cache[key] = mu[None, :]
             return cache[key]
         children, kernels = node_kernels(stage_idx, atom_id)
-        rows = []
+        blocks = []
+        total = 0
         for probs in kernels:
             charged = [i for i, p in enumerate(probs) if p > 0]
             parts = [assemble(stage_idx + 1, children[i]) for i in charged]
             count = 1
             for p in parts:
                 count *= len(p)
-            if count * len(kernels) > bound or count + len(rows) > bound:
+            if count * len(kernels) > bound or count + total > bound:
                 raise SizeBoundError(
                     f"pasting assembly exceeds the work bound of {bound}")
-            for combo in itertools.product(*parts):
-                mu = np.zeros(model.n)
-                for i, cond in zip(charged, combo):
-                    mu += probs[i] * cond
-                rows.append(mu)
-        out = _extreme_rows(np.array(rows), config.dedup_tol)
+            acc = np.zeros((1, model.n))
+            for i, part in zip(charged, parts):
+                acc = (acc[:, None, :] + probs[i] * part[None]).reshape(-1, model.n)
+            blocks.append(acc)
+            total += count
+        out = _extreme_rows(np.concatenate(blocks), config.dedup_tol)
         cache[key] = out
         return out
 

@@ -77,13 +77,34 @@ def _weights_of(q) -> np.ndarray:
     return np.asarray(getattr(q, "weights", q), dtype=float)
 
 
+# elements per block of the row-blocked score and rank arrays
+_BLOCK = 1 << 16
+
+
 def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Drop rows equal to an earlier row in the max norm."""
-    kept: list[np.ndarray] = []
-    for r in rows:
-        if not any(np.max(np.abs(r - k)) <= tol for k in kept):
-            kept.append(r)
-    return np.array(kept) if kept else rows[:0]
+    """Greedy max-norm dedup in row order.
+
+    A row is kept iff its max-norm distance to every earlier *kept* row is
+    more than ``tol``: of a chain of near-duplicates the first row survives,
+    and a row near only to dropped rows survives too.  The near pairs come
+    from row blocks of the lower-triangular distance test, one column at a
+    time, so no k x k x d array is built; only rows with an earlier near row
+    take part in the sequential greedy pass.
+    """
+    k = len(rows)
+    if k <= 1:
+        return rows.copy()
+    keep = np.ones(k, dtype=bool)
+    step = max(1, _BLOCK // k)
+    for s in range(0, k, step):
+        e = min(s + step, k)
+        # near[i, j]: row s+i is within tol of the earlier row j
+        near = np.arange(e) < np.arange(s, e)[:, None]
+        for col in rows.T:
+            near &= np.abs(col[s:e, None] - col[:e]) <= tol
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[s + i] = not (near[i] & keep[:e]).any()
+    return rows[keep]
 
 
 def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -95,13 +116,70 @@ def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     _, resid = nnls(A, b)
     return resid <= tol * (1.0 + np.abs(b).max())
 
+
+def _top_scores(c: np.ndarray, rows: np.ndarray, own: np.ndarray):
+    """Max and argmax over ``j != own[i]`` of ``c_i . r_j``, in row blocks."""
+    top = np.empty(len(c))
+    best = np.empty(len(c), dtype=np.intp)
+    step = max(1, _BLOCK // len(rows))
+    for s in range(0, len(c), step):
+        scores = c[s:s + step] @ rows.T
+        pos = np.arange(len(scores))
+        scores[pos, own[s:s + step]] = -np.inf
+        best[s:s + step] = scores.argmax(axis=1)
+        top[s:s + step] = scores[pos, best[s:s + step]]
+    return top, best
+
+
+def _certified_extreme(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Rows that ``_in_hull`` would certainly find outside the other rows.
+
+    For a direction ``c``, ``g = c.r_i - M`` with ``M = max_{j!=i} c.r_j``:
+    every nonnegative combination of the other rows leaves an NNLS residual
+    of at least ``g / sqrt(|c|^2 + M^2)``, and row ``i`` is certified when
+    that bound is ten times the ``_in_hull`` threshold.  The first direction
+    is ``r_i`` minus the centroid of the other rows, which points the same
+    way as ``r_i`` minus the centroid.  From 64 rows on, where one NNLS call
+    costs more than a round of scores, rows still uncertified get up to 15
+    more rounds, each after a Frank-Wolfe step of that centroid towards the
+    nearest point of the other rows' hull.
+    """
+    k = len(rows)
+    limit = 10.0 * tol * (1.0 + np.maximum(1.0, np.abs(rows).max(axis=1)))
+    certified = np.zeros(k, dtype=bool)
+    todo = np.arange(k)
+    base = (rows.sum(axis=0) - rows) / (k - 1)
+    for _ in range(16 if k >= 64 else 1):
+        c = rows[todo] - base
+        top, best = _top_scores(c, rows, todo)
+        own = np.einsum("ij,ij->i", c, rows[todo])
+        ok = own - top > limit[todo] * np.sqrt(np.einsum("ij,ij->i", c, c) + top ** 2)
+        certified[todo[ok]] = True
+        todo, base, c, best = todo[~ok], base[~ok], c[~ok], best[~ok]
+        if len(todo) == 0:
+            break
+        step = rows[best] - base
+        gamma = np.einsum("ij,ij->i", c, step) / np.maximum(
+            np.einsum("ij,ij->i", step, step), 1e-300)
+        base = base + np.clip(gamma, 0.0, 1.0)[:, None] * step
+    return certified
+
+
 def _extreme_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Reduce deduplicated rows to the extreme points of their convex hull."""
+    """Reduce rows to the extreme points of their convex hull.
+
+    Rows are deduplicated first (``_dedup_rows``).  A row certified extreme
+    by a separating direction (``_certified_extreme``) is kept without a
+    solver call; every other row is kept iff NNLS finds it outside the hull
+    of all remaining rows.  The certificate only admits rows that NNLS would
+    keep, so the result is that of the NNLS test alone.
+    """
     rows = _dedup_rows(rows, tol)
     if len(rows) <= 2:
         return rows
-    keep = [i for i in range(len(rows))
-            if not _in_hull(np.delete(rows, i, axis=0), rows[i], tol)]
+    certified = _certified_extreme(rows, tol)
+    keep = [i for i in range(len(rows)) if certified[i]
+            or not _in_hull(np.delete(rows, i, axis=0), rows[i], tol)]
     return rows[keep]
 
 
@@ -114,21 +192,32 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 # -- H-rep -> V-rep: incremental cutting over the simplex -------------------
 
-def _is_vertex(w: np.ndarray, rows: list[tuple[np.ndarray, float]], atol: float) -> bool:
-    """A feasible point is a vertex iff its active normals span R^n."""
-    n = len(w)
-    normals = [np.ones(n) / np.sqrt(n)]
-    for i in range(n):
-        if w[i] <= atol:
-            e = np.zeros(n)
-            e[i] = 1.0
-            normals.append(e)
-    for a, b in rows:
-        if abs(a @ w - b) <= atol:
-            normals.append(a)
-    if len(normals) < n:
-        return False
-    return np.linalg.matrix_rank(np.array(normals), tol=1e-8) == n
+def _vertex_mask(cands: np.ndarray, rows: np.ndarray, atol: float) -> np.ndarray:
+    """Active-rank test for every candidate at once.
+
+    A feasible point is a vertex iff its active normals (the simplex's sum
+    normal, the active nonnegativity normals and the active rows ``[a | b]``)
+    span R^n.  Each candidate's active normals are stacked in that order and
+    zero-padded to a common height, so one batched rank call decides a block.
+    """
+    k, n = cands.shape
+    A, b = rows[:, :-1], rows[:, -1]
+    normals = np.vstack([np.ones(n) / np.sqrt(n), np.eye(n), A])
+    active = np.hstack([np.ones((k, 1), dtype=bool), cands <= atol,
+                        np.abs(cands @ A.T - b) <= atol])
+    out = np.zeros(k, dtype=bool)
+    todo = np.flatnonzero(active.sum(axis=1) >= n)
+    if len(todo) == 0:
+        return out
+    height = int(active[todo].sum(axis=1).max())
+    step = max(1, _BLOCK // (height * n))
+    for s in range(0, len(todo), step):
+        idx = todo[s:s + step]
+        order = np.argsort(~active[idx], axis=1, kind="stable")[:, :height]
+        on = np.take_along_axis(active[idx], order, axis=1)
+        stack = np.where(on[..., None], normals[order], 0.0)
+        out[idx] = np.linalg.matrix_rank(stack, tol=1e-8) == n
+    return out
 
 
 def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
@@ -137,52 +226,43 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
 
     Each inequality cuts the current vertex set: surviving vertices stay
     vertices, and new ones appear on the cutting hyperplane as crossings of
-    keep/drop vertex pairs, filtered by the active-rank test.
+    keep/drop vertex pairs (kept vertex outer, dropped inner), filtered by
+    the active-rank test.
     """
     if n > config.max_outcomes:
         raise SizeBoundError(f"{n} outcomes exceed the bound of {config.max_outcomes}")
     atol = config.dedup_tol
-    rows: list[tuple[np.ndarray, float]] = []
-    pending: list[tuple[np.ndarray, float]] = []
+    pending: list[np.ndarray] = []
     for c in constraints:
         nrm = float(np.linalg.norm(c.a))
         if nrm <= 1e-15:
             if c.b < -1e-12:
                 return np.empty((0, n))
             continue
-        pending.append((c.a / nrm, c.b / nrm))
-
-    if pending:
-        stacked = _dedup_rows(np.array([np.concatenate([a, [b]]) for a, b in pending]),
-                              1e-12)
-        pending = [(r[:-1], float(r[-1])) for r in stacked]
+        pending.append(np.concatenate([c.a / nrm, [c.b / nrm]]))
+    rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
 
     verts = np.eye(n)
-    for a, b in pending:
-        rows.append((a, b))
+    for t, row in enumerate(rows):
+        a, b = row[:-1], float(row[-1])
         vals = verts @ a
         keep_mask = vals <= b + atol
         if keep_mask.all():
             continue
         kept = verts[keep_mask]
         dropped = verts[~keep_mask]
-        dropped_vals = vals[~keep_mask]
-        crossings = []
-        for u, fu in zip(kept, vals[keep_mask]):
-            for v, fv in zip(dropped, dropped_vals):
-                denom = fv - fu
-                if denom <= 1e-13:
-                    continue
-                lam = (b - fu) / denom
-                w = u + np.clip(lam, 0.0, 1.0) * (v - u)
-                crossings.append(w)
+        fu = vals[keep_mask]
+        denom = vals[~keep_mask][None, :] - fu[:, None]
+        iu, iv = np.nonzero(denom > 1e-13)
         pieces = [kept]
-        if crossings:
-            cand = _dedup_rows(np.array(crossings), atol)
-            good = [w for w in cand if _is_vertex(w, rows, atol)]
-            if good:
-                pieces.append(np.array(good))
-        verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or crossings else verts[:0]
+        if len(iu):
+            lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
+            u = kept[iu]
+            cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
+            good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
+            if len(good):
+                pieces.append(good)
+        verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
         if len(verts) > config.work_bound:
             raise SizeBoundError(
                 f"vertex enumeration exceeded the work bound of {config.work_bound}")
@@ -285,10 +365,6 @@ class RiskSet:
         if self._constraints is None:
             self._constraints = tuple(_facets(self.vertices))
         return self._constraints
-
-    def is_relevant(self) -> bool:
-        """Every outcome receives positive mass from at least one vertex."""
-        return bool((self.vertices > 0).any(axis=0).all())
 
     def __repr__(self):
         rep = []

@@ -226,3 +226,57 @@ class TestRoundTrip:
             code, out = run(capsys, argv)
             doc = json.loads(out)
             assert isinstance(doc, dict)
+
+
+class TestNonFinite:
+    """Non-finite spec numbers are schema errors; reports are strict JSON."""
+
+    def twobytwo_with(self, tmp_path, edit):
+        doc = json.loads(Path(TWOBYTWO).read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("stage", ["0", "1"])
+    def test_nan_claim_is_2(self, capsys, tmp_path, stage):
+        spec = self.twobytwo_with(
+            tmp_path, lambda d: d["claims"]["X"].__setitem__(0, float("nan")))
+        code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", stage])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"
+
+    @pytest.mark.parametrize("field", ["reference", "vertex", "a", "b", "tolerance"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_spec_number_is_2(self, capsys, tmp_path, field, bad):
+        def edit(doc):
+            if field == "reference":
+                doc["reference"][1] = bad
+            elif field == "vertex":
+                doc["risk_sets"]["Q"]["vertices"] = [[bad, 0.5, 0.25, 0.25]]
+            elif field == "tolerance":
+                doc["tolerance"] = bad
+            else:
+                doc["risk_sets"]["Q"]["constraints"][0][field] = (
+                    bad if field == "b" else [bad, 0, 0, 0])
+        spec = self.twobytwo_with(tmp_path, edit)
+        code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", "0"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"
+
+    @pytest.mark.parametrize("argv", [
+        ["price", "--spec", TWOBYTWO, "--claim", "X", "--stage", "0", "--tolerance", "nan"],
+        ["psi", "--spec", PRODUCT, "--tolerance", "inf"],
+        ["example6", "--epsilon", "0.3", "--tolerance", "nan"],
+    ])
+    def test_nonfinite_tolerance_flag_is_2(self, capsys, argv):
+        code, out = run(capsys, argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_report_is_4(self, capsys, tmp_path):
+        spec = make_spec(tmp_path, claims={"X": [1.7e308, -1.7e308, 1.7e308, -1.7e308]})
+        code, out = run(capsys, ["reserve", "--spec", spec, "--claim", "X"])
+        assert code == 4
+        assert json.loads(out)["error"]["message"] == "report contains a non-finite number"
