@@ -1,5 +1,6 @@
-# Risk sets are polytopes of probability measures, carried as vertices,
-# as linear inequalities over the weights, or both.  The worked pricing set
+# Risk sets are polytopes of probability measures, given as vertices or
+# as linear inequalities over the weights; the other representation is
+# derived on demand.  The worked pricing set
 # caps every density at 1 + eps and pins the financial column sums, which
 # leaves exactly four extreme points.
 

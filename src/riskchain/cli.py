@@ -137,8 +137,8 @@ def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:
     _require(isinstance(fragment, dict), "risk set fragment must be an object")
     vertices = fragment.get("vertices")
     raw_cons = fragment.get("constraints")
-    _require(vertices is not None or raw_cons is not None,
-             "risk set needs vertices and/or constraints")
+    _require((vertices is None) != (raw_cons is None),
+             "risk set needs exactly one of vertices and constraints")
     _require(vertices is None or (isinstance(vertices, list)
              and all(isinstance(v, list) for v in vertices)),
              "vertices must be a list of weight lists")

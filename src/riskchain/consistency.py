@@ -27,7 +27,7 @@ from .riskset import (
     member,
     set_equal,
 )
-from .scenario import Claim, condexp
+from .scenario import Claim, atom_masses, condexp
 
 
 def project(rs: RiskSet, s, t) -> RiskSet:
@@ -373,27 +373,15 @@ def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:
     vertex expectation of ``Y`` nonpositive on every stage-``s`` atom, and
     ``Z <= 0`` (the dual-cone description of the projection's acceptance)."""
     model = rs.model
-    st_s, st_t = model.stage(s), model.stage(t)
-    atoms_t = model.atoms(st_t)
-    ids = model.atom_ids(st_t)
+    atoms_t = model.atoms(t)
     x = np.asarray(claim.values, dtype=float)
     n_var = len(atoms_t)
-    # Y_A >= X on the atom (Z = X - Y <= 0)
-    rows = []
-    rhs = []
-    for a, atom in enumerate(atoms_t):
-        row = np.zeros(n_var)
-        row[a] = -1.0
-        rows.append(row)
-        rhs.append(-float(x[list(atom)].max()))
-    for atom in model.atoms(st_s):
-        for v in rs.vertices:
-            row = np.zeros(n_var)
-            for w in atom:
-                row[ids[w]] += v[w]
-            rows.append(row)
-            rhs.append(0.0)
-    res = linprog(np.zeros(n_var), A_ub=np.array(rows), b_ub=np.array(rhs),
+    # Y_A >= X on the atom (Z = X - Y <= 0), then the vertex expectations
+    masses = atom_masses(model, rs.vertices, s, t)
+    A_ub = np.vstack([np.diag(np.full(n_var, -1.0)), masses])
+    b_ub = np.concatenate([[-float(x[list(atom)].max()) for atom in atoms_t],
+                           np.zeros(len(masses))])
+    res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=b_ub,
                   bounds=[(None, None)] * n_var, method="highs")
     if res.status == 2:
         return False

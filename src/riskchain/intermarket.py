@@ -11,16 +11,16 @@ intermediate set into a time-consistent global pricing mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .consistency import is_mstable, paste_assembly, project
+from .consistency import is_mstable, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
-from .risk import Chain, cone_member, eta, rho
+from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, intersect, set_equal, simplex_set, vertex_enumeration
-from .scenario import Claim, ScenarioModel, validate_model
+from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
+                       first_crossing, validate_model)
 
 
 def _whole_times(model: ScenarioModel) -> int:
@@ -31,20 +31,8 @@ def _whole_times(model: ScenarioModel) -> int:
     return times[-1]
 
 
-def _canon(partition, n: int) -> list[tuple[int, ...]]:
-    return sorted((tuple(sorted(int(i) for i in atom)) for atom in partition),
-                  key=lambda a: a[0])
-
-
-def _atom_ids_of(partition, n: int) -> np.ndarray:
-    ids = np.empty(n, dtype=int)
-    for a, atom in enumerate(partition):
-        ids[list(atom)] = a
-    return ids
-
-
 def _common_refinement(p1, p2, n: int) -> list[list[int]]:
-    ids1, ids2 = _atom_ids_of(p1, n), _atom_ids_of(p2, n)
+    ids1, ids2 = atom_index(p1, n), atom_index(p2, n)
     cells: dict[tuple[int, int], list[int]] = {}
     for w in range(n):
         cells.setdefault((int(ids1[w]), int(ids2[w])), []).append(w)
@@ -88,16 +76,11 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
             part = by_time[t]
         else:
             raise SchemaError(f"missing financial partition for time {t}")
-        part = _canon(part, n)
-        if sorted(w for atom in part for w in atom) != list(range(n)):
-            raise SchemaError(f"financial partition at time {t} is not a partition")
-        ids_g = model.atom_ids(str(t))
-        ids_f = _atom_ids_of(part, n)
-        for atom in model.atoms(str(t)):
-            if len({int(ids_f[w]) for w in atom}) != 1:
-                raise NotCoarserError(
-                    f"financial partition at time {t} is not coarser than the model's",
-                    time=t)
+        part = _canonical_atoms(part, n)
+        if first_crossing(model.atoms(str(t)), atom_index(part, n)) is not None:
+            raise NotCoarserError(
+                f"financial partition at time {t} is not coarser than the model's",
+                time=t)
         if t == 0 and len(part) != 1:
             raise NotCoarserError("financial partition at time 0 must be trivial", time=0)
         fins.append(part)
@@ -138,18 +121,6 @@ def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
 def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
     """Intermediate part: all measures whose (t+ -> t+1) kernels the set allows."""
     return paste_assembly(mm.model, _step_sources(mm, rs, financial=False), rs.config)
-
-
-def qf_by_projection(rs: RiskSet, mm: MarketModel) -> RiskSet:
-    """Intersection-of-projections route for the financial part (slower;
-    kept as an independent cross-check of the assembly route)."""
-    parts = [project(rs, str(t), f"{t}+") for t in range(mm.horizon)]
-    return vertex_enumeration(reduce(intersect, parts))
-
-
-def qi_by_projection(rs: RiskSet, mm: MarketModel) -> RiskSet:
-    parts = [project(rs, f"{t}+", str(t + 1)) for t in range(mm.horizon)]
-    return vertex_enumeration(reduce(intersect, parts))
 
 
 @dataclass(frozen=True)
@@ -207,29 +178,21 @@ def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> SplitReservePla
     Both kinds of increment are differences of the backward recursion, so they
     price to zero at their own date; the split telescopes to the claim.
     """
-    model = mm.model
     tc = is_mstable(rs)
-    process = eta(Chain.single(rs), claim)
-    premium = float(process.claims[0].values[0])
-    fin_incs = []
-    int_incs = []
-    for t in range(mm.horizon):
-        e_t = process.at(mm.whole(t).index).values
-        e_half = process.at(mm.half(t).index).values
-        e_next = process.at(mm.whole(t + 1).index).values
-        uf = Claim(e_half - e_t, mm.half(t).index)
-        ui = Claim(e_next - e_half, mm.whole(t + 1).index)
+    plan = reserve_plan(Chain.single(rs), claim, time_consistent=tc)
+    # the refined grid alternates 0, 0+, 1, 1+, ..., so do the increments
+    fin_incs = plan.increments[0::2]
+    int_incs = plan.increments[1::2]
+    for t, (uf, ui) in enumerate(zip(fin_incs, int_incs)):
         if not cone_member(rs, uf, mm.whole(t), mm.half(t)):
             raise EngineError(f"financial increment at time {t} failed its cone check")
         if not cone_member(rs, ui, mm.half(t), mm.whole(t + 1)):
             raise EngineError(f"intermediate increment at time {t} failed its cone check")
-        fin_incs.append(uf)
-        int_incs.append(ui)
     warning = None
     if not tc:
         warning = ("set is not time-consistent on the refined grid; plan uses "
                    "the minimal dominating prices")
-    return SplitReservePlan(premium, tuple(fin_incs), tuple(int_incs), tc, warning)
+    return SplitReservePlan(plan.premium, fin_incs, int_incs, tc, warning)
 
 
 # -- product spaces -----------------------------------------------------------
@@ -259,6 +222,11 @@ class ProductModel:
     def inter_of(self, outcome: int) -> int:
         return outcome // self.fin.n
 
+    def grid(self, values) -> np.ndarray:
+        """A product vector as an ``(inter.n, fin.n)`` array, row ``i`` column
+        ``f`` holding outcome ``index(i, f)``."""
+        return np.asarray(values, dtype=float).reshape(self.inter.n, self.fin.n)
+
 
 def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
     """Build the product model with ``G_t = F_t x I_t`` and
@@ -270,8 +238,7 @@ def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
     validate_model(inter).raise_if_invalid()
     n = fin.n * inter.n
     outcomes = [f"({io},{fo})" for io in inter.outcomes for fo in fin.outcomes]
-    reference = np.array([inter.reference[i] * fin.reference[f]
-                          for i in range(inter.n) for f in range(fin.n)])
+    reference = np.outer(inter.reference, fin.reference).ravel()
 
     def rect(p_fin, p_int):
         return [[i * fin.n + f for i in ai for f in af]
@@ -288,17 +255,14 @@ def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
     model = ScenarioModel(outcomes, grid, partitions, reference, config=fin.config)
     validate_model(model).raise_if_invalid()
     fins = [rect(fin.atoms(str(t)), [tuple(range(inter.n))]) for t in range(T + 1)]
-    fins_canon = tuple(tuple(_canon(p, n)) for p in fins)
+    fins_canon = tuple(tuple(_canonical_atoms(p, n)) for p in fins)
     return ProductModel(fin, inter, MarketModel(model, fins_canon))
 
 
 def extend_pi(pi: RiskSet, pm: ProductModel) -> RiskSet:
     """Extend a financial pricing set by independence: each vertex becomes its
     product with the intermediate reference."""
-    rows = []
-    for v in pi.vertices:
-        rows.append(np.array([pm.inter.reference[i] * v[f]
-                              for i in range(pm.inter.n) for f in range(pm.fin.n)]))
+    rows = [np.outer(pm.inter.reference, v).ravel() for v in pi.vertices]
     return RiskSet.from_vertices(pm.model, rows, config=pm.model.config)
 
 
@@ -328,25 +292,17 @@ def is_purely_financial(pm: ProductModel, claim: Claim,
     """Structural test: constant across the intermediate factor per financial
     outcome."""
     tol = pm.model.config.tol if tol is None else tol
-    v = np.asarray(claim.values, dtype=float)
-    for f in range(pm.fin.n):
-        col = v[[pm.index(i, f) for i in range(pm.inter.n)]]
-        if np.ptp(col) > tol:
-            return False
-    return True
+    return not np.any(np.ptp(pm.grid(claim.values), axis=0) > tol)
 
 
 def fin_restriction(pm: ProductModel, claim: Claim) -> Claim:
     """Financial-factor claim of a purely financial product claim."""
-    v = np.asarray(claim.values, dtype=float)
-    return Claim(np.array([v[pm.index(0, f)] for f in range(pm.fin.n)]),
-                 pm.fin.final_stage.index)
+    return Claim(pm.grid(claim.values)[0].copy(), pm.fin.final_stage.index)
 
 
 def lift_financial(pm: ProductModel, values) -> np.ndarray:
     """Lift a financial-factor vector to the product outcome space."""
-    v = np.asarray(values, dtype=float)
-    return np.array([v[pm.fin_of(w)] for w in range(pm.model.n)])
+    return np.tile(np.asarray(values, dtype=float), pm.inter.n)
 
 
 def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
@@ -410,18 +366,15 @@ def one_period_premium(p_fin: RiskSet, p_int: RiskSet, h: Claim,
         raise SchemaError("one-period premium needs a horizon-1 product model")
     tol = pm.model.config.tol
     v = np.asarray(h.values, dtype=float)
-    fin_vals = np.empty(pm.fin.n)
-    for f in range(pm.fin.n):
-        col = Claim(v[[pm.index(i, f) for i in range(pm.inter.n)]])
-        fin_vals[f] = float(rho(p_int, col, 0).values[0])
+    fin_vals = np.array([float(rho(p_int, Claim(col), 0).values[0])
+                         for col in pm.grid(v).T])
     premium = float(rho(p_fin, Claim(fin_vals), 0).values[0])
 
     uf = Claim(lift_financial(pm, fin_vals - premium), pm.market.half(0).index)
     ui = Claim(v - lift_financial(pm, fin_vals), pm.model.final_stage.index)
     if float(rho(p_fin, Claim(fin_vals - premium), 0).values[0]) > tol:
         raise EngineError("financial increment failed its acceptability check")
-    for f in range(pm.fin.n):
-        col = Claim(ui.values[[pm.index(i, f) for i in range(pm.inter.n)]])
-        if float(rho(p_int, col, 0).values[0]) > tol:
+    for col in pm.grid(ui.values).T:
+        if float(rho(p_int, Claim(col), 0).values[0]) > tol:
             raise EngineError("intermediate increment failed its acceptability check")
     return OnePeriodPremium(premium, fin_vals, uf, ui)

@@ -16,7 +16,7 @@ from scipy.optimize import linprog
 
 from .errors import EngineError, InfeasibleError, NotMeasurableError, SchemaError
 from .riskset import RiskSet, maximize_ratio
-from .scenario import Claim, ScenarioModel
+from .scenario import Claim, ScenarioModel, atom_masses
 
 
 def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
@@ -150,32 +150,25 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     if n_stages < 2:
         raise SchemaError("need at least two stages to decompose")
 
-    blocks = []  # (stage position s, atoms of s+1) per increment variable block
-    offsets = [0]
-    for s in range(n_stages - 1):
-        blocks.append((s, model.atoms(s + 1)))
-        offsets.append(offsets[-1] + len(blocks[-1][1]))
-    n_var = offsets[-1]
+    # increment s has one variable per stage-(s+1) atom, in block s
+    steps = range(n_stages - 1)
+    ids = [model.atom_ids(s + 1) for s in steps]
+    sizes = [len(model.atoms(s + 1)) for s in steps]
+    offsets = np.cumsum([0] + sizes)
+    n_var = int(offsets[-1])
 
     # sum of increments reproduces the claim outcome by outcome
-    A_eq = np.zeros((model.n, n_var))
-    for (s, atoms), off in zip(blocks, offsets):
-        ids = model.atom_ids(s + 1)
-        for w in range(model.n):
-            A_eq[w, off + ids[w]] += 1.0
+    A_eq = np.hstack([np.eye(k)[i] for k, i in zip(sizes, ids)])
     b_eq = x
 
-    rows = []
-    for (s, atoms), off in zip(blocks, offsets):
-        ids = model.atom_ids(s + 1)
-        for atom in model.atoms(s):
-            for v in V:
-                row = np.zeros(n_var)
-                for w in atom:
-                    row[off + ids[w]] += v[w]
-                rows.append(row)
-    A_ub = np.array(rows)
-    b_ub = np.zeros(len(rows))
+    # every vertex expectation of increment s is nonpositive on every stage-s atom
+    blocks = [atom_masses(model, V, s, s + 1) for s in steps]
+    A_ub = np.zeros((sum(len(b) for b in blocks), n_var))
+    r = 0
+    for s, b in enumerate(blocks):
+        A_ub[r:r + len(b), offsets[s]:offsets[s + 1]] = b
+        r += len(b)
+    b_ub = np.zeros(len(A_ub))
 
     res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                   bounds=[(None, None)] * n_var, method="highs")
@@ -184,13 +177,7 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     if res.status != 0:
         raise EngineError(f"decomposition LP failed with status {res.status}")
 
-    out = []
-    for (s, atoms), off in zip(blocks, offsets):
-        vals = np.empty(model.n)
-        for a, atom in enumerate(atoms):
-            vals[list(atom)] = res.x[off + a]
-        out.append(Claim(vals, s + 1))
-    return out
+    return [Claim(res.x[offsets[s] + ids[s]], s + 1) for s in steps]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Convex sets of probability measures on a finite scenario model.
 
-A RiskSet is a polytope inside the probability simplex, carried in dual
-representation: a vertex list (authoritative for evaluation) and/or a list of
-extra linear inequalities over the weights (authoritative for intersection).
-Conversions are lazy, cached and idempotent.  The core primitive is the
+A RiskSet is a polytope inside the probability simplex, given either as a
+vertex list (authoritative for evaluation) or as a list of extra linear
+inequalities over the weights (authoritative for intersection).  The other
+representation is derived lazily and cached.  The core primitive is the
 linear-fractional maximization ``sup Q(a;B)/Q(B)``, computed exactly as a
 vertex maximum or as a homogenized LP.
 """
@@ -36,18 +36,28 @@ class Measure:
     weights: np.ndarray
 
 
-def measure(weights, n: Optional[int] = None) -> Measure:
-    """Validate and normalize a weight vector into a Measure."""
-    w = np.asarray(weights, dtype=float).copy()
-    if w.ndim != 1 or (n is not None and w.shape != (n,)):
+def _measure_rows(rows, n: int) -> np.ndarray:
+    """Validate rows of measure weights (finite, nonnegative, unit sum) and
+    normalize each by its sum."""
+    w = np.array(rows, dtype=float, order="C")
+    if w.ndim != 2 or w.shape[1] != n:
         raise SchemaError("measure weight vector has wrong shape")
+    if not np.isfinite(w).all():
+        raise SchemaError("measure weights must be finite")
     if np.any(w < -1e-9):
         raise SchemaError("measure weights must be nonnegative")
     w = np.maximum(w, 0.0)
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise SchemaError(f"measure weights sum to {total!r}, expected 1")
-    return Measure(w / total)
+    total = w.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise SchemaError(f"measure weights sum to {total[off][0]!r}, expected 1")
+    return w / total[:, None]
+
+
+def measure(weights, n: Optional[int] = None) -> Measure:
+    """Validate and normalize a weight vector into a Measure."""
+    w = np.asarray(weights, dtype=float)
+    return Measure(_measure_rows(w[None], w.size if n is None else n)[0])
 
 
 @dataclass(frozen=True)
@@ -317,15 +327,21 @@ class RiskSet:
                  config: Optional[Config] = None):
         if vertices is None and constraints is None:
             raise SchemaError("a RiskSet needs vertices or constraints")
+        if vertices is not None and constraints is not None:
+            raise SchemaError("a RiskSet takes vertices or constraints, not both")
         self.model = model
         self.config = config or model.config
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         if vertices is not None:
-            rows = np.array([measure(_weights_of(v), model.n).weights for v in vertices])
-            if len(rows) == 0:
+            if not isinstance(vertices, np.ndarray):
+                vertices = [_weights_of(v) for v in vertices]
+            if len(vertices) == 0:
                 raise SchemaError("vertex list may not be empty")
-            self._vertices = rows
+            try:
+                self._vertices = _measure_rows(vertices, model.n)
+            except ValueError as exc:
+                raise SchemaError("vertex rows have unequal lengths") from exc
         if constraints is not None:
             cons = []
             for c in constraints:
@@ -447,20 +463,18 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:
 
 # -- the linear-fractional primitive ----------------------------------------
 
-def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int],
-                   prefer: str = "auto") -> float:
+def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
     """``sup { sum_B Q a / Q(B) : Q in rs, Q(B) > 0 }``.
 
     With vertices the supremum is the maximum over charged vertices (the ratio
     of a mixture is a mass-weighted average of vertex ratios).  With only
-    constraints it is solved as a homogenized LP.  ``prefer`` forces a route
-    ("vertices" or "lp").
+    constraints it is solved as a homogenized LP.
     """
     idx = list(atom)
     if not idx:
         raise OutOfRangeError("empty atom")
     a = np.asarray(numerator, dtype=float)
-    if prefer == "lp" or (prefer == "auto" and not rs.has_vertices and rs.has_constraints):
+    if not rs.has_vertices:
         return _maximize_ratio_lp(rs, a, idx)
     V = rs.vertices
     masses = V[:, idx].sum(axis=1)
@@ -499,7 +513,11 @@ def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
 
 def member(rs: RiskSet, q, tol: Optional[float] = None) -> bool:
     """Membership at tolerance: constraint evaluation when an H-representation
-    exists, otherwise convex-combination feasibility against the vertices."""
+    exists, otherwise convex-combination feasibility against the vertices.
+
+    Constraint rows are scaled to unit normals first, as in vertex
+    enumeration, so the verdict does not depend on how a row is scaled.
+    """
     tol = rs.config.tol if tol is None else tol
     w = _weights_of(q)
     if w.shape != (rs.model.n,):
@@ -507,7 +525,13 @@ def member(rs: RiskSet, q, tol: Optional[float] = None) -> bool:
     if w.min() < -tol or abs(w.sum() - 1.0) > tol:
         return False
     if rs.has_constraints:
-        return all(c.a @ w <= c.b + tol * (1 + abs(c.b)) for c in rs.constraints)
+        cons = rs.constraints
+        A = np.array([c.a for c in cons]).reshape(len(cons), rs.model.n)
+        b = np.array([c.b for c in cons])
+        nrm = np.linalg.norm(A, axis=1)
+        nrm[nrm <= 1e-15] = 1.0
+        A, b = A / nrm[:, None], b / nrm
+        return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
     return _in_hull(rs.vertices, w, tol)
 
 

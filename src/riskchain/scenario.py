@@ -67,6 +67,41 @@ def _canonical_atoms(atoms: Sequence[Sequence[int]], n: int) -> list[tuple[int, 
     return sorted(out, key=lambda a: a[0])
 
 
+def atom_index(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """Vector mapping every outcome to the id of its atom in ``partition``."""
+    ids = np.empty(n, dtype=int)
+    for a, atom in enumerate(partition):
+        ids[list(atom)] = a
+    return ids
+
+
+def first_crossing(fine_atoms: Sequence[Sequence[int]],
+                   coarse_ids: np.ndarray) -> Optional[int]:
+    """Id of the first fine atom that meets more than one coarse atom, or
+    None when the fine partition refines the coarse one."""
+    for a, atom in enumerate(fine_atoms):
+        ids = coarse_ids[list(atom)]
+        if np.any(ids != ids[0]):
+            return a
+    return None
+
+
+def atom_masses(model: ScenarioModel, V: np.ndarray, s, t) -> np.ndarray:
+    """Mass of each vertex on each stage-``t`` atom inside each stage-``s`` atom.
+
+    One row per (stage-``s`` atom, vertex), atom outer; one column per
+    stage-``t`` atom.  Row ``(A, v)`` holds ``sum_{w in A, w in B} v[w]`` in
+    column ``B``, accumulated over outcomes in index order.
+    """
+    V = np.asarray(V, dtype=float)
+    k = len(V)
+    rows = model.atom_ids(s)[:, None] * k + np.arange(k)
+    cols = np.broadcast_to(model.atom_ids(t)[:, None], rows.shape)
+    out = np.zeros((len(model.atoms(s)) * k, len(model.atoms(t))))
+    np.add.at(out, (rows, cols), V.T)
+    return out
+
+
 class ScenarioModel:
     """Outcomes, stage grid, refining partitions and reference measure.
 
@@ -110,10 +145,7 @@ class ScenarioModel:
         self.reference = ref
         self.config = config
         # outcome -> atom id, one row per stage
-        self._atom_index = np.empty((len(self.stages), self.n), dtype=int)
-        for s, atoms in enumerate(self.partitions):
-            for a, atom in enumerate(atoms):
-                self._atom_index[s, list(atom)] = a
+        self._atom_index = np.array([atom_index(p, self.n) for p in self.partitions])
 
     # -- lookups ---------------------------------------------------------
 
@@ -224,15 +256,13 @@ def validate_model(model: ScenarioModel) -> ValidationReport:
                                 "final-stage partition must be discrete",
                                 stage_index=len(model.stages) - 1)
     for s in range(len(model.stages) - 1):
-        coarse = model.atom_ids(s)
-        fine = model.atom_ids(s + 1)
-        for a, atom in enumerate(model.partitions[s + 1]):
-            if len({int(coarse[i]) for i in atom}) != 1:
-                return ValidationReport(
-                    False, "NON_REFINING",
-                    f"stage {model.stages[s + 1].label} atom {a} crosses "
-                    f"stage {model.stages[s].label} atoms",
-                    stage_index=s + 1, atom_index=a)
+        a = first_crossing(model.partitions[s + 1], model.atom_ids(s))
+        if a is not None:
+            return ValidationReport(
+                False, "NON_REFINING",
+                f"stage {model.stages[s + 1].label} atom {a} crosses "
+                f"stage {model.stages[s].label} atoms",
+                stage_index=s + 1, atom_index=a)
     if np.any(model.reference <= 0):
         bad = int(np.argmin(model.reference))
         return ValidationReport(False, "NO_FULL_SUPPORT",

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, golden output and byte stability."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,10 +9,24 @@ import pytest
 
 from riskchain.cli import main
 
-SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_DIR = ROOT / "demos" / "specs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 TWOBYTWO = str(SPEC_DIR / "twobytwo.json")
 PRODUCT = str(SPEC_DIR / "product_pricing.json")
+BENCH_DIR = ROOT / "perfbench"
+
+
+def _bench_argvs():
+    """The benchmark's CLI calls, read from ``perfbench/cliwork.py`` (which
+    imports only the standard library); their paths are relative to ROOT."""
+    spec = importlib.util.spec_from_file_location("cliwork", BENCH_DIR / "cliwork.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.ARGVS
+
+
+BENCH_ARGVS = _bench_argvs()
 
 
 def run(capsys, argv):
@@ -84,6 +99,17 @@ class TestPrice:
         code, out = run(capsys, ["price", "--spec", TWOBYTWO,
                                  "--claim", "nope", "--stage", "0"])
         assert code == 2
+
+
+class TestBenchmarkGoldens:
+    """Every benchmark CLI call prints exactly its stored golden bytes."""
+
+    @pytest.mark.parametrize("label", sorted(BENCH_ARGVS))
+    def test_golden_bytes(self, capsys, monkeypatch, label):
+        monkeypatch.chdir(ROOT)
+        code, out = run(capsys, BENCH_ARGVS[label])
+        assert code == 0
+        assert out.encode("utf-8") == (BENCH_DIR / "golden" / f"{label}.json").read_bytes()
 
 
 class TestCheck:
@@ -253,7 +279,7 @@ class TestNonFinite:
             if field == "reference":
                 doc["reference"][1] = bad
             elif field == "vertex":
-                doc["risk_sets"]["Q"]["vertices"] = [[bad, 0.5, 0.25, 0.25]]
+                doc["risk_sets"]["Q"] = {"vertices": [[bad, 0.5, 0.25, 0.25]]}
             elif field == "tolerance":
                 doc["tolerance"] = bad
             else:
@@ -280,3 +306,40 @@ class TestNonFinite:
         code, out = run(capsys, ["reserve", "--spec", spec, "--claim", "X"])
         assert code == 4
         assert json.loads(out)["error"]["message"] == "report contains a non-finite number"
+
+
+class TestSpecIntegrity:
+    """Contradictory or malformed spec structure is a schema error, exit 2."""
+
+    def twobytwo_with(self, tmp_path, edit):
+        doc = json.loads(Path(TWOBYTWO).read_text(encoding="utf-8"))
+        edit(doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def test_vertices_and_constraints_together_is_2(self, capsys, tmp_path):
+        spec = make_spec(tmp_path, risk_sets={"Q": {
+            "vertices": [[0.9, 0.1, 0.0, 0.0], [0.1, 0.9, 0.0, 0.0]],
+            "constraints": [{"a": [1, 0, 0, 0], "b": 0.5}]}})
+        code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", "0"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"
+
+    def test_neither_vertices_nor_constraints_is_2(self, capsys, tmp_path):
+        spec = make_spec(tmp_path, risk_sets={"Q": {}})
+        code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", "0"])
+        assert code == 2
+
+    @pytest.mark.parametrize("part", [
+        [[0, 2], [1, 2, 3]],      # overlapping atoms
+        [[0, 2], [1]],            # outcome 3 in no atom
+        [[0, 2], [1, 3], []],     # empty atom
+        [[0, 2], [1, 4]],         # outcome out of range
+    ])
+    def test_bad_financial_partition_is_2(self, capsys, tmp_path, part):
+        spec = self.twobytwo_with(
+            tmp_path, lambda d: d["financial_partitions"].__setitem__("1", part))
+        code, out = run(capsys, ["split", "--spec", spec, "--claim", "X"])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"

@@ -1,5 +1,7 @@
 """Market decomposition, product spaces and the pricing-class builder."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -10,12 +12,14 @@ from riskchain import (
     NotCoarserError,
     RiskSet,
     ScenarioModel,
+    SchemaError,
     build_refined,
     check_fi,
     decompose_acceptance,
     extend_pi,
     fin_restriction,
     includes,
+    intersect,
     is_acceptable,
     is_purely_financial,
     kernel_polytope,
@@ -23,6 +27,7 @@ from riskchain import (
     mstable_hull,
     one_period_premium,
     product_space,
+    project,
     psi_build,
     psi_verify,
     qf,
@@ -32,6 +37,7 @@ from riskchain import (
     simplex_set,
     singleton,
     split_reserve,
+    vertex_enumeration,
 )
 from riskchain.riskset import _in_hull
 from riskchain.twobytwo import (
@@ -44,6 +50,19 @@ from riskchain.twobytwo import (
 from randmodels import random_claim, random_market, random_model, random_riskset
 
 EPS = 0.2
+
+
+def qf_by_projection(rs, mm):
+    """Financial part as the intersection of the per-period (t -> t+)
+    projections: an independent oracle for the assembly route of ``qf``."""
+    parts = [project(rs, str(t), f"{t}+") for t in range(mm.horizon)]
+    return vertex_enumeration(reduce(intersect, parts))
+
+
+def qi_by_projection(rs, mm):
+    """Intermediate part as the intersection of the (t+ -> t+1) projections."""
+    parts = [project(rs, f"{t}+", str(t + 1)) for t in range(mm.horizon)]
+    return vertex_enumeration(reduce(intersect, parts))
 
 
 @pytest.fixture
@@ -99,6 +118,17 @@ class TestBuildRefined:
         with pytest.raises(NotCoarserError):
             build_refined(base, {1: [[0, 2], [1, 3]], 2: [[0], [1], [2], [3]]})
 
+    @pytest.mark.parametrize("part", [
+        [[0, 2], [1, 2, 3]],      # overlapping atoms
+        [[0, 2], [1]],            # outcome 3 in no atom
+        [[0, 2], [1, 3], []],     # empty atom
+    ])
+    def test_bad_financial_partition_is_schema_error(self, part):
+        base = ScenarioModel(["a", "b", "c", "d"], ["0", "1"],
+                             [[[0, 1, 2, 3]], [[0], [1], [2], [3]]], [0.25] * 4)
+        with pytest.raises(SchemaError):
+            build_refined(base, {1: part})
+
 
 class TestParts:
     def test_worked_financial_part(self, mm, rs):
@@ -123,7 +153,6 @@ class TestParts:
 
     def test_assembly_agrees_with_projection_route(self, mm, rs):
         # two independent constructions of the same parts
-        from riskchain import qf_by_projection, qi_by_projection
         assert set_equal(qf(rs, mm), qf_by_projection(rs, mm))
         assert set_equal(qi(rs, mm), qi_by_projection(rs, mm))
         rng = np.random.default_rng(90)

@@ -2,8 +2,10 @@
 
 The reference functions below are the former implementations, kept as
 oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
-``itertools.product`` and the per-pair H->V cut with one rank test per
-candidate.  The array kernels must give bit-identical arrays.
+``itertools.product``, the per-pair H->V cut with one rank test per
+candidate, and the per-outcome loops that built the LP rows of
+``decompose_acceptance`` and ``dual_cone_member``.  The array kernels must
+give bit-identical arrays.
 """
 
 import itertools
@@ -13,12 +15,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import riskchain.consistency as consistency
+import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
     DEFAULT,
+    Claim,
+    InfeasibleError,
     RiskSet,
     ScenarioModel,
     SizeBoundError,
+    decompose_acceptance,
+    dual_cone_member,
     mstable_hull,
     paste_assembly,
 )
@@ -31,6 +39,7 @@ from riskchain.riskset import (
     _sorted_rows,
     kernel_polytope,
 )
+from riskchain.scenario import atom_masses
 
 from randmodels import random_model, random_riskset, refine_once
 
@@ -158,6 +167,77 @@ def enumerate_ref(n, constraints, config):
         if len(verts) == 0:
             break
     return _sorted_rows(verts)
+
+
+def atom_masses_ref(model, V, s, t):
+    ids = model.atom_ids(t)
+    rows = []
+    for atom in model.atoms(s):
+        for v in V:
+            row = np.zeros(len(model.atoms(t)))
+            for w in atom:
+                row[ids[w]] += v[w]
+            rows.append(row)
+    return np.array(rows)
+
+
+def decompose_lp_ref(model, V):
+    """``A_ub`` and ``A_eq`` of the acceptance-decomposition LP."""
+    blocks = []
+    offsets = [0]
+    for s in range(len(model.stages) - 1):
+        blocks.append((s, model.atoms(s + 1)))
+        offsets.append(offsets[-1] + len(blocks[-1][1]))
+    n_var = offsets[-1]
+    A_eq = np.zeros((model.n, n_var))
+    for (s, atoms), off in zip(blocks, offsets):
+        ids = model.atom_ids(s + 1)
+        for w in range(model.n):
+            A_eq[w, off + ids[w]] += 1.0
+    rows = []
+    for (s, atoms), off in zip(blocks, offsets):
+        ids = model.atom_ids(s + 1)
+        for atom in model.atoms(s):
+            for v in V:
+                row = np.zeros(n_var)
+                for w in atom:
+                    row[off + ids[w]] += v[w]
+                rows.append(row)
+    return np.array(rows), A_eq
+
+
+def dual_cone_lp_ref(model, V, x, s, t):
+    """``A_ub`` and ``b_ub`` of the dual-cone feasibility LP."""
+    atoms_t = model.atoms(t)
+    ids = model.atom_ids(t)
+    rows = []
+    rhs = []
+    for a, atom in enumerate(atoms_t):
+        row = np.zeros(len(atoms_t))
+        row[a] = -1.0
+        rows.append(row)
+        rhs.append(-float(x[list(atom)].max()))
+    for atom in model.atoms(s):
+        for v in V:
+            row = np.zeros(len(atoms_t))
+            for w in atom:
+                row[ids[w]] += v[w]
+            rows.append(row)
+            rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def captured_linprog(monkeypatch, module):
+    """Record the keyword arguments of every ``linprog`` call in ``module``."""
+    calls = []
+    real = module.linprog
+
+    def spy(c, **kwargs):
+        calls.append(kwargs)
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(module, "linprog", spy)
+    return calls
 
 
 def assert_identical(got, want):
@@ -338,3 +418,60 @@ class TestEnumeration:
                 for _ in range(m)]
         assert_identical(_enumerate_vertices(n, cons, DEFAULT),
                          enumerate_ref(n, cons, DEFAULT))
+
+
+# -- atom-mass LP rows ---------------------------------------------------------
+
+def sparse_riskset(rng, model):
+    """Random vertices with some exact zeros, so some atoms go uncharged."""
+    verts = rng.dirichlet(np.full(model.n, 0.7), size=int(rng.integers(1, 5)))
+    verts[rng.random(verts.shape) < 0.3] = 0.0
+    verts[:, 0] += 1e-3
+    return RiskSet.from_vertices(model, verts / verts.sum(axis=1, keepdims=True))
+
+
+class TestAtomMasses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_rows_match_the_loop(self, seed, sparse):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=12, stages_min=2, stages_max=5)
+        rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
+        for s in range(len(model.stages)):
+            for t in range(s, len(model.stages)):
+                assert_identical(atom_masses(model, rs.vertices, s, t),
+                                 atom_masses_ref(model, rs.vertices, s, t))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_decompose_acceptance_lp(self, seed, sparse):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=10, stages_min=2, stages_max=5)
+        rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
+        x = rng.uniform(-1.0, 1.0, model.n)
+        with pytest.MonkeyPatch.context() as m:
+            calls = captured_linprog(m, risk)
+            try:
+                decompose_acceptance(rs, Claim(x))
+            except InfeasibleError:
+                pass
+        A_ub, A_eq = decompose_lp_ref(model, rs.vertices)
+        assert_identical(calls[0]["A_ub"], A_ub)
+        assert_identical(calls[0]["A_eq"], A_eq)
+        assert_identical(calls[0]["b_eq"], x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_dual_cone_member_lp(self, seed, sparse):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=10, stages_min=2, stages_max=5)
+        rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
+        x = rng.uniform(-1.0, 1.0, model.n)
+        s = int(rng.integers(0, len(model.stages) - 1))
+        t = int(rng.integers(s + 1, len(model.stages)))
+        with pytest.MonkeyPatch.context() as m:
+            calls = captured_linprog(m, consistency)
+            dual_cone_member(rs, Claim(x), s, t)
+        A_ub, b_ub = dual_cone_lp_ref(model, rs.vertices, x, s, t)
+        assert_identical(calls[0]["A_ub"], A_ub)
+        assert_identical(calls[0]["b_ub"], b_ub)

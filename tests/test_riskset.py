@@ -59,6 +59,49 @@ class TestMeasure:
         m = measure([1 / 3, 1 / 3, 1 / 3])
         assert m.weights.sum() == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(SchemaError):
+            measure([bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize("rows", [[[np.nan, 1.0]], [[0.5, 0.5], [np.inf, 0.0]]])
+    def test_vertex_set_rejects_non_finite(self, rows):
+        with pytest.raises(SchemaError):
+            RiskSet.from_vertices(two_outcome_model(), rows)
+
+    def test_vertex_set_rejects_ragged_rows(self):
+        with pytest.raises(SchemaError):
+            RiskSet.from_vertices(two_outcome_model(), [[0.5, 0.5], [1.0]])
+
+    def test_vertex_rows_normalize_like_single_measures(self):
+        rng = np.random.default_rng(7)
+        for n in (2, 5, 9, 16):
+            rows = rng.dirichlet(np.ones(n), size=200)
+            rows[::3, 0] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            rows += rng.uniform(-2e-11, 2e-11, rows.shape)
+            rows[::3, 0] = -5e-10       # slightly negative, clipped to zero
+            model = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
+                                  [[list(range(n))], [[w] for w in range(n)]],
+                                  np.full(n, 1.0 / n))
+            got = RiskSet.from_vertices(model, rows).vertices
+            for r, g in zip(rows, got):
+                w = np.maximum(r, 0.0)
+                assert g.tobytes() == (w / w.sum()).tobytes()
+                assert g.tobytes() == measure(r).weights.tobytes()
+
+
+class TestRepresentation:
+    def test_vertices_and_constraints_together_rejected(self):
+        m = two_outcome_model()
+        with pytest.raises(SchemaError):
+            RiskSet(m, vertices=[[0.9, 0.1], [0.1, 0.9]],
+                    constraints=[LinearConstraint([1.0, 0.0], 0.5)])
+
+    def test_neither_rejected(self):
+        with pytest.raises(SchemaError):
+            RiskSet(two_outcome_model())
+
 
 class TestDensity:
     def test_reference_density_is_one(self, model):
@@ -215,6 +258,13 @@ class TestMember:
         enum = vertex_enumeration(rs)
         v_only = RiskSet.from_vertices(rs.model, enum.vertices)
         assert not member(v_only, q)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
+    def test_verdict_independent_of_row_scale(self, scale):
+        m = two_outcome_model()
+        rs = RiskSet.from_constraints(m, [LinearConstraint([scale, 0.0], 0.5 * scale)])
+        assert member(rs, [0.5 + 1.2e-9, 0.5 - 1.2e-9])
+        assert not member(rs, [0.5 + 1e-6, 0.5 - 1e-6])
 
     def test_member_agrees_across_representations(self):
         rng = np.random.default_rng(31)
