@@ -108,7 +108,6 @@ class SpecBundle:
     market: Optional[MarketModel]
     risk_sets: dict
     claims: dict
-    config: Config
 
 
 def _parse_model(doc: dict, config: Config) -> ScenarioModel:
@@ -164,17 +163,35 @@ def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:
             else:
                 raise SchemaError(f"unsupported constraint op {op!r}; "
                                   "express equalities as two inequalities")
-    return RiskSet(model, vertices=vertices, constraints=cons, config=model.config)
+    return RiskSet(model, vertices=vertices, constraints=cons)
 
 
-def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
+def _read_spec(path: str, tolerance: Optional[float]) -> tuple[dict, Config]:
+    """The spec document, checked to be a JSON object of a supported version,
+    and the model configuration its tolerance (or the override) sets."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     _require(isinstance(doc, dict), "spec document must be a JSON object")
     if "version" in doc:
         _require(str(doc["version"]) == SPEC_VERSION,
                  f"unsupported spec version {doc['version']!r}")
-    config = Config(tol=_tolerance(tolerance, doc))
+    return doc, Config(tol=_tolerance(tolerance, doc))
+
+
+def _parse_claims(doc: dict, n: int) -> dict:
+    """The spec's named claims, each a list of ``n`` finite numbers."""
+    _require(isinstance(doc.get("claims", {}), dict), "claims must be an object")
+    claims = {}
+    for name, values in doc.get("claims", {}).items():
+        _require(isinstance(values, list), f"claim {name!r} must be a list")
+        v = _numbers(values, f"claim {name!r}")
+        _require(v.shape == (n,), f"claim {name!r} length must match outcomes")
+        claims[str(name)] = Claim(v)
+    return claims
+
+
+def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
+    doc, config = _read_spec(path, tolerance)
     model = _parse_model(doc, config)
     market = None
     if "financial_partitions" in doc:
@@ -182,16 +199,9 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
         market = build_refined(model, fins)
         model = market.model
     _require(isinstance(doc.get("risk_sets", {}), dict), "risk_sets must be an object")
-    _require(isinstance(doc.get("claims", {}), dict), "claims must be an object")
     risk_sets = {str(name): _parse_risk_set(frag, model)
                  for name, frag in doc.get("risk_sets", {}).items()}
-    claims = {}
-    for name, values in doc.get("claims", {}).items():
-        _require(isinstance(values, list), f"claim {name!r} must be a list")
-        v = _numbers(values, f"claim {name!r}")
-        _require(v.shape == (model.n,), f"claim {name!r} length must match outcomes")
-        claims[str(name)] = Claim(v)
-    return SpecBundle(model, market, risk_sets, claims, config)
+    return SpecBundle(model, market, risk_sets, _parse_claims(doc, model.n))
 
 
 def _named_set(bundle: SpecBundle, name: str = "Q") -> RiskSet:
@@ -204,8 +214,8 @@ def _named_claim(bundle: SpecBundle, name: str) -> Claim:
     return bundle.claims[name]
 
 
-def _sample_claims(model: ScenarioModel, count: int = 100, seed: int = 7) -> list[Claim]:
-    rng = np.random.default_rng(seed)
+def _sample_claims(model: ScenarioModel, count: int) -> list[Claim]:
+    rng = np.random.default_rng(7)
     return [Claim(rng.uniform(-1.0, 1.0, model.n)) for _ in range(count)]
 
 
@@ -233,7 +243,7 @@ def cmd_price(args) -> dict:
 def cmd_check(args) -> dict:
     bundle = load_spec(args.spec, args.tolerance)
     rs = _named_set(bundle)
-    report = consistency_report(rs, _sample_claims(bundle.model))
+    report = consistency_report(rs, _sample_claims(bundle.model, 100))
     return {
         "command": "check",
         "stages": [s.label for s in bundle.model.stages],
@@ -305,23 +315,20 @@ def cmd_split(args) -> dict:
 
 
 def cmd_psi(args) -> dict:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    _require(isinstance(doc, dict), "spec document must be a JSON object")
-    config = Config(tol=_tolerance(args.tolerance, doc))
+    doc, config = _read_spec(args.spec, args.tolerance)
     for key in ("financial_factor", "intermediate_factor"):
         _require(key in doc, f"psi spec is missing {key!r}")
     fin = _parse_model(doc["financial_factor"], config)
     inter = _parse_model(doc["intermediate_factor"], config)
     pm = product_space(fin, inter)
+    claims = list(_parse_claims(doc, pm.model.n).values())
     sets = doc.get("risk_sets", {})
     _require("Pi" in sets, "psi spec must define risk set 'Pi' on the financial factor")
     _require("Phi" in sets, "psi spec must define risk set 'Phi' on the product space")
     pi = _parse_risk_set(sets["Pi"], fin)
     phi = _parse_risk_set(sets["Phi"], pm.model)
     q = psi_build(pi, phi, pm)
-    claims = [Claim(_numbers(v, f"claim {name!r}")) for name, v in doc.get("claims", {}).items()]
-    claims += _sample_claims(pm.model, count=20)
+    claims += _sample_claims(pm.model, 20)
     report = psi_verify(pi, phi, pm, q, claims)
     return {
         "command": "psi",

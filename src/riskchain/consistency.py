@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
+from .config import DEDUP_TOL, WORK_BOUND
 from .errors import EngineError, OutOfRangeError, SchemaError, SizeBoundError
 from .risk import Chain, eta, rho
 from .riskset import (
@@ -41,7 +42,6 @@ def project(rs: RiskSet, s, t) -> RiskSet:
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("projection needs s < t")
-    bound = rs.config.work_bound
     rows = []
     for bi in range(len(model.atoms(st_s))):
         kernels = kernel_polytope(rs, st_s, st_t, bi)
@@ -51,19 +51,21 @@ def project(rs: RiskSet, s, t) -> RiskSet:
             count = 1
             for i in charged:
                 count *= len(child_atoms[i])
-            if count + len(rows) > bound:
+            if count + len(rows) > WORK_BOUND:
                 raise SizeBoundError(
-                    f"projection vertex count exceeds the bound of {bound}")
+                    f"projection vertex count exceeds the bound of {WORK_BOUND}",
+                    bound=WORK_BOUND, reached=count + len(rows),
+                    layer="consistency.project")
             for combo in itertools.product(*(child_atoms[i] for i in charged)):
                 mu = np.zeros(model.n)
                 for i, outcome in zip(charged, combo):
                     mu[outcome] = ker.probs[i]
                 rows.append(mu)
-    verts = _sorted_rows(_dedup_rows(np.array(rows), rs.config.dedup_tol))
-    return RiskSet.from_vertices(model, verts, config=rs.config)
+    verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
+    return RiskSet.from_vertices(model, verts)
 
 
-def paste_assembly(model, sources, config=None) -> RiskSet:
+def paste_assembly(model, sources) -> RiskSet:
     """Per-node recombination with one kernel source per adjacent stage pair.
 
     ``sources[i]`` constrains the kernels of the step ``stages[i] ->
@@ -75,11 +77,9 @@ def paste_assembly(model, sources, config=None) -> RiskSet:
     over its charged children, ``acc = acc[:, None] + p_i * P_i[None]``, in
     ``itertools.product`` order with the additions done left to right, so
     every row is bit-identical to summing ``p_i * cond_i`` per combination.
-    The candidates are then reduced by ``_extreme_rows``.  ``work_bound`` is
+    The candidates are then reduced by ``_extreme_rows``.  ``WORK_BOUND`` is
     checked before any candidate array is built.
     """
-    config = config or model.config
-    bound = config.work_bound
     final = model.final_stage.index
     if len(sources) != final:
         raise SchemaError("need one kernel source per adjacent stage pair")
@@ -112,20 +112,22 @@ def paste_assembly(model, sources, config=None) -> RiskSet:
             count = 1
             for p in parts:
                 count *= len(p)
-            if count * len(kernels) > bound or count + total > bound:
+            reached = max(count * len(kernels), count + total)
+            if reached > WORK_BOUND:
                 raise SizeBoundError(
-                    f"pasting assembly exceeds the work bound of {bound}")
+                    f"pasting assembly exceeds the work bound of {WORK_BOUND}",
+                    bound=WORK_BOUND, reached=reached, layer="consistency.paste_assembly")
             acc = np.zeros((1, model.n))
             for i, part in zip(charged, parts):
                 acc = (acc[:, None, :] + probs[i] * part[None]).reshape(-1, model.n)
             blocks.append(acc)
             total += count
-        out = _extreme_rows(np.concatenate(blocks), config.dedup_tol)
+        out = _extreme_rows(np.concatenate(blocks), DEDUP_TOL)
         cache[key] = out
         return out
 
     verts = _sorted_rows(assemble(0, 0))
-    return RiskSet.from_vertices(model, verts, config=config)
+    return RiskSet.from_vertices(model, verts)
 
 
 def mstable_hull(rs: RiskSet) -> RiskSet:
@@ -136,12 +138,12 @@ def mstable_hull(rs: RiskSet) -> RiskSet:
     itself; contains the input.
     """
     model = rs.model
-    return paste_assembly(model, [rs] * (len(model.stages) - 1), rs.config)
+    return paste_assembly(model, [rs] * (len(model.stages) - 1))
 
 
-def is_mstable(rs: RiskSet, tol: Optional[float] = None) -> bool:
+def is_mstable(rs: RiskSet) -> bool:
     """True when per-node recombination adds nothing to the set."""
-    return set_equal(rs, mstable_hull(rs), tol)
+    return set_equal(rs, mstable_hull(rs))
 
 
 def chain_time_consistent(chain: Chain) -> bool:
@@ -234,16 +236,15 @@ def _stage0_gap(rs: RiskSet, hull: RiskSet, values: np.ndarray) -> float:
     return float((hull.vertices @ values).max() - (rs.vertices @ values).max())
 
 
-def find_witness(rs: RiskSet, hull: RiskSet,
-                 n_random: int = 200, seed: int = 0) -> tuple[Optional[Claim], float]:
+def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
     """Deterministic search for a claim with positive time-0 domination gap.
 
     Tries indicator claims, then sign patterns of vertex differences, then
-    seeded random claims; a separating LP per hull vertex outside the set
-    guarantees a witness whenever the hull is strictly larger.
+    200 random claims drawn from seed 0; a separating LP per hull vertex
+    outside the set guarantees a witness whenever the hull is strictly larger.
     """
     model = rs.model
-    tol = rs.config.tol
+    tol = model.config.tol
     candidates: list[np.ndarray] = []
     for w in range(model.n):
         e = np.zeros(model.n)
@@ -255,8 +256,8 @@ def find_witness(rs: RiskSet, hull: RiskSet,
             d = np.sign(np.round(h - v, 12))
             candidates.append(d)
             candidates.append(-d)
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(0)
+    for _ in range(200):
         candidates.append(rng.uniform(-1.0, 1.0, model.n))
     for x in candidates:
         gap = _stage0_gap(rs, hull, x)
@@ -282,7 +283,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     sampled domination test of the backward recursion against the one-shot
     price.  When only the analytic test fails, a witness search runs."""
     model = rs.model
-    tol = rs.config.tol
+    tol = model.config.tol
     hull = mstable_hull(rs)
     analytic = set_equal(rs, hull)
 
@@ -321,7 +322,7 @@ def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
     """Vertex one-step conditional expectations of the price process never
     rise, checked on every atom the vertex charges."""
     model = rs.model
-    tol = rs.config.tol
+    tol = model.config.tol
     prices = {s: rho(rs, claim, s) for s in range(len(model.stages))}
     for s in range(len(model.stages) - 1):
         nxt = prices[s + 1]

@@ -76,7 +76,10 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
             part = by_time[t]
         else:
             raise SchemaError(f"missing financial partition for time {t}")
-        part = _canonical_atoms(part, n)
+        try:
+            part = _canonical_atoms(part, n)
+        except SchemaError as exc:
+            raise SchemaError(f"financial partition at time {t}: {exc}", time=t) from exc
         if first_crossing(model.atoms(str(t)), atom_index(part, n)) is not None:
             raise NotCoarserError(
                 f"financial partition at time {t} is not coarser than the model's",
@@ -115,12 +118,12 @@ def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
     Equals the intersection of the per-period projections; assembled directly
     from the set's financial-step kernels with free intermediate steps.
     """
-    return paste_assembly(mm.model, _step_sources(mm, rs, financial=True), rs.config)
+    return paste_assembly(mm.model, _step_sources(mm, rs, financial=True))
 
 
 def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
     """Intermediate part: all measures whose (t+ -> t+1) kernels the set allows."""
-    return paste_assembly(mm.model, _step_sources(mm, rs, financial=False), rs.config)
+    return paste_assembly(mm.model, _step_sources(mm, rs, financial=False))
 
 
 @dataclass(frozen=True)
@@ -263,36 +266,32 @@ def extend_pi(pi: RiskSet, pm: ProductModel) -> RiskSet:
     """Extend a financial pricing set by independence: each vertex becomes its
     product with the intermediate reference."""
     rows = [np.outer(pm.inter.reference, v).ravel() for v in pi.vertices]
-    return RiskSet.from_vertices(pm.model, rows, config=pm.model.config)
+    return RiskSet.from_vertices(pm.model, rows)
 
 
-def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel,
-              check: bool = True) -> RiskSet:
+def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
     """Global pricing set agreeing with ``pi`` financially and ``phi`` on the
     residual risk: the financial part of the extension intersected with the
     intermediate part of ``phi``.  Assembled directly by pasting the
     extension's financial-step kernels with ``phi``'s intermediate-step
-    kernels, which is the same set.  With ``check`` the construction verifies
-    that both parts are recovered and the result is pasting-stable."""
+    kernels, which is the same set.  The construction verifies that both
+    parts are recovered and the result is pasting-stable."""
     hat_pi = extend_pi(pi, pm)
     sources = [hat_pi if not st.half else phi for st in pm.model.stages[:-1]]
-    q = paste_assembly(pm.model, sources, pm.model.config)
-    if check:
-        if not set_equal(qf(q, pm.market), qf(hat_pi, pm.market)):
-            raise EngineError("financial part was not recovered")
-        if not set_equal(qi(q, pm.market), qi(phi, pm.market)):
-            raise EngineError("intermediate part was not recovered")
-        if not is_mstable(q):
-            raise EngineError("constructed set is not pasting-stable")
+    q = paste_assembly(pm.model, sources)
+    if not set_equal(qf(q, pm.market), qf(hat_pi, pm.market)):
+        raise EngineError("financial part was not recovered")
+    if not set_equal(qi(q, pm.market), qi(phi, pm.market)):
+        raise EngineError("intermediate part was not recovered")
+    if not is_mstable(q):
+        raise EngineError("constructed set is not pasting-stable")
     return q
 
 
-def is_purely_financial(pm: ProductModel, claim: Claim,
-                        tol: Optional[float] = None) -> bool:
+def is_purely_financial(pm: ProductModel, claim: Claim) -> bool:
     """Structural test: constant across the intermediate factor per financial
     outcome."""
-    tol = pm.model.config.tol if tol is None else tol
-    return not np.any(np.ptp(pm.grid(claim.values), axis=0) > tol)
+    return not np.any(np.ptp(pm.grid(claim.values), axis=0) > pm.model.config.tol)
 
 
 def fin_restriction(pm: ProductModel, claim: Claim) -> Claim:

@@ -109,14 +109,12 @@ def eta(chain: Chain, claim: Claim) -> AdaptedProcess:
     return AdaptedProcess(tuple(reversed(stages)), tuple(reversed(claims)))
 
 
-def is_acceptable(rs: RiskSet, claim: Claim, tol: Optional[float] = None) -> bool:
+def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
     """True when the time-0 price of the claim is at most zero (one-sided)."""
-    tol = rs.config.tol if tol is None else tol
-    return float(rho(rs, claim, 0).values[0]) <= tol
+    return float(rho(rs, claim, 0).values[0]) <= rs.model.config.tol
 
 
-def cone_member(rs: RiskSet, claim: Claim, s, s_next,
-                tol: Optional[float] = None) -> bool:
+def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
     """Membership of the one-period trading cone at (s, s_next).
 
     Requires measurability at ``s_next`` (violations raise NOT_MEASURABLE,
@@ -124,14 +122,13 @@ def cone_member(rs: RiskSet, claim: Claim, s, s_next,
     every atom.
     """
     model = rs.model
-    tol = rs.config.tol if tol is None else tol
     st_s, st_n = model.stage(s), model.stage(s_next)
     if st_n.index <= st_s.index:
         raise SchemaError("cone stages must be ordered")
-    if not model.is_measurable(claim.values, st_n, tol):
+    if not model.is_measurable(claim.values, st_n):
         raise NotMeasurableError(
             f"claim is not measurable at stage {st_n.label}", stage=st_n.label)
-    return bool(np.all(rho(rs, claim, st_s).values <= tol))
+    return bool(np.all(rho(rs, claim, st_s).values <= model.config.tol))
 
 
 def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull, QhullError
 
-from .config import DEFAULT, Config
+from .config import DEDUP_TOL, MAX_OUTCOMES, WORK_BOUND
 from .errors import (
     EmptyIntersectionError,
     EmptyKernelError,
@@ -230,8 +230,7 @@ def _vertex_mask(cands: np.ndarray, rows: np.ndarray, atol: float) -> np.ndarray
     return out
 
 
-def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
-                        config: Config) -> np.ndarray:
+def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.ndarray:
     """Vertices of the simplex cut by the given inequalities.
 
     Each inequality cuts the current vertex set: surviving vertices stay
@@ -239,9 +238,10 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
     keep/drop vertex pairs (kept vertex outer, dropped inner), filtered by
     the active-rank test.
     """
-    if n > config.max_outcomes:
-        raise SizeBoundError(f"{n} outcomes exceed the bound of {config.max_outcomes}")
-    atol = config.dedup_tol
+    if n > MAX_OUTCOMES:
+        raise SizeBoundError(f"{n} outcomes exceed the bound of {MAX_OUTCOMES}",
+                             bound=MAX_OUTCOMES, reached=n, layer="riskset.vertices")
+    atol = DEDUP_TOL
     pending: list[np.ndarray] = []
     for c in constraints:
         nrm = float(np.linalg.norm(c.a))
@@ -273,9 +273,10 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
             if len(good):
                 pieces.append(good)
         verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
-        if len(verts) > config.work_bound:
+        if len(verts) > WORK_BOUND:
             raise SizeBoundError(
-                f"vertex enumeration exceeded the work bound of {config.work_bound}")
+                f"vertex enumeration exceeded the work bound of {WORK_BOUND}",
+                bound=WORK_BOUND, reached=len(verts), layer="riskset.vertices")
         if len(verts) == 0:
             break
     return _sorted_rows(verts)
@@ -283,8 +284,9 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint],
 
 # -- V-rep -> H-rep: affine hull plus facet enumeration ---------------------
 
-def _facets(verts: np.ndarray, tol: float = 1e-9) -> list[LinearConstraint]:
+def _facets(verts: np.ndarray) -> list[LinearConstraint]:
     """Inequalities describing the hull of ``verts`` (equalities as pairs)."""
+    tol = 1e-9
     v0 = verts[0]
     diffs = verts - v0
     _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
@@ -323,14 +325,12 @@ def _facets(verts: np.ndarray, tol: float = 1e-9) -> list[LinearConstraint]:
 class RiskSet:
     """Convex set of test measures with lazy dual representation."""
 
-    def __init__(self, model: ScenarioModel, vertices=None, constraints=None,
-                 config: Optional[Config] = None):
+    def __init__(self, model: ScenarioModel, vertices=None, constraints=None):
         if vertices is None and constraints is None:
             raise SchemaError("a RiskSet needs vertices or constraints")
         if vertices is not None and constraints is not None:
             raise SchemaError("a RiskSet takes vertices or constraints, not both")
         self.model = model
-        self.config = config or model.config
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         if vertices is not None:
@@ -352,12 +352,12 @@ class RiskSet:
             self._constraints = tuple(cons)
 
     @classmethod
-    def from_vertices(cls, model, vertices, config=None) -> "RiskSet":
-        return cls(model, vertices=vertices, config=config)
+    def from_vertices(cls, model, vertices) -> "RiskSet":
+        return cls(model, vertices=vertices)
 
     @classmethod
-    def from_constraints(cls, model, constraints, config=None) -> "RiskSet":
-        return cls(model, constraints=constraints, config=config)
+    def from_constraints(cls, model, constraints) -> "RiskSet":
+        return cls(model, constraints=constraints)
 
     @property
     def has_vertices(self) -> bool:
@@ -370,7 +370,7 @@ class RiskSet:
     @property
     def vertices(self) -> np.ndarray:
         if self._vertices is None:
-            verts = _enumerate_vertices(self.model.n, self._constraints, self.config)
+            verts = _enumerate_vertices(self.model.n, self._constraints)
             if len(verts) == 0:
                 raise EmptyIntersectionError("constraint system has no probability solution")
             self._vertices = verts
@@ -456,7 +456,7 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:
             stage=st_s.label, atom=atom_id)
     rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
     rows = rows / masses[charged][:, None]
-    rows = _extreme_rows(rows, rs.config.dedup_tol)
+    rows = _extreme_rows(rows, DEDUP_TOL)
     rows = _sorted_rows(rows)
     return [Kernel(st_s.index, atom_id, st_t.index, tuple(children), r) for r in rows]
 
@@ -511,14 +511,14 @@ def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
 
 # -- membership, inclusion, intersection -------------------------------------
 
-def member(rs: RiskSet, q, tol: Optional[float] = None) -> bool:
+def member(rs: RiskSet, q) -> bool:
     """Membership at tolerance: constraint evaluation when an H-representation
     exists, otherwise convex-combination feasibility against the vertices.
 
     Constraint rows are scaled to unit normals first, as in vertex
     enumeration, so the verdict does not depend on how a row is scaled.
     """
-    tol = rs.config.tol if tol is None else tol
+    tol = rs.model.config.tol
     w = _weights_of(q)
     if w.shape != (rs.model.n,):
         raise SchemaError("measure length does not match the model")
@@ -535,21 +535,21 @@ def member(rs: RiskSet, q, tol: Optional[float] = None) -> bool:
     return _in_hull(rs.vertices, w, tol)
 
 
-def includes(rs1: RiskSet, rs2: RiskSet, tol: Optional[float] = None) -> bool:
+def includes(rs1: RiskSet, rs2: RiskSet) -> bool:
     """Every vertex of ``rs2`` is a member of ``rs1``."""
     _check_same_model(rs1, rs2)
-    return all(member(rs1, v, tol) for v in rs2.vertices)
+    return all(member(rs1, v) for v in rs2.vertices)
 
 
-def set_equal(rs1: RiskSet, rs2: RiskSet, tol: Optional[float] = None) -> bool:
-    return includes(rs1, rs2, tol) and includes(rs2, rs1, tol)
+def set_equal(rs1: RiskSet, rs2: RiskSet) -> bool:
+    return includes(rs1, rs2) and includes(rs2, rs1)
 
 
 def vertex_enumeration(rs: RiskSet) -> RiskSet:
     """Materialize the V-representation; idempotent when already present."""
     if rs.has_vertices:
         return rs
-    return RiskSet.from_vertices(rs.model, rs.vertices, config=rs.config)
+    return RiskSet.from_vertices(rs.model, rs.vertices)
 
 
 def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
@@ -573,7 +573,7 @@ def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
         raise EmptyIntersectionError("the intersection contains no probability measure")
     if res.status != 0:
         raise EngineError(f"feasibility LP failed with status {res.status}")
-    return RiskSet.from_constraints(rs1.model, cons, config=rs1.config)
+    return RiskSet.from_constraints(rs1.model, cons)
 
 
 def _check_same_model(rs1: RiskSet, rs2: RiskSet):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Config
+from .config import DEFAULT, MAX_GRID, Config
 from .errors import (
     ModelError,
     NotMeasurableError,
@@ -117,8 +117,9 @@ class ScenarioModel:
             raise SchemaError("model needs at least one outcome")
         if len(set(self.outcomes)) != self.n:
             raise SchemaError("outcome labels must be unique")
-        if len(grid) > config.max_grid:
-            raise SizeBoundError(f"grid length {len(grid)} exceeds bound {config.max_grid}")
+        if len(grid) > MAX_GRID:
+            raise SizeBoundError(f"grid length {len(grid)} exceeds bound {MAX_GRID}",
+                                 bound=MAX_GRID, reached=len(grid), layer="scenario.grid")
 
         keys = []
         self.stages: list[Stage] = []
@@ -192,11 +193,10 @@ class ScenarioModel:
         fine = self.atom_ids(fine_stage)
         return sorted({int(fine[i]) for i in atom})
 
-    def is_measurable(self, values, stage, tol: Optional[float] = None) -> bool:
+    def is_measurable(self, values, stage) -> bool:
         """True when ``values`` is constant on every atom of ``stage``."""
-        tol = self.config.tol if tol is None else tol
         v = np.asarray(values, dtype=float)
-        return all(np.ptp(v[list(atom)]) <= tol for atom in self.atoms(stage))
+        return all(np.ptp(v[list(atom)]) <= self.config.tol for atom in self.atoms(stage))
 
 
 @dataclass(frozen=True)

@@ -131,14 +131,14 @@ class TestCriterion2:
         qf_set = qf(rs, mm)
         qi_set = qi(rs, mm)
         report(f"C2.financial_part eps={eps}", set_equal(
-            qf_set, RiskSet.from_vertices(mm.model, fin_part_vertices()), TOL))
+            qf_set, RiskSet.from_vertices(mm.model, fin_part_vertices())))
         band_v = RiskSet.from_vertices(mm.model, int_part_vertices(eps))
         band_h = int_band_constraints(eps, mm.model)
         report(f"C2.intermediate_part eps={eps}",
-               set_equal(qi_set, band_v, TOL) and set_equal(qi_set, band_h, TOL))
+               set_equal(qi_set, band_v) and set_equal(qi_set, band_h))
         report(f"C2.intersection eps={eps}", set_equal(
-            vertex_enumeration(intersect(qf_set, qi_set)), rs, TOL))
-        report(f"C2.mstable eps={eps}", is_mstable(rs, TOL))
+            vertex_enumeration(intersect(qf_set, qi_set)), rs))
+        report(f"C2.mstable eps={eps}", is_mstable(rs))
 
 
 class TestCriterion3:
@@ -248,13 +248,13 @@ class TestCriterion6:
                 rs = mstable_hull(rs)
             qf_set = qf(rs, mkt)
             qi_set = qi(rs, mkt)
-            eq = set_equal(rs, vertex_enumeration(intersect(qf_set, qi_set)), TOL)
-            mst = is_mstable(rs, TOL)
+            eq = set_equal(rs, vertex_enumeration(intersect(qf_set, qi_set)))
+            mst = is_mstable(rs)
             both[mst] += 1
             agree_ok = agree_ok and (eq == mst)
             full = simplex_set(mkt.model)
-            full_ok = full_ok and set_equal(qi(qf_set, mkt), full, TOL)
-            full_ok = full_ok and set_equal(qf(qi_set, mkt), full, TOL)
+            full_ok = full_ok and set_equal(qi(qf_set, mkt), full)
+            full_ok = full_ok and set_equal(qf(qi_set, mkt), full)
         report("C6.iff_agreement", agree_ok and both[True] > 0 and both[False] > 0,
                f"stable {both[True]}, unstable {both[False]}")
         report("C6.parts_densify", full_ok)
@@ -288,12 +288,12 @@ class TestCriterion7:
         pm = product_space(fin, inter)
         pi = mstable_hull(random_riskset(rng, fin, k_min=2, k_max=2))
         phi = random_riskset(rng, pm.model, k_min=2, k_max=3)
-        q = psi_build(pi, phi, pm, check=False)
+        q = psi_build(pi, phi, pm)
 
         hat = extend_pi(pi, pm)
-        ok = set_equal(qf(q, pm.market), qf(hat, pm.market), TOL)
-        ok = ok and set_equal(qi(q, pm.market), qi(phi, pm.market), TOL)
-        ok = ok and is_mstable(q, TOL)
+        ok = set_equal(qf(q, pm.market), qf(hat, pm.market))
+        ok = ok and set_equal(qi(q, pm.market), qi(phi, pm.market))
+        ok = ok and is_mstable(q)
         report(f"C7.postconditions F{fin_size} T{horizon}", ok)
 
         qi_part = qi(phi, pm.market)

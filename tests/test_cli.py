@@ -182,6 +182,20 @@ class TestPsi:
         assert got == {(0.2, 0.2, 0.3, 0.3), (0.2, 0.3, 0.3, 0.2),
                        (0.3, 0.2, 0.2, 0.3), (0.3, 0.3, 0.2, 0.2)}
 
+    @pytest.mark.parametrize("edit", [
+        {"version": "2"},
+        {"claims": {"short": [1.0, 2.0]}},
+        {"claims": [1, 2]},
+    ], ids=["version", "claim_length", "claims_not_object"])
+    def test_malformed_spec_is_2(self, capsys, tmp_path, edit):
+        doc = json.loads(Path(PRODUCT).read_text(encoding="utf-8"))
+        doc.update(edit)
+        spec = tmp_path / "psi.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, ["psi", "--spec", str(spec)])
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "SCHEMA"
+
 
 class TestExample6:
     @pytest.mark.parametrize("eps", ["0.1", "0.2", "0.5"])
@@ -236,7 +250,9 @@ class TestExitCodes:
         spec = make_spec(tmp_path, grid=grid, partitions=parts)
         code, out = run(capsys, ["check", "--spec", spec])
         assert code == 5
-        assert json.loads(out)["error"]["code"] == "TOO_LARGE"
+        err = json.loads(out)["error"]
+        assert err["code"] == "TOO_LARGE"
+        assert err["details"] == {"bound": 9, "reached": 10, "layer": "scenario.grid"}
 
 
 class TestRoundTrip:
@@ -342,4 +358,7 @@ class TestSpecIntegrity:
             tmp_path, lambda d: d["financial_partitions"].__setitem__("1", part))
         code, out = run(capsys, ["split", "--spec", spec, "--claim", "X"])
         assert code == 2
-        assert json.loads(out)["error"]["code"] == "SCHEMA"
+        err = json.loads(out)["error"]
+        assert err["code"] == "SCHEMA"
+        assert err["message"].startswith("financial partition at time 1: ")
+        assert err["details"] == {"time": 1}

@@ -160,8 +160,11 @@ class TestMstableHull:
             [1.0 / n] * n)
         rng = np.random.default_rng(57)
         rs = RiskSet.from_vertices(m, rng.dirichlet(np.full(n, 2.0), size=8))
-        with pytest.raises(SizeBoundError):
+        with pytest.raises(SizeBoundError) as exc:
             mstable_hull(rs)
+        details = exc.value.details
+        assert details["layer"] == "consistency.paste_assembly"
+        assert details["reached"] > details["bound"] == 4096
 
 
 class TestCheckLower:

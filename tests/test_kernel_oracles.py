@@ -19,7 +19,6 @@ import riskchain.consistency as consistency
 import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
-    DEFAULT,
     Claim,
     InfeasibleError,
     RiskSet,
@@ -39,11 +38,12 @@ from riskchain.riskset import (
     _sorted_rows,
     kernel_polytope,
 )
+from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.scenario import atom_masses
 
 from randmodels import random_model, random_riskset, refine_once
 
-TOL = DEFAULT.dedup_tol
+TOL = DEDUP_TOL
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -67,8 +67,8 @@ def extreme_ref(rows, tol):
     return rows[keep]
 
 
-def paste_ref(model, sources, config):
-    bound = config.work_bound
+def paste_ref(model, sources):
+    bound = WORK_BOUND
     final = model.final_stage.index
     cache = {}
 
@@ -105,11 +105,11 @@ def paste_ref(model, sources, config):
                 for i, cond in zip(charged, combo):
                     mu += probs[i] * cond
                 rows.append(mu)
-        out = extreme_ref(np.array(rows), config.dedup_tol)
+        out = extreme_ref(np.array(rows), DEDUP_TOL)
         cache[key] = out
         return out
 
-    return RiskSet.from_vertices(model, _sorted_rows(assemble(0, 0)), config=config)
+    return RiskSet.from_vertices(model, _sorted_rows(assemble(0, 0)))
 
 
 def is_vertex_ref(w, rows, atol):
@@ -128,8 +128,8 @@ def is_vertex_ref(w, rows, atol):
     return np.linalg.matrix_rank(np.array(normals), tol=1e-8) == n
 
 
-def enumerate_ref(n, constraints, config):
-    atol = config.dedup_tol
+def enumerate_ref(n, constraints):
+    atol = DEDUP_TOL
     rows, pending = [], []
     for c in constraints:
         nrm = float(np.linalg.norm(c.a))
@@ -245,12 +245,12 @@ def assert_identical(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def paste_with_ref_kernels(model, sources, config):
+def paste_with_ref_kernels(model, sources):
     """``paste_ref`` with the reference kernels inside ``kernel_polytope`` too."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(riskset, "_extreme_rows", extreme_ref)
         m.setattr(riskset, "_dedup_rows", dedup_ref)
-        return paste_ref(model, sources, config).vertices
+        return paste_ref(model, sources).vertices
 
 
 # -- row strategies ------------------------------------------------------------
@@ -377,8 +377,8 @@ class TestPasting:
         sources = [rs] * (len(model.stages) - 1)
         if free_step:
             sources[0] = None
-        assert_identical(paste_assembly(model, sources, rs.config).vertices,
-                         paste_with_ref_kernels(model, sources, rs.config))
+        assert_identical(paste_assembly(model, sources).vertices,
+                         paste_with_ref_kernels(model, sources))
 
     # seeded ladder: every atom splits at every stage, so hulls reach
     # 8-1024 vertices (1024 at 16 outcomes x 5 stages)
@@ -395,7 +395,7 @@ class TestPasting:
         k = 3 if n <= 12 else 2
         rs = random_riskset(rng, model, k_min=k, k_max=k)
         assert_identical(mstable_hull(rs).vertices,
-                         paste_with_ref_kernels(model, [rs] * (stages - 1), rs.config))
+                         paste_with_ref_kernels(model, [rs] * (stages - 1)))
 
 
 # -- H -> V cut ----------------------------------------------------------------
@@ -407,8 +407,7 @@ class TestEnumeration:
         rng = np.random.default_rng(seed)
         verts = rng.dirichlet(np.ones(n), size=k)
         cons = RiskSet.from_vertices(random_model(rng, n, n, 2, 2), verts).constraints
-        assert_identical(_enumerate_vertices(n, cons, DEFAULT),
-                         enumerate_ref(n, cons, DEFAULT))
+        assert_identical(_enumerate_vertices(n, cons), enumerate_ref(n, cons))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 6))
@@ -416,8 +415,7 @@ class TestEnumeration:
         rng = np.random.default_rng(seed)
         cons = [LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
                 for _ in range(m)]
-        assert_identical(_enumerate_vertices(n, cons, DEFAULT),
-                         enumerate_ref(n, cons, DEFAULT))
+        assert_identical(_enumerate_vertices(n, cons), enumerate_ref(n, cons))
 
 
 # -- atom-mass LP rows ---------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskchain import (
     Chain,
@@ -75,7 +77,7 @@ class TestRho:
             x = Claim(rng.uniform(-1, 1, 4))
             for s in range(3):
                 out = rho(rs, x, s)
-                assert rs.model.is_measurable(out.values, s, tol=1e-12)
+                assert all(np.ptp(out.values[list(a)]) <= 1e-12 for a in rs.model.atoms(s))
 
 
 class TestCoherenceAxioms:
@@ -249,7 +251,7 @@ class TestDecomposeAcceptance:
         total = sum(p.values for p in parts)
         assert np.allclose(total, x2.values, atol=1e-7)
         for s, p in enumerate(parts):
-            assert rs.model.is_measurable(p.values, s + 1, tol=1e-7)
+            assert all(np.ptp(p.values[list(a)]) <= 1e-7 for a in rs.model.atoms(s + 1))
             assert np.all(rho(rs, p, s).values <= 1e-7)
 
     def test_nonstable_witness_infeasible(self):
@@ -272,6 +274,18 @@ class TestDecomposeAcceptance:
 
 
 class TestReservePlan:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_telescopes_and_increments_price_to_zero(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=6)
+        rs = random_riskset(rng, m)
+        x = random_claim(rng, m)
+        plan = reserve_plan(Chain.single(rs), x)
+        assert np.allclose(plan.total(m), x.values, atol=1e-9)
+        for s, inc in zip(plan.stage_indices, plan.increments):
+            assert np.all(rho(rs, inc, s).values <= m.config.tol)
+
     def test_constant_claim(self, rs):
         plan = reserve_plan(Chain.single(rs), Claim(np.full(4, 2.5)))
         assert plan.premium == pytest.approx(2.5, abs=1e-9)

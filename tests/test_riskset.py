@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskchain import (
     EmptyIntersectionError,
@@ -214,12 +216,30 @@ class TestMaximizeRatio:
         rs = RiskSet.from_vertices(m, [[0.9, 0.1], [0.3, 0.7]])
         assert maximize_ratio(rs, np.array([1.0, 0.0]), (0, 1)) == pytest.approx(0.9)
 
-    def test_vertex_and_lp_routes_agree(self, model, rs):
-        rng = np.random.default_rng(21)
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(None)
+    def test_vertex_and_lp_routes_agree(self, seed):
+        """The worked set (``seed`` None) and random constraint-only sets: a
+        few cuts through the reference, so every atom is charged."""
+        if seed is None:
+            rng = np.random.default_rng(21)
+            model = build_model()
+            rs = pricing_set(model, EPS)
+            atoms = [(0, 1, 2, 3), (0, 2), (1, 3)]
+        else:
+            rng = np.random.default_rng(seed)
+            model = random_model(rng, n_max=6)
+            cons = []
+            for _ in range(int(rng.integers(1, 6))):
+                a = rng.normal(size=model.n)
+                cons.append(LinearConstraint(a, a @ model.reference + rng.uniform(0.01, 0.3)))
+            rs = RiskSet.from_constraints(model, cons)
+            atoms = [a for s in model.stages[:-1] for a in model.atoms(s)]
         enum = vertex_enumeration(rs)
         for _ in range(50):
-            a = rng.uniform(-1, 1, 4)
-            atom = [(0, 1, 2, 3), (0, 2), (1, 3)][int(rng.integers(3))]
+            a = rng.uniform(-1, 1, model.n)
+            atom = atoms[int(rng.integers(len(atoms)))]
             v_route = maximize_ratio(enum, a, atom)
             lp_route = _maximize_ratio_lp(rs, a, list(atom))
             assert v_route == pytest.approx(lp_route, abs=1e-8)
@@ -304,17 +324,22 @@ class TestVertexEnumeration:
         rs = RiskSet.from_vertices(model, extreme_points(EPS))
         assert vertex_enumeration(rs) is rs
 
-    def test_round_trip_fixed_point(self):
-        rng = np.random.default_rng(41)
-        for _ in range(10):
-            m = random_model(rng)
-            first = vertex_enumeration(random_riskset(rng, m, k_min=3, k_max=5))
-            second = vertex_enumeration(
-                RiskSet.from_constraints(m, first.constraints))
-            a = sorted(map(tuple, np.round(first.vertices, 9)))
-            b = sorted(map(tuple, np.round(second.vertices, 9)))
-            assert len(a) == len(b)
-            assert np.allclose(np.array(a), np.array(b), atol=1e-9)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip_fixed_point(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng)
+        gens = random_riskset(rng, m, k_min=3, k_max=5).vertices
+        # a generator inside the hull of the others is not a vertex of the set
+        extreme = [not _in_hull(np.delete(gens, i, axis=0), gens[i], 1e-9)
+                   for i in range(len(gens))]
+        first = RiskSet.from_vertices(m, gens[extreme])
+        second = vertex_enumeration(
+            RiskSet.from_constraints(m, first.constraints))
+        a = sorted(map(tuple, np.round(first.vertices, 9)))
+        b = sorted(map(tuple, np.round(second.vertices, 9)))
+        assert len(a) == len(b)
+        assert np.allclose(np.array(a), np.array(b), atol=1e-9)
 
     def test_too_large_outcome_space(self):
         n = 17
@@ -322,8 +347,9 @@ class TestVertexEnumeration:
                           [[list(range(n))], [[w] for w in range(n)]],
                           [1 / n] * n)
         rs = RiskSet.from_constraints(m, [])
-        with pytest.raises(SizeBoundError):
+        with pytest.raises(SizeBoundError) as exc:
             _ = rs.vertices
+        assert exc.value.details == {"bound": 16, "reached": 17, "layer": "riskset.vertices"}
 
     def test_infeasible_system_reports_empty(self):
         m = two_outcome_model()
