@@ -122,7 +122,7 @@ def paste_assembly(model, sources) -> RiskSet:
                 acc = (acc[:, None, :] + probs[i] * part[None]).reshape(-1, model.n)
             blocks.append(acc)
             total += count
-        out = _extreme_rows(np.concatenate(blocks), DEDUP_TOL)
+        out = _extreme_rows(np.concatenate(blocks))
         cache[key] = out
         return out
 

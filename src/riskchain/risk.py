@@ -49,13 +49,10 @@ class Chain:
     sets: Union[RiskSet, tuple[RiskSet, ...]]
 
     @classmethod
-    def single(cls, rs: RiskSet, stages: Optional[Sequence] = None) -> "Chain":
+    def single(cls, rs: RiskSet) -> "Chain":
+        """``rs`` at every date before the final stage."""
         model = rs.model
-        if stages is None:
-            idx = tuple(range(len(model.stages) - 1))
-        else:
-            idx = tuple(model.stage(s).index for s in stages)
-        return cls(model, idx, rs)
+        return cls(model, tuple(range(len(model.stages) - 1)), rs)
 
     @classmethod
     def per_stage(cls, model: ScenarioModel, stages: Sequence,

@@ -141,7 +141,7 @@ def _top_scores(c: np.ndarray, rows: np.ndarray, own: np.ndarray):
     return top, best
 
 
-def _certified_extreme(rows: np.ndarray, tol: float) -> np.ndarray:
+def _certified_extreme(rows: np.ndarray) -> np.ndarray:
     """Rows that ``_in_hull`` would certainly find outside the other rows.
 
     For a direction ``c``, ``g = c.r_i - M`` with ``M = max_{j!=i} c.r_j``:
@@ -155,7 +155,7 @@ def _certified_extreme(rows: np.ndarray, tol: float) -> np.ndarray:
     nearest point of the other rows' hull.
     """
     k = len(rows)
-    limit = 10.0 * tol * (1.0 + np.maximum(1.0, np.abs(rows).max(axis=1)))
+    limit = 10.0 * DEDUP_TOL * (1.0 + np.maximum(1.0, np.abs(rows).max(axis=1)))
     certified = np.zeros(k, dtype=bool)
     todo = np.arange(k)
     base = (rows.sum(axis=0) - rows) / (k - 1)
@@ -175,21 +175,21 @@ def _certified_extreme(rows: np.ndarray, tol: float) -> np.ndarray:
     return certified
 
 
-def _extreme_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+def _extreme_rows(rows: np.ndarray) -> np.ndarray:
     """Reduce rows to the extreme points of their convex hull.
 
-    Rows are deduplicated first (``_dedup_rows``).  A row certified extreme
-    by a separating direction (``_certified_extreme``) is kept without a
-    solver call; every other row is kept iff NNLS finds it outside the hull
-    of all remaining rows.  The certificate only admits rows that NNLS would
+    Rows are deduplicated first (``_dedup_rows`` at ``DEDUP_TOL``).  A row
+    certified extreme by a separating direction (``_certified_extreme``) is
+    kept without a solver call; every other row is kept iff NNLS finds it
+    outside the hull of all remaining rows.  The certificate only admits rows that NNLS would
     keep, so the result is that of the NNLS test alone.
     """
-    rows = _dedup_rows(rows, tol)
+    rows = _dedup_rows(rows, DEDUP_TOL)
     if len(rows) <= 2:
         return rows
-    certified = _certified_extreme(rows, tol)
+    certified = _certified_extreme(rows)
     keep = [i for i in range(len(rows)) if certified[i]
-            or not _in_hull(np.delete(rows, i, axis=0), rows[i], tol)]
+            or not _in_hull(np.delete(rows, i, axis=0), rows[i], DEDUP_TOL)]
     return rows[keep]
 
 
@@ -456,7 +456,7 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:
             stage=st_s.label, atom=atom_id)
     rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
     rows = rows / masses[charged][:, None]
-    rows = _extreme_rows(rows, DEDUP_TOL)
+    rows = _extreme_rows(rows)
     rows = _sorted_rows(rows)
     return [Kernel(st_s.index, atom_id, st_t.index, tuple(children), r) for r in rows]
 

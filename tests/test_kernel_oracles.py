@@ -248,7 +248,7 @@ def assert_identical(got, want):
 def paste_with_ref_kernels(model, sources):
     """``paste_ref`` with the reference kernels inside ``kernel_polytope`` too."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(riskset, "_extreme_rows", extreme_ref)
+        m.setattr(riskset, "_extreme_rows", lambda rows: extreme_ref(rows, DEDUP_TOL))
         m.setattr(riskset, "_dedup_rows", dedup_ref)
         return paste_ref(model, sources).vertices
 
@@ -332,7 +332,7 @@ class TestExtremeRows:
     @SETTINGS
     @given(point_clouds())
     def test_matches_nnls_only(self, rows):
-        assert_identical(_extreme_rows(rows, TOL), extreme_ref(rows, TOL))
+        assert_identical(_extreme_rows(rows), extreme_ref(rows, TOL))
 
     @SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(3, 12))
@@ -340,7 +340,7 @@ class TestExtremeRows:
         rng = np.random.default_rng(seed)
         p, q = rng.dirichlet(np.ones(d), size=2)
         rows = p + rng.uniform(0.0, 1.0, (k, 1)) * (q - p)
-        assert_identical(_extreme_rows(rows, TOL), extreme_ref(rows, TOL))
+        assert_identical(_extreme_rows(rows), extreme_ref(rows, TOL))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 8), st.integers(64, 160))
@@ -350,18 +350,18 @@ class TestExtremeRows:
         pts = rng.dirichlet(np.full(d, 0.5), size=k - k // 4)
         inner = rng.dirichlet(np.ones(len(pts)), size=k // 4) @ pts
         rows = np.vstack([pts, inner])[rng.permutation(k)]
-        assert_identical(_extreme_rows(rows, TOL), extreme_ref(rows, TOL))
+        assert_identical(_extreme_rows(rows), extreme_ref(rows, TOL))
 
     def test_interior_point_is_dropped(self):
         corners = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         rows = np.vstack([corners, corners.mean(axis=0)])
-        assert_identical(_extreme_rows(rows, TOL), corners)
+        assert_identical(_extreme_rows(rows), corners)
 
     def test_certificate_admits_only_nnls_extreme_rows(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             rows = _dedup_rows(rng.dirichlet(np.ones(4), size=12), TOL)
-            for i in np.flatnonzero(riskset._certified_extreme(rows, TOL)):
+            for i in np.flatnonzero(riskset._certified_extreme(rows)):
                 assert not _in_hull(np.delete(rows, i, axis=0), rows[i], TOL)
 
 

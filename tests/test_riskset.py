@@ -329,17 +329,29 @@ class TestVertexEnumeration:
     def test_round_trip_fixed_point(self, seed):
         rng = np.random.default_rng(seed)
         m = random_model(rng)
-        gens = random_riskset(rng, m, k_min=3, k_max=5).vertices
-        # a generator inside the hull of the others is not a vertex of the set
-        extreme = [not _in_hull(np.delete(gens, i, axis=0), gens[i], 1e-9)
-                   for i in range(len(gens))]
-        first = RiskSet.from_vertices(m, gens[extreme])
+        first = random_riskset(rng, m, k_min=3, k_max=5)
         second = vertex_enumeration(
             RiskSet.from_constraints(m, first.constraints))
-        a = sorted(map(tuple, np.round(first.vertices, 9)))
+        assert set_equal(first, second)
+        assert all(member(first, v) for v in second.vertices)
+        third = vertex_enumeration(
+            RiskSet.from_constraints(m, second.constraints))
         b = sorted(map(tuple, np.round(second.vertices, 9)))
-        assert len(a) == len(b)
-        assert np.allclose(np.array(a), np.array(b), atol=1e-9)
+        c = sorted(map(tuple, np.round(third.vertices, 9)))
+        assert len(b) == len(c)
+        assert np.allclose(np.array(b), np.array(c), atol=1e-9)
+
+    @pytest.mark.xfail(strict=True, reason="RiskSet.vertices of a vertex-given "
+                       "set keeps generators inside the hull of the others "
+                       "(FOUND in CHANGES.md)")
+    def test_vertices_of_v_set_are_extreme(self):
+        # seed 30 draws 5 generators at n = 4, one inside the hull of the others
+        rng = np.random.default_rng(30)
+        m = random_model(rng)
+        first = random_riskset(rng, m, k_min=3, k_max=5)
+        second = vertex_enumeration(
+            RiskSet.from_constraints(m, first.constraints))
+        assert len(first.vertices) == len(second.vertices)
 
     def test_too_large_outcome_space(self):
         n = 17
