@@ -3,7 +3,9 @@
 The projection of a set fixes its one-step conditional kernels node by node
 and frees everything else; the m-stable hull recombines per-node kernels along
 the whole grid.  Both are exact vertex constructions.  On top of them sit the
-lower / weak / strong consistency checks and the supermartingale test.
+lower / weak / strong consistency checks and the supermartingale test.  The
+m-stability verdict reads η_0 on the set's rows where it has or cheaply gets
+them, and builds the hull only for the other V-sets.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from .errors import EngineError, OutOfRangeError, SchemaError, SizeBoundError
 from .risk import Chain, eta, rho
 from .riskset import (
     RiskSet,
+    _affine_rank,
     _dedup_rows,
     _extreme_rows,
+    _facets,
     _sorted_rows,
+    _unit_rows,
     includes,
     kernel_polytope,
     member,
@@ -62,7 +67,7 @@ def project(rs: RiskSet, s, t) -> RiskSet:
                     mu[outcome] = ker.probs[i]
                 rows.append(mu)
     verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
-    return RiskSet.from_vertices(model, verts)
+    return RiskSet._of_extreme(model, verts)
 
 
 def paste_assembly(model, sources) -> RiskSet:
@@ -127,7 +132,7 @@ def paste_assembly(model, sources) -> RiskSet:
         return out
 
     verts = _sorted_rows(assemble(0, 0))
-    return RiskSet.from_vertices(model, verts)
+    return RiskSet._of_extreme(model, verts)
 
 
 def mstable_hull(rs: RiskSet) -> RiskSet:
@@ -141,9 +146,64 @@ def mstable_hull(rs: RiskSet) -> RiskSet:
     return paste_assembly(model, [rs] * (len(model.stages) - 1))
 
 
+def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Unit-normal rows ``(A, b)`` of an H-representation of the set, or None
+    when the set takes the hull route.
+
+    Rows the set already carries are used as they are.  A V-set with affinely
+    independent vertices gets its facets; any other V-set returns None,
+    because facet enumeration of a many-vertex set costs far more than
+    building its hull.  So does a simplex too thin for facet enumeration,
+    and any set that leaves an atom of a pricing date uncharged, where η is
+    undefined.
+    """
+    model = rs.model
+    V = rs.vertices     # read first, so later prices take the vertex route
+    mass = V.sum(axis=0)
+    if any((np.bincount(model.atom_ids(s), weights=mass) <= 0).any()
+           for s in range(model.final_stage.index)):
+        return None
+    if rs.has_constraints:
+        return _unit_rows(rs.constraints, model.n)
+    if _affine_rank(np.linalg.svd(V - V[0], compute_uv=False)) < len(V) - 1:
+        return None
+    try:
+        return _unit_rows(_facets(V), model.n)
+    except EngineError:
+        return None
+
+
+def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
+                 ) -> tuple[bool, Optional[Claim], float]:
+    """m-stability from η_0 on the rows of an H-representation of the set.
+
+    η_0 of ``Chain.single(rs)`` is the support function of the m-stable hull,
+    which contains the set, so the set is m-stable iff
+    ``η_0(a) <= b + tol (1 + |b|)`` on every row.  The row with the largest
+    excess is the witness; its gap is ``η_0(a) - max_v v.a``.
+    """
+    V = rs.vertices
+    if len(A) == 0:
+        return True, None, 0.0
+    chain = Chain.single(rs)
+    tol = rs.model.config.tol
+    eta0 = np.array([eta(chain, Claim(a)).claims[0].values[0] for a in A])
+    excess = eta0 - b - tol * (1.0 + np.abs(b))
+    worst = int(excess.argmax())
+    if excess[worst] <= 0:
+        return True, None, 0.0
+    x = A[worst] + 0.0      # a copy of the row, with -0.0 turned into 0.0
+    return False, Claim(x), float(eta0[worst] - (V @ x).max())
+
+
 def is_mstable(rs: RiskSet) -> bool:
-    """True when per-node recombination adds nothing to the set."""
-    return set_equal(rs, mstable_hull(rs))
+    """True when per-node recombination adds nothing to the set: decided on
+    the set's rows when it has or cheaply gets them, else by comparing the
+    set with its hull."""
+    rows = _verdict_rows(rs)
+    if rows is None:
+        return set_equal(rs, mstable_hull(rs))
+    return _row_verdict(rs, *rows)[0]
 
 
 def chain_time_consistent(chain: Chain) -> bool:
@@ -279,13 +339,27 @@ def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
 
 
 def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
-    """Two verdicts that must agree: the analytic hull fixed-point test and a
+    """Two verdicts that must agree: the analytic m-stability test and a
     sampled domination test of the backward recursion against the one-shot
-    price.  When only the analytic test fails, a witness search runs."""
+    price.
+
+    The analytic test takes one of three routes.  A set with rows (an H-set,
+    or a V-set whose facets were computed) or with affinely independent
+    vertices is decided by η_0 on its rows, and the worst row is the witness.
+    Any other V-set is compared with its hull, and a witness search runs
+    when only the analytic test fails.
+    """
     model = rs.model
     tol = model.config.tol
-    hull = mstable_hull(rs)
-    analytic = set_equal(rs, hull)
+    rows = _verdict_rows(rs)
+    hull = None
+    witness = None
+    witness_gap = 0.0
+    if rows is None:
+        hull = mstable_hull(rs)
+        analytic = set_equal(rs, hull)
+    else:
+        analytic, witness, witness_gap = _row_verdict(rs, *rows)
 
     chain = Chain.single(rs)
     max_gap = 0.0
@@ -301,14 +375,13 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
 
     if analytic and not sampled:
         raise EngineError(
-            "internal disagreement: hull fixed point holds but domination fails "
+            "internal disagreement: the analytic test passes but domination fails "
             f"with gap {max_gap}")
 
-    witness = None
-    witness_gap = 0.0
     note = None
     if not analytic:
-        witness, witness_gap = find_witness(rs, hull)
+        if hull is not None:
+            witness, witness_gap = find_witness(rs, hull)
         if sampled:
             note = "inconsistent, sample found no witness; search supplied one"
         if witness is None and sampled_witness is not None:

@@ -22,7 +22,10 @@ from .scenario import Claim, ScenarioModel, atom_masses
 def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     """Worst-case conditional price of a claim at a stage, atom by atom.
 
-    At the final stage this is the identity.
+    At the final stage this is the identity.  A set with vertices prices each
+    atom from its cached block of charged vertices (``maximize_ratio``'s
+    vertex route, with the same arithmetic); a constraint-only set takes the
+    LP route.
     """
     model = rs.model
     st = model.stage(stage)
@@ -30,8 +33,12 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     if st.index == model.final_stage.index:
         return Claim(x.copy(), st.index)
     out = np.empty(model.n)
-    for atom in model.atoms(st):
-        out[list(atom)] = maximize_ratio(rs, x, atom)
+    if rs.has_vertices:
+        for idx, block, masses in rs._atom_blocks(st.index):
+            out[idx] = float(((block @ x[idx]) / masses).max())
+    else:
+        for atom in model.atoms(st):
+            out[list(atom)] = maximize_ratio(rs, x, atom)
     return Claim(out, st.index)
 
 

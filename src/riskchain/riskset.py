@@ -127,6 +127,20 @@ def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     return resid <= tol * (1.0 + np.abs(b).max())
 
 
+def _separated(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """True when a separating direction proves ``_in_hull(points, x, tol)`` false.
+
+    The direction is ``c = x -`` the centroid of ``points``.  With
+    ``M = max_j c.p_j`` and ``g = c.x - M``, every NNLS residual is at least
+    ``g / sqrt(|c|^2 + M^2)`` (as in ``_certified_extreme``), and ``x`` is
+    separated when that bound is ten times the ``_in_hull`` threshold.
+    """
+    c = x - points.mean(axis=0)
+    top = float((points @ c).max())
+    limit = 10.0 * tol * (1.0 + max(1.0, float(np.abs(x).max())))
+    return bool(c @ x - top > limit * np.sqrt(c @ c + top ** 2))
+
+
 def _top_scores(c: np.ndarray, rows: np.ndarray, own: np.ndarray):
     """Max and argmax over ``j != own[i]`` of ``c_i . r_j``, in row blocks."""
     top = np.empty(len(c))
@@ -284,14 +298,23 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.n
 
 # -- V-rep -> H-rep: affine hull plus facet enumeration ---------------------
 
+_FACET_TOL = 1e-9
+
+
+def _affine_rank(svals: np.ndarray) -> int:
+    """Dimension of a point set's affine hull from the singular values of its
+    differences to the first point."""
+    smax = svals[0] if len(svals) else 0.0
+    return int(np.sum(svals > _FACET_TOL * max(1.0, smax)))
+
+
 def _facets(verts: np.ndarray) -> list[LinearConstraint]:
     """Inequalities describing the hull of ``verts`` (equalities as pairs)."""
-    tol = 1e-9
+    tol = _FACET_TOL
     v0 = verts[0]
     diffs = verts - v0
     _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > tol * max(1.0, smax)))
+    rank = _affine_rank(svals)
     basis = vt[:rank]
     comp = vt[rank:]
 
@@ -323,7 +346,11 @@ def _facets(verts: np.ndarray) -> list[LinearConstraint]:
 
 
 class RiskSet:
-    """Convex set of test measures with lazy dual representation."""
+    """Convex set of test measures with lazy dual representation.
+
+    Vertices given by the caller are generators: the first read of
+    ``vertices`` reduces them to the extreme points of their hull.
+    """
 
     def __init__(self, model: ScenarioModel, vertices=None, constraints=None):
         if vertices is None and constraints is None:
@@ -331,15 +358,17 @@ class RiskSet:
         if vertices is not None and constraints is not None:
             raise SchemaError("a RiskSet takes vertices or constraints, not both")
         self.model = model
+        self._generators: Optional[np.ndarray] = None
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
+        self._blocks: dict[int, list[tuple[list[int], np.ndarray, np.ndarray]]] = {}
         if vertices is not None:
             if not isinstance(vertices, np.ndarray):
                 vertices = [_weights_of(v) for v in vertices]
             if len(vertices) == 0:
                 raise SchemaError("vertex list may not be empty")
             try:
-                self._vertices = _measure_rows(vertices, model.n)
+                self._generators = _measure_rows(vertices, model.n)
             except ValueError as exc:
                 raise SchemaError("vertex rows have unequal lengths") from exc
         if constraints is not None:
@@ -356,12 +385,20 @@ class RiskSet:
         return cls(model, vertices=vertices)
 
     @classmethod
+    def _of_extreme(cls, model, vertices) -> "RiskSet":
+        """A V-set whose rows are extreme points by construction, so the
+        reduction of generators is skipped."""
+        rs = cls(model, vertices=vertices)
+        rs._vertices, rs._generators = rs._generators, None
+        return rs
+
+    @classmethod
     def from_constraints(cls, model, constraints) -> "RiskSet":
         return cls(model, constraints=constraints)
 
     @property
     def has_vertices(self) -> bool:
-        return self._vertices is not None
+        return self._vertices is not None or self._generators is not None
 
     @property
     def has_constraints(self) -> bool:
@@ -370,10 +407,15 @@ class RiskSet:
     @property
     def vertices(self) -> np.ndarray:
         if self._vertices is None:
-            verts = _enumerate_vertices(self.model.n, self._constraints)
-            if len(verts) == 0:
-                raise EmptyIntersectionError("constraint system has no probability solution")
-            self._vertices = verts
+            if self._generators is not None:
+                self._vertices = _extreme_rows(self._generators)
+                self._generators = None
+            else:
+                verts = _enumerate_vertices(self.model.n, self._constraints)
+                if len(verts) == 0:
+                    raise EmptyIntersectionError(
+                        "constraint system has no probability solution")
+                self._vertices = verts
         return self._vertices
 
     @property
@@ -382,10 +424,29 @@ class RiskSet:
             self._constraints = tuple(_facets(self.vertices))
         return self._constraints
 
+    def _atom_blocks(self, stage: int) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """Per atom of a stage: its outcomes ``idx``, the charged vertices'
+        rows on them ``V[charged][:, idx]`` and their masses there, built on
+        the first call for the stage and kept."""
+        blocks = self._blocks.get(stage)
+        if blocks is None:
+            V = self.vertices
+            blocks = []
+            for atom in self.model.atoms(stage):
+                idx = list(atom)
+                masses = V[:, idx].sum(axis=1)
+                charged = masses > 0
+                if not charged.any():
+                    raise EmptyKernelError(f"no vertex charges atom {tuple(idx)}")
+                blocks.append((idx, V[charged][:, idx], masses[charged]))
+            self._blocks[stage] = blocks
+        return blocks
+
     def __repr__(self):
         rep = []
-        if self._vertices is not None:
-            rep.append(f"{len(self._vertices)} vertices")
+        rows = self._vertices if self._vertices is not None else self._generators
+        if rows is not None:
+            rep.append(f"{len(rows)} vertices")
         if self._constraints is not None:
             rep.append(f"{len(self._constraints)} constraints")
         return f"RiskSet({', '.join(rep)}, n={self.model.n})"
@@ -516,7 +577,9 @@ def member(rs: RiskSet, q) -> bool:
     exists, otherwise convex-combination feasibility against the vertices.
 
     Constraint rows are scaled to unit normals first, as in vertex
-    enumeration, so the verdict does not depend on how a row is scaled.
+    enumeration, so the verdict does not depend on how a row is scaled.  A
+    separating direction (``_separated``) answers "not a member" before NNLS
+    when it can; the verdict is that of NNLS alone.
     """
     tol = rs.model.config.tol
     w = _weights_of(q)
@@ -525,14 +588,20 @@ def member(rs: RiskSet, q) -> bool:
     if w.min() < -tol or abs(w.sum() - 1.0) > tol:
         return False
     if rs.has_constraints:
-        cons = rs.constraints
-        A = np.array([c.a for c in cons]).reshape(len(cons), rs.model.n)
-        b = np.array([c.b for c in cons])
-        nrm = np.linalg.norm(A, axis=1)
-        nrm[nrm <= 1e-15] = 1.0
-        A, b = A / nrm[:, None], b / nrm
+        A, b = _unit_rows(rs.constraints, rs.model.n)
         return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
-    return _in_hull(rs.vertices, w, tol)
+    V = rs.vertices
+    return not _separated(V, w, tol) and _in_hull(V, w, tol)
+
+
+def _unit_rows(cons: Sequence[LinearConstraint], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint rows ``(A, b)`` scaled to unit normals; rows with a zero
+    normal are left as they are."""
+    A = np.array([c.a for c in cons]).reshape(len(cons), n)
+    b = np.array([c.b for c in cons])
+    nrm = np.linalg.norm(A, axis=1)
+    nrm[nrm <= 1e-15] = 1.0
+    return A / nrm[:, None], b / nrm
 
 
 def includes(rs1: RiskSet, rs2: RiskSet) -> bool:
@@ -549,7 +618,7 @@ def vertex_enumeration(rs: RiskSet) -> RiskSet:
     """Materialize the V-representation; idempotent when already present."""
     if rs.has_vertices:
         return rs
-    return RiskSet.from_vertices(rs.model, rs.vertices)
+    return RiskSet._of_extreme(rs.model, rs.vertices)
 
 
 def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:

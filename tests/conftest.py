@@ -1,0 +1,11 @@
+"""Hypothesis profiles: ``ci`` (loaded when the ``CI`` environment variable is
+set, as GitHub Actions does) draws the same examples on every run, so a
+tolerance-based property cannot fail on one runner and pass on the next."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")

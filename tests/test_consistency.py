@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import riskchain.consistency as consistency
+import riskchain.riskset as riskset
 from riskchain import (
     Chain,
     Claim,
@@ -28,6 +32,7 @@ from riskchain import (
     simplex_set,
     singleton,
 )
+from riskchain.consistency import _verdict_rows
 from riskchain.twobytwo import (
     build_model,
     fin_part_vertices,
@@ -345,3 +350,113 @@ class TestNonstableGeneration:
         assert gap > 1e-6
         assert not is_mstable(rs)
         assert includes(hull, rs) and not includes(rs, hull)
+
+
+def hull_verdict(rs):
+    """The oracle of every verdict route."""
+    return set_equal(rs, mstable_hull(rs))
+
+
+def check_witness(rs, witness, gap):
+    """A row witness: positive gap, equal to the brute force over the hull's
+    vertices, carried by its own array without negative zeros."""
+    x = witness.values
+    assert gap > rs.model.config.tol
+    brute = max(mstable_hull(rs).vertices @ x) - max(rs.vertices @ x)
+    assert brute == pytest.approx(gap, abs=1e-9)
+    assert x.flags.owndata
+    assert not np.any((x == 0) & np.signbit(x))
+
+
+def binary_tree_16():
+    """16 outcomes split in halves over 5 stages."""
+    parts = [[list(range(16))]]
+    for size in (8, 4, 2, 1):
+        parts.append([list(range(i, i + size)) for i in range(0, 16, size)])
+    return ScenarioModel([f"w{i}" for i in range(16)], [str(t) for t in range(5)],
+                         parts, [1.0 / 16] * 16)
+
+
+class TestVerdictRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_routes_agree_with_the_hull(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=6)
+        verts = random_riskset(rng, m).vertices
+        hull_verts = mstable_hull(RiskSet.from_vertices(m, verts)).vertices
+
+        faceted_hull = RiskSet.from_vertices(m, hull_verts)
+        faceted_hull.constraints        # a V-set whose facets were computed
+        cases = [
+            (RiskSet.from_vertices(m, verts), True),      # facets of a simplex
+            (RiskSet.from_constraints(m, riskset._facets(verts)), True),
+            (faceted_hull, True),
+            (RiskSet.from_vertices(m, hull_verts), None),  # any route
+        ]
+        for rs, has_rows in cases:
+            if has_rows:
+                assert _verdict_rows(rs) is not None
+            report = check_strong(rs, [random_claim(rng, m) for _ in range(5)])
+            verdict = is_mstable(rs)
+            assert report.analytic == verdict == hull_verdict(rs)
+            if not verdict and has_rows:
+                check_witness(rs, report.witness, report.witness_gap)
+
+    def test_uncharged_atom_takes_the_hull_route(self):
+        m, _ = derived_pair()
+        rs = RiskSet.from_vertices(m, [[0.5, 0.5, 0.0, 0.0], [0.2, 0.8, 0.0, 0.0]])
+        for s in (rs, RiskSet.from_constraints(m, riskset._facets(rs.vertices))):
+            assert _verdict_rows(s) is None
+            assert is_mstable(s) == hull_verdict(s)
+            assert consistency_report(s, []).mstable == hull_verdict(s)
+
+    def test_derived_pair_witness_is_a_row(self):
+        m, rs = derived_pair()
+        assert _verdict_rows(rs) is not None
+        report = check_strong(rs, [])
+        assert not report.analytic and report.sampled
+        assert report.note is not None
+        check_witness(rs, report.witness, report.witness_gap)
+        # the row witness shows the failures the theory predicts
+        assert not check_supermartingale(rs, report.witness).passed
+        assert check_supermartingale(mstable_hull(rs), report.witness).passed
+
+
+class TestVerdictsWithoutConstructions:
+    @pytest.fixture
+    def no_constructions(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a construction ran on the verdict path")
+        monkeypatch.setattr(consistency, "paste_assembly", refuse)
+        monkeypatch.setattr(riskset, "nnls", refuse)
+
+    @pytest.mark.usefixtures("no_constructions")
+    def test_simplex_v_sets(self):
+        m, rs = derived_pair()
+        sample = [random_claim(np.random.default_rng(80), m) for _ in range(10)]
+        assert not consistency_report(rs, sample).mstable
+        assert not is_mstable(rs)
+        tri = RiskSet.from_vertices(m, [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4],
+                                        [0.4, 0.4, 0.1, 0.1]])
+        assert not consistency_report(tri, sample).mstable
+        assert is_mstable(singleton(m, [0.1, 0.2, 0.3, 0.4]))
+
+    @pytest.mark.usefixtures("no_constructions")
+    def test_h_set(self, rs):
+        sample = [random_claim(np.random.default_rng(81), rs.model) for _ in range(10)]
+        report = consistency_report(rs, sample)
+        assert report.mstable and report.strong and report.witness is None
+        assert is_mstable(rs)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_refused_hull_still_gets_a_verdict(self, k):
+        m = binary_tree_16()
+        rng = np.random.default_rng(82)
+        rs = RiskSet.from_vertices(m, rng.dirichlet(np.full(16, 2.0), size=k))
+        with pytest.raises(SizeBoundError):
+            mstable_hull(rs)
+        report = consistency_report(rs, [random_claim(rng, m) for _ in range(10)])
+        assert not report.mstable and not report.strong
+        assert report.witness is not None
+        assert report.gap > m.config.tol

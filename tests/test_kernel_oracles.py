@@ -3,9 +3,10 @@
 The reference functions below are the former implementations, kept as
 oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
 ``itertools.product``, the per-pair H->V cut with one rank test per
-candidate, and the per-outcome loops that built the LP rows of
-``decompose_acceptance`` and ``dual_cone_member``.  The array kernels must
-give bit-identical arrays.
+candidate, the per-outcome loops that built the LP rows of
+``decompose_acceptance`` and ``dual_cone_member``, ``rho`` as a loop of
+``maximize_ratio`` calls, and V-set ``member`` as one NNLS test.  The array
+kernels must give bit-identical arrays and the same verdicts.
 """
 
 import itertools
@@ -20,6 +21,7 @@ import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
     Claim,
+    EmptyKernelError,
     InfeasibleError,
     RiskSet,
     ScenarioModel,
@@ -28,6 +30,7 @@ from riskchain import (
     dual_cone_member,
     mstable_hull,
     paste_assembly,
+    rho,
 )
 from riskchain.riskset import (
     LinearConstraint,
@@ -37,6 +40,8 @@ from riskchain.riskset import (
     _in_hull,
     _sorted_rows,
     kernel_polytope,
+    maximize_ratio,
+    member,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.scenario import atom_masses
@@ -225,6 +230,18 @@ def dual_cone_lp_ref(model, V, x, s, t):
             rows.append(row)
             rhs.append(0.0)
     return np.array(rows), np.array(rhs)
+
+
+def rho_ref(rs, x, s):
+    """``rho`` as the per-atom ``maximize_ratio`` loop."""
+    model = rs.model
+    st_ = model.stage(s)
+    if st_.index == model.final_stage.index:
+        return x.copy()
+    out = np.empty(model.n)
+    for atom in model.atoms(st_):
+        out[list(atom)] = maximize_ratio(rs, x, atom)
+    return out
 
 
 def captured_linprog(monkeypatch, module):
@@ -473,3 +490,50 @@ class TestAtomMasses:
         A_ub, b_ub = dual_cone_lp_ref(model, rs.vertices, x, s, t)
         assert_identical(calls[0]["A_ub"], A_ub)
         assert_identical(calls[0]["b_ub"], b_ub)
+
+
+# -- rho from cached atom blocks ---------------------------------------------
+
+class TestRho:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "sparse", "hull"]))
+    def test_cached_blocks_match_the_loop(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=10, stages_min=2, stages_max=5)
+        if kind == "sparse":
+            rs = sparse_riskset(rng, model)
+        else:
+            rs = random_riskset(rng, model)
+            if kind == "hull":
+                rs = mstable_hull(rs)
+        for _ in range(3):      # later claims read the blocks cached by the first
+            x = rng.uniform(-1.0, 1.0, model.n)
+            for s in range(len(model.stages)):
+                try:
+                    want = rho_ref(rs, x, s)
+                except EmptyKernelError as exc:
+                    with pytest.raises(EmptyKernelError) as got:
+                        rho(rs, Claim(x), s)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert_identical(rho(rs, Claim(x), s).values, want)
+
+
+# -- V-set membership: separation before NNLS ----------------------------------
+
+class TestMember:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-6]))
+    def test_verdict_is_that_of_nnls(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=8, stages_min=2, stages_max=4)
+        rs = random_riskset(rng, model, k_min=1, k_max=5)
+        V = rs.vertices
+        inside = rng.dirichlet(np.ones(len(V)), size=8) @ V
+        # pushed off the set by a few multiples of the NNLS threshold
+        off = inside + rng.normal(scale=scale, size=inside.shape)
+        off -= off.mean(axis=1, keepdims=True) - inside.mean(axis=1, keepdims=True)
+        far = rng.dirichlet(np.ones(model.n), size=8)
+        tol = model.config.tol
+        for q in np.vstack([V, inside, off, far]):
+            assert member(rs, q) == _in_hull(V, q, tol)

@@ -86,11 +86,15 @@ class TestMeasure:
             model = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
                                   [[list(range(n))], [[w] for w in range(n)]],
                                   np.full(n, 1.0 / n))
+            # .vertices keeps the extreme rows only, each normalized as given
             got = RiskSet.from_vertices(model, rows).vertices
-            for r, g in zip(rows, got):
+            normalized = set()
+            for r in rows:
                 w = np.maximum(r, 0.0)
-                assert g.tobytes() == (w / w.sum()).tobytes()
-                assert g.tobytes() == measure(r).weights.tobytes()
+                assert (w / w.sum()).tobytes() == measure(r).weights.tobytes()
+                normalized.add((w / w.sum()).tobytes())
+            assert len(got) >= 2
+            assert all(g.tobytes() in normalized for g in got)
 
 
 class TestRepresentation:
@@ -341,9 +345,6 @@ class TestVertexEnumeration:
         assert len(b) == len(c)
         assert np.allclose(np.array(b), np.array(c), atol=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="RiskSet.vertices of a vertex-given "
-                       "set keeps generators inside the hull of the others "
-                       "(FOUND in CHANGES.md)")
     def test_vertices_of_v_set_are_extreme(self):
         # seed 30 draws 5 generators at n = 4, one inside the hull of the others
         rng = np.random.default_rng(30)
