@@ -187,7 +187,7 @@ def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
         return True, None, 0.0
     chain = Chain.single(rs)
     tol = rs.model.config.tol
-    eta0 = np.array([eta(chain, Claim(a)).claims[0].values[0] for a in A])
+    eta0 = eta(chain, Claim(A)).claims[0].values[:, 0]
     excess = eta0 - b - tol * (1.0 + np.abs(b))
     worst = int(excess.argmax())
     if excess[worst] <= 0:
@@ -199,11 +199,14 @@ def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
 def is_mstable(rs: RiskSet) -> bool:
     """True when per-node recombination adds nothing to the set: decided on
     the set's rows when it has or cheaply gets them, else by comparing the
-    set with its hull."""
-    rows = _verdict_rows(rs)
-    if rows is None:
-        return set_equal(rs, mstable_hull(rs))
-    return _row_verdict(rs, *rows)[0]
+    set with its hull.  The verdict is kept on the set."""
+    if rs._mstable is None:
+        rows = _verdict_rows(rs)
+        if rows is None:
+            rs._mstable = set_equal(rs, mstable_hull(rs))
+        else:
+            rs._mstable = _row_verdict(rs, *rows)[0]
+    return rs._mstable
 
 
 def chain_time_consistent(chain: Chain) -> bool:
@@ -222,7 +225,7 @@ def chain_time_consistent(chain: Chain) -> bool:
 
 # -- lower / weak -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     passed: bool
     witness: Optional[dict] = None
@@ -280,7 +283,7 @@ def check_weak(chain: Chain) -> CheckReport:
 
 # -- strong -------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrongReport:
     passed: bool
     analytic: bool
@@ -360,17 +363,24 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
         analytic = set_equal(rs, hull)
     else:
         analytic, witness, witness_gap = _row_verdict(rs, *rows)
+    rs._mstable = analytic
 
     chain = Chain.single(rs)
     max_gap = 0.0
     sampled_witness = None
-    for x in sample:
-        process = eta(chain, x)
-        for pos, s in enumerate(process.stage_indices[:-1]):
-            gap = float(np.max(process.claims[pos].values - rho(rs, x, s).values))
-            if gap > max_gap:
-                max_gap = gap
-                sampled_witness = x
+    if len(sample):
+        # one row per claim; a claim's gap is its largest over outcomes (NaN
+        # when any is NaN) and dates (NaN skipped), and the witness is the
+        # first claim with the largest positive gap
+        X = Claim(np.array([x.values for x in sample]))
+        process = eta(chain, X)
+        gaps = [np.max(eta_s.values - rho(rs, X, s).values, axis=1)
+                for eta_s, s in zip(process.claims, process.stage_indices[:-1])]
+        top = np.fmax.reduce(gaps, axis=0, initial=0.0)
+        best = int(top.argmax())
+        if top[best] > 0.0:
+            max_gap = float(top[best])
+            sampled_witness = sample[best]
     sampled = max_gap <= tol
 
     if analytic and not sampled:
@@ -417,7 +427,7 @@ def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
 
 # -- assembled report ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyReport:
     """Verdicts for a single-set chain; strong-pass implies the weaker two."""
 

@@ -126,7 +126,7 @@ def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
     return paste_assembly(mm.model, _step_sources(mm, rs, financial=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiReport:
     """Decomposition diagnostics for a pricing set on a refined model."""
 
@@ -156,7 +156,7 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplitReservePlan:
     """Premium plus per-period financial and intermediate increments."""
 
@@ -313,25 +313,26 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     qf_part = qf(hat_pi, pm.market)
     qi_part = qi(phi, pm.market)
     tol = pm.model.config.tol
+    # one row per claim; a row's deviation is NaN when any outcome's is, and
+    # the maxima over rows and dates skip NaN
+    X = Claim(np.array([x.values for x in claims]).reshape(-1, pm.model.n))
+    prices = [rho(q, X, str(t)).values for t in range(pm.market.horizon)]
     comp_dev = 0.0
-    for x in claims:
-        for t in range(pm.market.horizon):
-            inner = rho(q, x, str(t + 1))
-            mid = rho(qi_part, inner, f"{t}+")
-            lhs = rho(qf_part, mid, str(t)).values
-            rhs = rho(q, x, str(t)).values
-            comp_dev = max(comp_dev, float(np.max(np.abs(lhs - rhs))))
+    for t in range(pm.market.horizon):
+        inner = rho(q, X, str(t + 1))
+        mid = rho(qi_part, inner, f"{t}+")
+        lhs = rho(qf_part, mid, str(t)).values
+        comp_dev = float(np.fmax.reduce(np.max(np.abs(lhs - prices[t]), axis=1),
+                                        initial=comp_dev))
     pi_consistent = is_mstable(pi)
     fin_dev = 0.0
-    if pi_consistent:
-        for x in claims:
-            if not is_purely_financial(pm, x):
-                continue
-            fx = fin_restriction(pm, x)
-            for t in range(pm.market.horizon):
-                lifted = lift_financial(pm, rho(pi, fx, str(t)).values)
-                got = rho(q, x, str(t)).values
-                fin_dev = max(fin_dev, float(np.max(np.abs(got - lifted))))
+    fin = [i for i, x in enumerate(claims) if is_purely_financial(pm, x)]
+    if pi_consistent and fin:
+        FX = Claim(np.array([fin_restriction(pm, claims[i]).values for i in fin]))
+        for t in range(pm.market.horizon):
+            lifted = lift_financial(pm, rho(pi, FX, str(t)).values)
+            fin_dev = float(np.fmax.reduce(
+                np.max(np.abs(prices[t][fin] - lifted), axis=1), initial=fin_dev))
     return {
         "qf_recovered": set_equal(qf(q, pm.market), qf_part),
         "qi_recovered": set_equal(qi(q, pm.market), qi_part),
@@ -365,15 +366,14 @@ def one_period_premium(p_fin: RiskSet, p_int: RiskSet, h: Claim,
         raise SchemaError("one-period premium needs a horizon-1 product model")
     tol = pm.model.config.tol
     v = np.asarray(h.values, dtype=float)
-    fin_vals = np.array([float(rho(p_int, Claim(col), 0).values[0])
-                         for col in pm.grid(v).T])
+    # one intermediate claim per financial outcome, one per row
+    fin_vals = rho(p_int, Claim(pm.grid(v).T), 0).values[:, 0].copy()
     premium = float(rho(p_fin, Claim(fin_vals), 0).values[0])
 
     uf = Claim(lift_financial(pm, fin_vals - premium), pm.market.half(0).index)
     ui = Claim(v - lift_financial(pm, fin_vals), pm.model.final_stage.index)
     if float(rho(p_fin, Claim(fin_vals - premium), 0).values[0]) > tol:
         raise EngineError("financial increment failed its acceptability check")
-    for col in pm.grid(ui.values).T:
-        if float(rho(p_int, Claim(col), 0).values[0]) > tol:
-            raise EngineError("intermediate increment failed its acceptability check")
+    if np.any(rho(p_int, Claim(pm.grid(ui.values).T), 0).values[:, 0] > tol):
+        raise EngineError("intermediate increment failed its acceptability check")
     return OnePeriodPremium(premium, fin_vals, uf, ui)

@@ -22,24 +22,32 @@ from .scenario import Claim, ScenarioModel, atom_masses
 def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     """Worst-case conditional price of a claim at a stage, atom by atom.
 
-    At the final stage this is the identity.  A set with vertices prices each
-    atom from its cached block of charged vertices (``maximize_ratio``'s
-    vertex route, with the same arithmetic); a constraint-only set takes the
-    LP route.
+    ``claim.values`` is one claim ``(n,)`` or a stack of claims ``(m, n)``,
+    one per row; each row is priced exactly as it would be alone.  At the
+    final stage this is the identity.  A set with vertices prices from its
+    cached per-stage blocks (``maximize_ratio``'s vertex route, with the same
+    arithmetic): each row's values on an atom are copied next to each other,
+    so every row and atom is one matrix-vector product of the atom's block;
+    the ratios are divided by the masses and maximized per atom for all rows
+    at once.  A constraint-only set takes the LP route, row by row.
     """
     model = rs.model
     st = model.stage(stage)
     x = np.asarray(claim.values, dtype=float)
     if st.index == model.final_stage.index:
         return Claim(x.copy(), st.index)
-    out = np.empty(model.n)
+    X = x.reshape(-1, model.n)
     if rs.has_vertices:
-        for idx, block, masses in rs._atom_blocks(st.index):
-            out[idx] = float(((block @ x[idx]) / masses).max())
+        cols, blocks, masses, starts, ids = rs._atom_blocks(st.index)
+        Xc = X.take(cols, axis=1)[:, :, None]
+        vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
+        out = np.maximum.reduceat(vals[..., 0] / masses, starts, axis=1).take(ids, axis=1)
     else:
-        for atom in model.atoms(st):
-            out[list(atom)] = maximize_ratio(rs, x, atom)
-    return Claim(out, st.index)
+        out = np.empty(X.shape)
+        for row, xr in zip(out, X):
+            for atom in model.atoms(st):
+                row[list(atom)] = maximize_ratio(rs, xr, atom)
+    return Claim(out.reshape(x.shape), st.index)
 
 
 @dataclass(frozen=True)
@@ -86,7 +94,7 @@ class Chain:
         return self.sets if self.is_single_set else self.sets[position]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdaptedProcess:
     """One claim per date (each measurable there), e.g. the eta recursion."""
 
@@ -181,7 +189,7 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     return [Claim(res.x[offsets[s] + ids[s]], s + 1) for s in steps]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReservePlan:
     """Premium plus adapted acceptable increments telescoping to the claim."""
 

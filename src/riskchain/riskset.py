@@ -361,7 +361,8 @@ class RiskSet:
         self._generators: Optional[np.ndarray] = None
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
-        self._blocks: dict[int, list[tuple[list[int], np.ndarray, np.ndarray]]] = {}
+        self._blocks: dict[int, tuple] = {}
+        self._mstable: Optional[bool] = None    # set by consistency.is_mstable
         if vertices is not None:
             if not isinstance(vertices, np.ndarray):
                 vertices = [_weights_of(v) for v in vertices]
@@ -424,23 +425,37 @@ class RiskSet:
             self._constraints = tuple(_facets(self.vertices))
         return self._constraints
 
-    def _atom_blocks(self, stage: int) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-        """Per atom of a stage: its outcomes ``idx``, the charged vertices'
-        rows on them ``V[charged][:, idx]`` and their masses there, built on
-        the first call for the stage and kept."""
-        blocks = self._blocks.get(stage)
-        if blocks is None:
+    def _atom_blocks(self, stage: int) -> tuple:
+        """The stage's charged-vertex blocks, built on the first call for the
+        stage and kept.
+
+        Returns ``(cols, blocks, masses, starts, ids)``: ``cols`` lists the
+        outcomes atom after atom (an ``intp`` array); ``blocks`` holds, per
+        atom, its span ``(a, e)`` in ``cols`` and the charged vertices' rows
+        on it ``V[charged][:, idx]``; ``masses`` holds those vertices' masses
+        on their atom, atom after atom, and ``starts`` where each atom's run
+        begins; ``ids`` maps every outcome to its atom.
+        """
+        cached = self._blocks.get(stage)
+        if cached is None:
             V = self.vertices
-            blocks = []
+            cols, blocks, masses = [], [], []
+            a = 0
             for atom in self.model.atoms(stage):
-                idx = list(atom)
-                masses = V[:, idx].sum(axis=1)
-                charged = masses > 0
+                idx = np.array(atom, dtype=np.intp)
+                mass = V[:, idx].sum(axis=1)
+                charged = mass > 0
                 if not charged.any():
-                    raise EmptyKernelError(f"no vertex charges atom {tuple(idx)}")
-                blocks.append((idx, V[charged][:, idx], masses[charged]))
-            self._blocks[stage] = blocks
-        return blocks
+                    raise EmptyKernelError(f"no vertex charges atom {atom}")
+                cols.append(idx)
+                blocks.append((a, a + len(idx), V[charged][:, idx]))
+                masses.append(mass[charged])
+                a += len(idx)
+            starts = np.cumsum([0] + [len(m) for m in masses[:-1]])
+            cached = (np.concatenate(cols), blocks, np.concatenate(masses), starts,
+                      self.model.atom_ids(stage))
+            self._blocks[stage] = cached
+        return cached
 
     def __repr__(self):
         rep = []

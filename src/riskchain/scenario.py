@@ -199,7 +199,7 @@ class ScenarioModel:
         return all(np.ptp(v[list(atom)]) <= self.config.tol for atom in self.atoms(stage))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     """Payoff vector over outcomes, optionally declared measurable at a stage."""
 

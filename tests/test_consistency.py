@@ -17,6 +17,7 @@ from riskchain import (
     check_strong,
     check_supermartingale,
     check_weak,
+    chain_time_consistent,
     consistency_report,
     dual_cone_member,
     eta,
@@ -421,6 +422,34 @@ class TestVerdictRoutes:
         # the row witness shows the failures the theory predicts
         assert not check_supermartingale(rs, report.witness).passed
         assert check_supermartingale(mstable_hull(rs), report.witness).passed
+
+
+class TestVerdictKeptOnTheSet:
+    @pytest.fixture
+    def route_calls(self, monkeypatch):
+        calls = []
+        real = consistency._verdict_rows
+
+        def spy(rs):
+            calls.append(rs)
+            return real(rs)
+
+        monkeypatch.setattr(consistency, "_verdict_rows", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_set_is_decided_once(self, route_calls, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=6)
+        verts = random_riskset(rng, m).vertices
+        fresh = [RiskSet.from_vertices(m, verts) for _ in range(3)]
+        verdict = is_mstable(fresh[0])
+        assert is_mstable(fresh[0]) == verdict == hull_verdict(fresh[0])
+        assert check_strong(fresh[1], []).analytic == verdict
+        assert is_mstable(fresh[1]) == verdict
+        assert chain_time_consistent(Chain.single(fresh[2])) == verdict
+        assert is_mstable(fresh[2]) == verdict
+        assert [id(rs) for rs in route_calls] == [id(rs) for rs in fresh]
 
 
 class TestVerdictsWithoutConstructions:

@@ -4,6 +4,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from riskchain import (
@@ -224,6 +226,20 @@ class TestSplitReserve:
         plan = split_reserve(rs, mkt, x)
         assert plan.time_consistent
         assert np.allclose(plan.total(mkt.model), x.values, atol=1e-9)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_premium_plus_both_increments_is_the_claim(self, seed):
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model)
+        x = random_claim(rng, mkt.model)
+        plan = split_reserve(rs, mkt, x)
+        assert len(plan.fin_increments) == len(plan.int_increments) == mkt.horizon
+        total = plan.premium + sum(u.values for u in plan.fin_increments) \
+            + sum(u.values for u in plan.int_increments)
+        assert np.allclose(total, x.values, atol=1e-9)
 
 
 class TestProductSpace:

@@ -5,8 +5,9 @@ oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
 ``itertools.product``, the per-pair H->V cut with one rank test per
 candidate, the per-outcome loops that built the LP rows of
 ``decompose_acceptance`` and ``dual_cone_member``, ``rho`` as a loop of
-``maximize_ratio`` calls, and V-set ``member`` as one NNLS test.  The array
-kernels must give bit-identical arrays and the same verdicts.
+``maximize_ratio`` calls, ``check_strong`` with one ``eta`` per row and per
+sampled claim, and V-set ``member`` as one NNLS test.  The array kernels
+must give bit-identical arrays and the same verdicts.
 """
 
 import itertools
@@ -20,18 +21,24 @@ import riskchain.consistency as consistency
 import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
+    Chain,
     Claim,
     EmptyKernelError,
+    EngineError,
     InfeasibleError,
     RiskSet,
     ScenarioModel,
     SizeBoundError,
+    check_strong,
     decompose_acceptance,
     dual_cone_member,
+    eta,
     mstable_hull,
     paste_assembly,
     rho,
+    set_equal,
 )
+from riskchain.consistency import StrongReport
 from riskchain.riskset import (
     LinearConstraint,
     _dedup_rows,
@@ -244,6 +251,61 @@ def rho_ref(rs, x, s):
     return out
 
 
+def row_verdict_ref(rs, A, b):
+    """``consistency._row_verdict`` with one ``eta`` call per row."""
+    V = rs.vertices
+    if len(A) == 0:
+        return True, None, 0.0
+    chain = Chain.single(rs)
+    tol = rs.model.config.tol
+    eta0 = np.array([eta(chain, Claim(a)).claims[0].values[0] for a in A])
+    excess = eta0 - b - tol * (1.0 + np.abs(b))
+    worst = int(excess.argmax())
+    if excess[worst] <= 0:
+        return True, None, 0.0
+    x = A[worst] + 0.0
+    return False, Claim(x), float(eta0[worst] - (V @ x).max())
+
+
+def check_strong_ref(rs, sample):
+    """``check_strong`` with the per-claim loops: one ``eta`` per row of the
+    verdict and one ``eta`` plus one ``rho`` per sampled claim and date."""
+    tol = rs.model.config.tol
+    rows = consistency._verdict_rows(rs)
+    hull = None
+    witness = None
+    witness_gap = 0.0
+    if rows is None:
+        hull = mstable_hull(rs)
+        analytic = set_equal(rs, hull)
+    else:
+        analytic, witness, witness_gap = row_verdict_ref(rs, *rows)
+    chain = Chain.single(rs)
+    max_gap = 0.0
+    sampled_witness = None
+    for x in sample:
+        process = eta(chain, x)
+        for pos, s in enumerate(process.stage_indices[:-1]):
+            gap = float(np.max(process.claims[pos].values - rho(rs, x, s).values))
+            if gap > max_gap:
+                max_gap = gap
+                sampled_witness = x
+    sampled = max_gap <= tol
+    if analytic and not sampled:
+        raise EngineError("internal disagreement")
+    note = None
+    if not analytic:
+        if hull is not None:
+            witness, witness_gap = consistency.find_witness(rs, hull)
+        if sampled:
+            note = "inconsistent, sample found no witness; search supplied one"
+        if witness is None and sampled_witness is not None:
+            witness = sampled_witness
+            witness_gap = consistency._stage0_gap(rs, hull, sampled_witness.values)
+    return StrongReport(analytic and sampled, analytic, sampled, max_gap,
+                        witness, witness_gap, note)
+
+
 def captured_linprog(monkeypatch, module):
     """Record the keyword arguments of every ``linprog`` call in ``module``."""
     calls = []
@@ -437,6 +499,22 @@ class TestEnumeration:
 
 # -- atom-mass LP rows ---------------------------------------------------------
 
+def wide_atom_model(rng):
+    """8-16 outcomes over 3-4 stages whose first split leaves two atoms of at
+    least 4 outcomes each, with outcomes relabelled at random so that no atom
+    is a run of consecutive outcomes."""
+    n = int(rng.integers(8, 17))
+    cut = int(rng.integers(4, n - 3))
+    parts = [[list(range(n))], [list(range(cut)), list(range(cut, n))]]
+    for _ in range(int(rng.integers(0, 2))):
+        parts.append(refine_once(parts[-1], rng))
+    parts.append([[w] for w in range(n)])
+    perm = rng.permutation(n)
+    parts = [[[int(perm[w]) for w in atom] for atom in p] for p in parts]
+    return ScenarioModel([f"w{i}" for i in range(n)], [str(t) for t in range(len(parts))],
+                         parts, rng.dirichlet(np.full(n, 5.0)))
+
+
 def sparse_riskset(rng, model):
     """Random vertices with some exact zeros, so some atoms go uncharged."""
     verts = rng.dirichlet(np.full(model.n, 0.7), size=int(rng.integers(1, 5)))
@@ -517,6 +595,84 @@ class TestRho:
                     assert str(got.value) == str(exc)
                     continue
                 assert_identical(rho(rs, Claim(x), s).values, want)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["vertex", "sparse", "lp"]),
+           st.integers(2, 6))
+    def test_claim_stacks_price_row_by_row(self, seed, route, m):
+        rng = np.random.default_rng(seed)
+        model = wide_atom_model(rng)
+        if route == "sparse":
+            rs = sparse_riskset(rng, model)
+        else:
+            rs = random_riskset(rng, model, k_min=2, k_max=5)
+            if route == "lp":
+                rs = RiskSet.from_constraints(model, rs.constraints)
+                m = 2
+        X = rng.uniform(-1.0, 1.0, (m, model.n))
+        for s in range(len(model.stages)):
+            try:
+                want = [rho_ref(rs, x, s) for x in X]
+            except EmptyKernelError as exc:
+                with pytest.raises(EmptyKernelError) as got:
+                    rho(rs, Claim(X), s)
+                assert str(got.value) == str(exc)
+                continue
+            got = rho(rs, Claim(X), s)
+            assert got.values.shape == X.shape and got.stage == s
+            for row, w in zip(got.values, want):
+                assert_identical(row, w)
+        chain = Chain.single(rs)
+        try:
+            process = eta(chain, Claim(X))
+        except EmptyKernelError:
+            return
+        for i, x in enumerate(X):
+            single = eta(chain, Claim(x))
+            assert process.stage_indices == single.stage_indices
+            for a, b in zip(process.claims, single.claims):
+                assert a.stage == b.stage
+                assert_identical(a.values[i], b.values)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["rows", "hull", "hull_no_search"]))
+    def test_check_strong_matches_the_per_claim_loop(self, seed, route):
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "rows":
+                model = wide_atom_model(rng)
+            else:
+                model = random_model(rng, n_min=3, n_max=6, stages_min=3, stages_max=4)
+                mp.setattr(consistency, "_verdict_rows", lambda rs: None)
+                if route == "hull_no_search":
+                    # the sampled witness reaches the report
+                    mp.setattr(consistency, "find_witness", lambda rs, hull: (None, 0.0))
+            verts = random_riskset(rng, model, k_min=2, k_max=4).vertices
+            if rng.random() < 0.25:
+                verts = mstable_hull(RiskSet.from_vertices(model, verts)).vertices
+            # a large claim whose gaps are NaN where it meets +inf and -inf,
+            # a zero claim, an equal copy of every claim (so the largest gap
+            # is always tied) and a repeated claim
+            nan_claim = rng.uniform(-10.0, 10.0, model.n)
+            nan_claim[:2] = [np.inf, -np.inf]
+            sample = [Claim(x) for x in rng.uniform(-1.0, 1.0, (6, model.n))]
+            sample += [Claim(nan_claim), Claim(np.zeros(model.n))]
+            sample += [Claim(x.values.copy()) for x in sample] + [sample[0]]
+            rng.shuffle(sample)
+            with np.errstate(invalid="ignore"):
+                want = check_strong_ref(RiskSet.from_vertices(model, verts), sample)
+                got = check_strong(RiskSet.from_vertices(model, verts), sample)
+        assert (got.passed, got.analytic, got.sampled, got.note) == \
+            (want.passed, want.analytic, want.sampled, want.note)
+        assert got.max_sampled_gap.hex() == want.max_sampled_gap.hex()
+        assert got.witness_gap.hex() == want.witness_gap.hex()
+        if any(want.witness is x for x in sample):
+            assert got.witness is want.witness
+        elif want.witness is None:
+            assert got.witness is None
+        else:
+            assert_identical(got.witness.values, want.witness.values)
 
 
 # -- V-set membership: separation before NNLS ----------------------------------

@@ -10,6 +10,7 @@ from riskchain import (
     Claim,
     InfeasibleError,
     NotMeasurableError,
+    RiskSet,
     cone_member,
     condexp,
     decompose_acceptance,
@@ -126,6 +127,36 @@ class TestCoherenceAxioms:
             lhs = rho(rs, Claim(a * x), s).values
             rhs = a * rho(rs, Claim(x), s).values
             assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+class TestStackedCoherence:
+    """The coherence axioms on claim stacks, one claim per row, on random sets
+    priced by the vertex route and by the LP route."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["vertex", "lp"]))
+    def test_axioms_hold_row_by_row(self, seed, route):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=6)
+        rs = random_riskset(rng, m)
+        if route == "lp":
+            rs = RiskSet.from_constraints(m, rs.constraints)
+        s = int(rng.integers(0, len(m.stages)))
+        X = rng.uniform(-1.0, 1.0, (3, m.n))
+        Y = rng.uniform(-1.0, 1.0, (3, m.n))
+        # stage-s measurable cash and scales, one per row
+        cash = np.array([random_claim(rng, m, stage=s).values for _ in range(3)])
+        scale = np.abs(np.array([random_claim(rng, m, stage=s).values
+                                 for _ in range(3)])) * 2
+
+        def price(Z):
+            return rho(rs, Claim(Z), s).values
+
+        px = price(X)
+        assert np.all(px <= price(X + np.abs(Y)) + 1e-9)              # monotone
+        assert np.allclose(price(X + cash), px + cash, atol=1e-9)     # cash-additive
+        assert np.allclose(price(scale * X), scale * px, atol=1e-9)   # homogeneous
+        assert np.all(price(X + Y) <= px + price(Y) + 1e-9)           # subadditive
 
 
 class TestEta:
