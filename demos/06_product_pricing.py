@@ -32,10 +32,10 @@ eps = 0.2
 band = RiskSet.from_vertices(
     inter, [[(1 + eps) / 2, (1 - eps) / 2], [(1 - eps) / 2, (1 + eps) / 2]])
 
-# share price S ends at 2 or 0.5; payoff S * 1{alive}
+# share price S ends at 2 or 0.5; payoff S * 1{alive}, one row per
+# intermediate state (outcomes are intermediate-major)
 s_values = {0: 2.0, 1: 0.5}
-h = Claim(np.array([s_values[pm.fin_of(w)] * (1.0 if pm.inter_of(w) == 0 else 0.0)
-                    for w in range(pm.model.n)]))
+h = Claim(np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel())
 print("contract payoff:", h.values)
 
 # route 1: price the mortality risk per financial state, then the market

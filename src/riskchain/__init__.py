@@ -34,7 +34,6 @@ from .riskset import (
     maximize_ratio,
     measure,
     member,
-    node_kernel,
     set_equal,
     simplex_set,
     singleton,
@@ -52,21 +51,15 @@ from .risk import (
     rho,
 )
 from .consistency import (
-    CheckReport,
     ConsistencyReport,
     StrongReport,
-    chain_time_consistent,
-    check_lower,
     check_strong,
     check_supermartingale,
-    check_weak,
     consistency_report,
-    dual_cone_member,
     find_witness,
     is_mstable,
     mstable_hull,
     paste_assembly,
-    project,
 )
 from .intermarket import (
     FiReport,

@@ -38,7 +38,7 @@ from .intermarket import (
 )
 from .risk import Chain, reserve_plan, rho
 from .riskset import LinearConstraint, RiskSet, intersect, set_equal, vertex_enumeration
-from .scenario import Claim, ScenarioModel, validate_model
+from .scenario import Claim, ScenarioModel, parse_stage_label, validate_model
 
 SPEC_VERSION = "1"
 
@@ -195,7 +195,10 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
     model = _parse_model(doc, config)
     market = None
     if "financial_partitions" in doc:
-        fins = {int(str(k).rstrip("+")): v for k, v in doc["financial_partitions"].items()}
+        raw = doc["financial_partitions"]
+        _require(isinstance(raw, dict),
+                 "financial_partitions must map whole times to partitions")
+        fins = {parse_stage_label(k)[0]: v for k, v in raw.items()}
         market = build_refined(model, fins)
         model = market.model
     _require(isinstance(doc.get("risk_sets", {}), dict), "risk_sets must be an object")

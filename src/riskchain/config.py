@@ -5,7 +5,7 @@ from dataclasses import dataclass
 DEDUP_TOL = 1e-9    # max-norm distance below which two measure vectors are one vertex
 MAX_OUTCOMES = 16   # largest outcome space vertex enumeration accepts
 MAX_GRID = 9        # largest number of stages a model may declare
-WORK_BOUND = 4096   # cap on vertex and combination counts in H->V, projection, pasting
+WORK_BOUND = 4096   # cap on vertex and combination counts in H->V and pasting
 
 
 @dataclass(frozen=True)

@@ -1,73 +1,35 @@
-"""Projections, m-stable hulls and time-consistency checks.
+"""m-stable hulls and time-consistency checks.
 
-The projection of a set fixes its one-step conditional kernels node by node
-and frees everything else; the m-stable hull recombines per-node kernels along
-the whole grid.  Both are exact vertex constructions.  On top of them sit the
-lower / weak / strong consistency checks and the supermartingale test.  The
-m-stability verdict reads η_0 on the set's rows where it has or cheaply gets
-them, and builds the hull only for the other V-sets.
+Pasting assembly recombines per-node kernels along the whole grid into an
+exact vertex set; the m-stable hull is its one-source case.  On top of it sit
+the strong consistency check and the supermartingale test.  The m-stability
+verdict reads η_0 on the set's rows where it has or cheaply gets them, and
+builds the hull only for the other V-sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import DEDUP_TOL, WORK_BOUND
-from .errors import EngineError, OutOfRangeError, SchemaError, SizeBoundError
+from .config import WORK_BOUND
+from .errors import EngineError, SchemaError, SizeBoundError
 from .risk import Chain, eta, rho
 from .riskset import (
     RiskSet,
     _affine_rank,
-    _dedup_rows,
     _extreme_rows,
     _facets,
     _sorted_rows,
     _unit_rows,
-    includes,
     kernel_polytope,
     member,
     set_equal,
 )
-from .scenario import Claim, atom_masses, condexp
-
-
-def project(rs: RiskSet, s, t) -> RiskSet:
-    """All measures whose (s -> t) conditional kernels the set already allows.
-
-    Extreme points concentrate on one stage-``s`` atom, follow one extreme
-    kernel there, and continue as point masses inside each stage-``t`` atom;
-    the marginal across atoms and the continuation beyond ``t`` are free.
-    """
-    model = rs.model
-    st_s, st_t = model.stage(s), model.stage(t)
-    if st_t.index <= st_s.index:
-        raise OutOfRangeError("projection needs s < t")
-    rows = []
-    for bi in range(len(model.atoms(st_s))):
-        kernels = kernel_polytope(rs, st_s, st_t, bi)
-        child_atoms = [model.atoms(st_t)[c] for c in kernels[0].children]
-        for ker in kernels:
-            charged = [i for i, p in enumerate(ker.probs) if p > 0]
-            count = 1
-            for i in charged:
-                count *= len(child_atoms[i])
-            if count + len(rows) > WORK_BOUND:
-                raise SizeBoundError(
-                    f"projection vertex count exceeds the bound of {WORK_BOUND}",
-                    bound=WORK_BOUND, reached=count + len(rows),
-                    layer="consistency.project")
-            for combo in itertools.product(*(child_atoms[i] for i in charged)):
-                mu = np.zeros(model.n)
-                for i, outcome in zip(charged, combo):
-                    mu[outcome] = ker.probs[i]
-                rows.append(mu)
-    verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
-    return RiskSet._of_extreme(model, verts)
+from .scenario import Claim, condexp
 
 
 def paste_assembly(model, sources) -> RiskSet:
@@ -165,10 +127,15 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return None
     if rs.has_constraints:
         return _unit_rows(rs.constraints, model.n)
-    if _affine_rank(np.linalg.svd(V - V[0], compute_uv=False)) < len(V) - 1:
+    # more than n measures are affinely dependent, as they share the plane
+    # sum(q) = 1; fewer take one SVD, for the rank test and then the facets
+    if len(V) > model.n:
+        return None
+    svd = np.linalg.svd(V - V[0], full_matrices=True)
+    if _affine_rank(svd[1]) < len(V) - 1:
         return None
     try:
-        return _unit_rows(_facets(V), model.n)
+        return _unit_rows(_facets(V, svd), model.n)
     except EngineError:
         return None
 
@@ -207,78 +174,6 @@ def is_mstable(rs: RiskSet) -> bool:
         else:
             rs._mstable = _row_verdict(rs, *rows)[0]
     return rs._mstable
-
-
-def chain_time_consistent(chain: Chain) -> bool:
-    """Strong time-consistency of a chain.
-
-    A single-set chain is time-consistent iff its set is m-stable.  A
-    per-stage chain must be weakly consistent (every stage set equals the
-    projection of the first) with an m-stable base set.
-    """
-    if chain.is_single_set:
-        return is_mstable(chain.sets)
-    if not check_weak(chain).passed:
-        return False
-    return is_mstable(chain.set_at(0))
-
-
-# -- lower / weak -------------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class CheckReport:
-    passed: bool
-    witness: Optional[dict] = None
-    note: Optional[str] = None
-
-
-def check_lower(chain: Chain, sample: Sequence[Claim]) -> CheckReport:
-    """ρ_s(X) <= ρ_s(ρ_t(X)) on every sampled claim and stage pair, plus the
-    exact dual criterion (earlier sets included in later ones) on adjacent
-    pairs.  Single-set chains pass unconditionally."""
-    if chain.is_single_set:
-        return CheckReport(True, note="single-set chain, lower consistency is automatic")
-    model = chain.model
-    tol = model.config.tol
-    for i in range(len(chain.stage_indices) - 1):
-        if not includes(chain.set_at(i + 1), chain.set_at(i)):
-            return CheckReport(False, witness={
-                "kind": "dual", "stage": model.stages[chain.stage_indices[i]].label,
-                "next_stage": model.stages[chain.stage_indices[i + 1]].label})
-    for ci, x in enumerate(sample):
-        for i in range(len(chain.stage_indices)):
-            for j in range(i + 1, len(chain.stage_indices)):
-                s, t = chain.stage_indices[i], chain.stage_indices[j]
-                lhs = rho(chain.set_at(i), x, s).values
-                rhs = rho(chain.set_at(i), rho(chain.set_at(j), x, t), s).values
-                if np.any(lhs > rhs + tol):
-                    return CheckReport(False, witness={
-                        "kind": "sampled", "claim_index": ci,
-                        "claim": [float(v) for v in x.values],
-                        "stage": model.stages[s].label,
-                        "next_stage": model.stages[t].label})
-    return CheckReport(True)
-
-
-def check_weak(chain: Chain) -> CheckReport:
-    """Every stage set equals the projection of the first stage's set.
-
-    A single-set chain is weakly consistent by definition (the set itself
-    generates every date), so the projection comparison only applies to
-    per-stage chains.
-    """
-    if chain.is_single_set:
-        return CheckReport(True, note="single-set chain generates every date")
-    model = chain.model
-    base = chain.set_at(0)
-    final = model.final_stage.index
-    for i in range(1, len(chain.stage_indices)):
-        t = chain.stage_indices[i]
-        if not set_equal(chain.set_at(i), project(base, t, final)):
-            return CheckReport(False, witness={
-                "stage": model.stages[t].label,
-                "reason": "stage set differs from the projection of the first set"})
-    return CheckReport(True)
 
 
 # -- strong -------------------------------------------------------------------
@@ -401,6 +296,12 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
                         witness, witness_gap, note)
 
 
+@dataclass(frozen=True, slots=True)
+class CheckReport:
+    passed: bool
+    witness: Optional[dict] = None
+
+
 def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
     """Vertex one-step conditional expectations of the price process never
     rise, checked on every atom the vertex charges."""
@@ -429,7 +330,8 @@ def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
 
 @dataclass(frozen=True, slots=True)
 class ConsistencyReport:
-    """Verdicts for a single-set chain; strong-pass implies the weaker two."""
+    """Verdicts for a single-set chain: ``lower`` and ``weak`` hold by
+    definition for one set, and ``strong`` is the checked verdict."""
 
     lower: bool
     weak: bool
@@ -451,24 +353,3 @@ def consistency_report(rs: RiskSet, sample: Sequence[Claim]) -> ConsistencyRepor
         gap=strong.witness_gap if strong.witness is not None else strong.max_sampled_gap,
         witness=strong.witness, notes=notes)
 
-
-def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:
-    """Feasibility of ``X = Y + Z`` with ``Y`` stage-``t`` measurable, every
-    vertex expectation of ``Y`` nonpositive on every stage-``s`` atom, and
-    ``Z <= 0`` (the dual-cone description of the projection's acceptance)."""
-    model = rs.model
-    atoms_t = model.atoms(t)
-    x = np.asarray(claim.values, dtype=float)
-    n_var = len(atoms_t)
-    # Y_A >= X on the atom (Z = X - Y <= 0), then the vertex expectations
-    masses = atom_masses(model, rs.vertices, s, t)
-    A_ub = np.vstack([np.diag(np.full(n_var, -1.0)), masses])
-    b_ub = np.concatenate([[-float(x[list(atom)].max()) for atom in atoms_t],
-                           np.zeros(len(masses))])
-    res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * n_var, method="highs")
-    if res.status == 2:
-        return False
-    if res.status != 0:
-        raise EngineError(f"dual cone LP failed with status {res.status}")
-    return True

@@ -204,8 +204,8 @@ def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> SplitReservePla
 class ProductModel:
     """Rectangle product of a financial and an intermediate factor.
 
-    Product outcomes are ordered intermediate-major: index(i, f) =
-    i * n_financial + f.
+    Product outcomes are ordered intermediate-major: outcome ``(i, f)`` is
+    ``i * fin.n + f``.
     """
 
     fin: ScenarioModel
@@ -216,18 +216,9 @@ class ProductModel:
     def model(self) -> ScenarioModel:
         return self.market.model
 
-    def index(self, i: int, f: int) -> int:
-        return i * self.fin.n + f
-
-    def fin_of(self, outcome: int) -> int:
-        return outcome % self.fin.n
-
-    def inter_of(self, outcome: int) -> int:
-        return outcome // self.fin.n
-
     def grid(self, values) -> np.ndarray:
         """A product vector as an ``(inter.n, fin.n)`` array, row ``i`` column
-        ``f`` holding outcome ``index(i, f)``."""
+        ``f`` holding outcome ``(i, f)``."""
         return np.asarray(values, dtype=float).reshape(self.inter.n, self.fin.n)
 
 

@@ -1,15 +1,15 @@
 """Conditional coherent risk evaluation and reserving.
 
 ``rho`` evaluates the worst-case conditional price per atom, ``eta`` composes
-the per-stage measures backward into the minimal dominating time-consistent
-chain, and reserve plans telescope a claim into a premium plus per-period
-acceptable increments.
+one set's ``rho`` backward over every date into the minimal dominating
+time-consistent chain, and reserve plans telescope a claim into a premium
+plus per-period acceptable increments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -52,46 +52,15 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
 
 @dataclass(frozen=True)
 class Chain:
-    """Evaluation dates plus their test sets.
+    """One pricing set, used at every date before the final stage (which
+    always prices by identity)."""
 
-    ``sets`` is either a single RiskSet (used at every date) or one RiskSet per
-    listed date.  Dates must be strictly increasing and precede the final
-    stage, which always prices by identity.
-    """
-
-    model: ScenarioModel
-    stage_indices: tuple[int, ...]
-    sets: Union[RiskSet, tuple[RiskSet, ...]]
+    rs: RiskSet
 
     @classmethod
     def single(cls, rs: RiskSet) -> "Chain":
         """``rs`` at every date before the final stage."""
-        model = rs.model
-        return cls(model, tuple(range(len(model.stages) - 1)), rs)
-
-    @classmethod
-    def per_stage(cls, model: ScenarioModel, stages: Sequence,
-                  sets: Sequence[RiskSet]) -> "Chain":
-        if len(stages) != len(sets):
-            raise SchemaError("need exactly one risk set per chain stage")
-        idx = tuple(model.stage(s).index for s in stages)
-        return cls(model, idx, tuple(sets))
-
-    def __post_init__(self):
-        final = self.model.final_stage.index
-        if not self.stage_indices:
-            raise SchemaError("chain needs at least one evaluation date")
-        if any(b <= a for a, b in zip(self.stage_indices, self.stage_indices[1:])):
-            raise SchemaError("chain stages must be strictly increasing")
-        if self.stage_indices[-1] >= final:
-            raise SchemaError("chain stages must precede the final stage")
-
-    @property
-    def is_single_set(self) -> bool:
-        return isinstance(self.sets, RiskSet)
-
-    def set_at(self, position: int) -> RiskSet:
-        return self.sets if self.is_single_set else self.sets[position]
+        return cls(rs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,17 +77,15 @@ class AdaptedProcess:
 def eta(chain: Chain, claim: Claim) -> AdaptedProcess:
     """Backward composition of the chain, the minimal dominating
     time-consistent price process: identity at the end, then one ``rho`` per
-    listed date."""
-    model = chain.model
-    final = model.final_stage.index
+    earlier date."""
+    rs = chain.rs
+    final = rs.model.final_stage.index
     current = Claim(np.asarray(claim.values, dtype=float).copy(), final)
-    stages = [final]
     claims = [current]
-    for pos in range(len(chain.stage_indices) - 1, -1, -1):
-        current = rho(chain.set_at(pos), current, chain.stage_indices[pos])
-        stages.append(chain.stage_indices[pos])
+    for s in range(final - 1, -1, -1):
+        current = rho(rs, current, s)
         claims.append(current)
-    return AdaptedProcess(tuple(reversed(stages)), tuple(reversed(claims)))
+    return AdaptedProcess(tuple(range(final + 1)), tuple(reversed(claims)))
 
 
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
@@ -214,12 +181,12 @@ def reserve_plan(chain: Chain, claim: Claim,
     difference, so the plan telescopes exactly and every increment prices to
     zero at its own date.  For chains that are not time-consistent the eta
     prices dominate the chain's own, and a warning records that the plan is
-    the conservative repair.  Pass ``time_consistent`` when the caller has
-    already run the check (the consistency module provides it).
+    the conservative repair.  ``time_consistent`` defaults to ``is_mstable``
+    of the chain's set.
     """
     if time_consistent is None:
-        from .consistency import chain_time_consistent
-        time_consistent = chain_time_consistent(chain)
+        from .consistency import is_mstable
+        time_consistent = is_mstable(chain.rs)
     process = eta(chain, claim)
     premium = float(process.claims[0].values[0])
     stages = []

@@ -308,12 +308,16 @@ def _affine_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > _FACET_TOL * max(1.0, smax)))
 
 
-def _facets(verts: np.ndarray) -> list[LinearConstraint]:
-    """Inequalities describing the hull of ``verts`` (equalities as pairs)."""
+def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
+    """Inequalities describing the hull of ``verts`` (equalities as pairs).
+
+    ``svd`` is the full SVD of ``verts - verts[0]`` when the caller has
+    already taken it.
+    """
     tol = _FACET_TOL
     v0 = verts[0]
     diffs = verts - v0
-    _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
+    _, svals, vt = np.linalg.svd(diffs, full_matrices=True) if svd is None else svd
     rank = _affine_rank(svals)
     basis = vt[:rank]
     comp = vt[rank:]
@@ -488,25 +492,6 @@ def density(model: ScenarioModel, q, stage) -> tuple[np.ndarray, np.ndarray]:
     lam = w / model.reference
     lam_t = condexp(model.reference, lam, stage, model).values
     return lam, lam_t
-
-
-def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> Kernel:
-    """Conditional distribution of ``q`` on a stage-``s`` atom over stage-``t``
-    sub-atoms; the reference kernel on atoms of zero mass."""
-    st_s, st_t = model.stage(s), model.stage(t)
-    if st_t.index <= st_s.index:
-        raise OutOfRangeError("kernel target stage must come after the source stage")
-    atoms_s = model.atoms(st_s)
-    if not 0 <= atom_id < len(atoms_s):
-        raise OutOfRangeError(f"atom id {atom_id} out of range at stage {st_s.label}")
-    children = model.sub_atoms(st_s, st_t, atom_id)
-    w = _weights_of(q)
-    idx = list(atoms_s[atom_id])
-    src = w if w[idx].sum() > 0 else model.reference
-    total = src[idx].sum()
-    atoms_t = model.atoms(st_t)
-    probs = np.array([src[list(atoms_t[c])].sum() for c in children]) / total
-    return Kernel(st_s.index, atom_id, st_t.index, tuple(children), probs)
 
 
 def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:

@@ -49,10 +49,19 @@ def parse_stage_label(label: str) -> tuple[int, bool]:
 
 
 def _canonical_atoms(atoms: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Sort outcomes inside atoms and atoms by smallest member; check cover."""
+    """Sort outcomes inside atoms and atoms by smallest member; check that
+    every index is an integer (not a bool) and that the atoms cover."""
+    try:
+        atoms = [list(atom) for atom in atoms]
+    except TypeError as exc:
+        raise SchemaError("partition must be a list of atoms, each a list of "
+                          "outcome indices") from exc
     out = []
     seen: set[int] = set()
     for atom in atoms:
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in atom):
+            raise SchemaError(f"outcome indices must be integers, got atom {atom!r}")
         tup = tuple(sorted(int(i) for i in atom))
         if not tup:
             raise SchemaError("empty atom in partition")

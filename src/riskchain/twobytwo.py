@@ -96,21 +96,6 @@ def int_part_vertices(epsilon: float) -> np.ndarray:
     ])
 
 
-def int_band_constraints(epsilon: float, model: ScenarioModel) -> RiskSet:
-    """The same intermediate part as inequalities ``q_top <= d q_bottom`` and
-    ``q_bottom <= d q_top`` per column, with ``d = (1+eps)/(1-eps)``."""
-    d = (1.0 + epsilon) / (1.0 - epsilon)
-    cons = []
-    for top, bottom in ([0, 2], [1, 3]):
-        a = np.zeros(4)
-        a[top], a[bottom] = 1.0, -d
-        cons.append(LinearConstraint(a, 0.0))
-        a = np.zeros(4)
-        a[bottom], a[top] = 1.0, -d
-        cons.append(LinearConstraint(a, 0.0))
-    return RiskSet.from_constraints(model, cons)
-
-
 def half_step_price(values, epsilon: float) -> np.ndarray:
     """Closed-form half-step price, one value per financial column.
 

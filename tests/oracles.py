@@ -1,0 +1,120 @@
+"""Verification-only constructions, kept as test oracles.
+
+``project`` builds the projection of a set (its one-step conditional kernels
+fixed between two dates, everything else free) vertex by vertex; it is the
+independent route to the financial and intermediate parts ``qf`` / ``qi``
+and to the acceptance criterion that ``dual_cone_member`` states as an LP.
+``node_kernel`` is the conditional kernel of one measure, the oracle of
+``kernel_polytope``, and ``int_band_constraints`` is the intermediate part
+of the worked 2x2 market as inequalities.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+from scipy.optimize import linprog
+
+from riskchain import (
+    EngineError,
+    LinearConstraint,
+    OutOfRangeError,
+    RiskSet,
+    ScenarioModel,
+    SizeBoundError,
+    kernel_polytope,
+)
+from riskchain.config import DEDUP_TOL, WORK_BOUND
+from riskchain.riskset import Kernel, _dedup_rows, _sorted_rows, _weights_of
+from riskchain.scenario import Claim, atom_masses
+
+
+def project(rs: RiskSet, s, t) -> RiskSet:
+    """All measures whose (s -> t) conditional kernels the set already allows.
+
+    Extreme points concentrate on one stage-``s`` atom, follow one extreme
+    kernel there, and continue as point masses inside each stage-``t`` atom;
+    the marginal across atoms and the continuation beyond ``t`` are free.
+    """
+    model = rs.model
+    st_s, st_t = model.stage(s), model.stage(t)
+    if st_t.index <= st_s.index:
+        raise OutOfRangeError("projection needs s < t")
+    rows = []
+    for bi in range(len(model.atoms(st_s))):
+        kernels = kernel_polytope(rs, st_s, st_t, bi)
+        child_atoms = [model.atoms(st_t)[c] for c in kernels[0].children]
+        for ker in kernels:
+            charged = [i for i, p in enumerate(ker.probs) if p > 0]
+            count = 1
+            for i in charged:
+                count *= len(child_atoms[i])
+            if count + len(rows) > WORK_BOUND:
+                raise SizeBoundError(
+                    f"projection vertex count exceeds the bound of {WORK_BOUND}",
+                    bound=WORK_BOUND, reached=count + len(rows),
+                    layer="consistency.project")
+            for combo in itertools.product(*(child_atoms[i] for i in charged)):
+                mu = np.zeros(model.n)
+                for i, outcome in zip(charged, combo):
+                    mu[outcome] = ker.probs[i]
+                rows.append(mu)
+    verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
+    return RiskSet._of_extreme(model, verts)
+
+
+def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:
+    """Feasibility of ``X = Y + Z`` with ``Y`` stage-``t`` measurable, every
+    vertex expectation of ``Y`` nonpositive on every stage-``s`` atom, and
+    ``Z <= 0`` (the dual-cone description of the projection's acceptance)."""
+    model = rs.model
+    atoms_t = model.atoms(t)
+    x = np.asarray(claim.values, dtype=float)
+    n_var = len(atoms_t)
+    # Y_A >= X on the atom (Z = X - Y <= 0), then the vertex expectations
+    masses = atom_masses(model, rs.vertices, s, t)
+    A_ub = np.vstack([np.diag(np.full(n_var, -1.0)), masses])
+    b_ub = np.concatenate([[-float(x[list(atom)].max()) for atom in atoms_t],
+                           np.zeros(len(masses))])
+    res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * n_var, method="highs")
+    if res.status == 2:
+        return False
+    if res.status != 0:
+        raise EngineError(f"dual cone LP failed with status {res.status}")
+    return True
+
+
+def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> Kernel:
+    """Conditional distribution of ``q`` on a stage-``s`` atom over stage-``t``
+    sub-atoms; the reference kernel on atoms of zero mass."""
+    st_s, st_t = model.stage(s), model.stage(t)
+    if st_t.index <= st_s.index:
+        raise OutOfRangeError("kernel target stage must come after the source stage")
+    atoms_s = model.atoms(st_s)
+    if not 0 <= atom_id < len(atoms_s):
+        raise OutOfRangeError(f"atom id {atom_id} out of range at stage {st_s.label}")
+    children = model.sub_atoms(st_s, st_t, atom_id)
+    w = _weights_of(q)
+    idx = list(atoms_s[atom_id])
+    src = w if w[idx].sum() > 0 else model.reference
+    total = src[idx].sum()
+    atoms_t = model.atoms(st_t)
+    probs = np.array([src[list(atoms_t[c])].sum() for c in children]) / total
+    return Kernel(st_s.index, atom_id, st_t.index, tuple(children), probs)
+
+
+def int_band_constraints(epsilon: float, model: ScenarioModel) -> RiskSet:
+    """The same intermediate part as inequalities ``q_top <= d q_bottom`` and
+    ``q_bottom <= d q_top`` per column, with ``d = (1+eps)/(1-eps)``."""
+    d = (1.0 + epsilon) / (1.0 - epsilon)
+    cons = []
+    for top, bottom in ([0, 2], [1, 3]):
+        a = np.zeros(4)
+        a[top], a[bottom] = 1.0, -d
+        cons.append(LinearConstraint(a, 0.0))
+        a = np.zeros(4)
+        a[bottom], a[top] = 1.0, -d
+        cons.append(LinearConstraint(a, 0.0))
+    return RiskSet.from_constraints(model, cons)

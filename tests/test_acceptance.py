@@ -15,7 +15,6 @@ from riskchain import (
     check_supermartingale,
     condexp,
     decompose_acceptance,
-    dual_cone_member,
     eta,
     extend_pi,
     intersect,
@@ -25,7 +24,6 @@ from riskchain import (
     mstable_hull,
     one_period_premium,
     product_space,
-    project,
     psi_build,
     qf,
     qi,
@@ -40,13 +38,13 @@ from riskchain.twobytwo import (
     build_model,
     extreme_points,
     fin_part_vertices,
-    int_band_constraints,
     int_part_vertices,
     market_model,
     pricing_constraints,
     pricing_set,
 )
 
+from oracles import dual_cone_member, int_band_constraints, project
 from randmodels import (
     hulled_set,
     nonstable_set,
@@ -334,8 +332,8 @@ class TestCriterion8:
             inter, [[(1 + eps) / 2, (1 - eps) / 2], [(1 - eps) / 2, (1 + eps) / 2]])
         pi = singleton(fin, [0.5, 0.5])
         s_values = {0: 2.0, 1: 0.5}
-        h = np.array([s_values[pm.fin_of(w)] * (1.0 if pm.inter_of(w) == 0 else 0.0)
-                      for w in range(4)])
+        # outcomes are intermediate-major: the alive row pays the share
+        h = np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel()
 
         kernels = [np.array([(1 + eps) / 2, (1 - eps) / 2]),
                    np.array([(1 - eps) / 2, (1 + eps) / 2])]

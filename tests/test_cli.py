@@ -53,6 +53,67 @@ def make_spec(tmp_path, name="spec.json", **overrides):
     return str(path)
 
 
+def twobytwo_with(tmp_path, edit):
+    """A copy of the worked spec after ``edit(doc)`` changed it in place."""
+    doc = json.loads(Path(TWOBYTWO).read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def setting(*path_and_value):
+    """A spec edit that sets ``doc[k1]...[kn] = value``."""
+    *parents, key, value = path_and_value
+
+    def edit(doc):
+        for k in parents:
+            doc = doc[k]
+        doc[key] = value
+    return edit
+
+
+def seventeen_outcomes(doc):
+    """One outcome past ``MAX_OUTCOMES``, with a constraint-given set."""
+    n = 17
+    doc.update(outcomes=[f"w{i}" for i in range(n)],
+               partitions={"0": [list(range(n))], "1": [[w] for w in range(n)]},
+               reference=[1.0 / n] * n,
+               financial_partitions={"1": [list(range(n))]},
+               risk_sets={"Q": {"constraints": [{"a": [1.0] + [0.0] * (n - 1), "b": 0.5}]}},
+               claims={"X": [0.0] * n})
+
+
+PRICE = ["price", "--claim", "X", "--stage", "0"]
+SPLIT = ["split", "--claim", "X"]
+
+# (edit of the worked spec, command, exit code, error code)
+EXIT_CODES = [
+    pytest.param(setting("partitions", "1", [[0.5], [1], [2], [3]]), PRICE, 2, "SCHEMA",
+                 id="float_index"),
+    pytest.param(setting("partitions", "1", [["a"], [1], [2], [3]]), PRICE, 2, "SCHEMA",
+                 id="string_index"),
+    pytest.param(setting("partitions", "1", [[False], [1], [2], [3]]), PRICE, 2, "SCHEMA",
+                 id="bool_index"),
+    pytest.param(setting("financial_partitions", "1", [[0.0, 2], [1, 3]]), SPLIT, 2,
+                 "SCHEMA", id="financial_float_index"),
+    pytest.param(setting("financial_partitions", [1, 2]), SPLIT, 2, "SCHEMA",
+                 id="financial_not_object"),
+    pytest.param(setting("financial_partitions", {"x": [[0, 2], [1, 3]]}), SPLIT, 2,
+                 "SCHEMA", id="financial_key_not_time"),
+    pytest.param(setting("financial_partitions", "1", 5), SPLIT, 2, "SCHEMA",
+                 id="financial_partition_not_list"),
+    pytest.param(setting("partitions", "1", [[0, 1], [2], [3]]), ["check"], 3,
+                 "BAD_TERMINALS", id="final_not_discrete"),
+    pytest.param(setting("reference", [0.5, 0.5, 0.0, 0.0]), PRICE, 3, "NO_FULL_SUPPORT",
+                 id="reference_not_positive"),
+    pytest.param(setting("risk_sets", "Q", "constraints",
+                         [{"a": [1, 1, 1, 1], "op": ">=", "b": 2}]),
+                 ["check"], 4, "EMPTY_INTERSECTION", id="no_measure_in_set"),
+    pytest.param(seventeen_outcomes, ["hull"], 5, "TOO_LARGE", id="too_many_outcomes"),
+]
+
+
 class TestPrice:
     def test_golden_bytes(self, capsys):
         code, out = run(capsys, ["price", "--spec", TWOBYTWO,
@@ -212,6 +273,12 @@ class TestExample6:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("edit, argv, code, error", EXIT_CODES)
+    def test_matrix(self, capsys, tmp_path, edit, argv, code, error):
+        spec = twobytwo_with(tmp_path, edit)
+        got, out = run(capsys, [argv[0], "--spec", spec, *argv[1:]])
+        assert (got, json.loads(out)["error"]["code"]) == (code, error)
+
     def test_missing_file_is_2(self, capsys, tmp_path):
         code, out = run(capsys, ["check", "--spec", str(tmp_path / "none.json")])
         assert code == 2
@@ -273,16 +340,9 @@ class TestRoundTrip:
 class TestNonFinite:
     """Non-finite spec numbers are schema errors; reports are strict JSON."""
 
-    def twobytwo_with(self, tmp_path, edit):
-        doc = json.loads(Path(TWOBYTWO).read_text(encoding="utf-8"))
-        edit(doc)
-        path = tmp_path / "nonfinite.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return str(path)
-
     @pytest.mark.parametrize("stage", ["0", "1"])
     def test_nan_claim_is_2(self, capsys, tmp_path, stage):
-        spec = self.twobytwo_with(
+        spec = twobytwo_with(
             tmp_path, lambda d: d["claims"]["X"].__setitem__(0, float("nan")))
         code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", stage])
         assert code == 2
@@ -301,7 +361,7 @@ class TestNonFinite:
             else:
                 doc["risk_sets"]["Q"]["constraints"][0][field] = (
                     bad if field == "b" else [bad, 0, 0, 0])
-        spec = self.twobytwo_with(tmp_path, edit)
+        spec = twobytwo_with(tmp_path, edit)
         code, out = run(capsys, ["price", "--spec", spec, "--claim", "X", "--stage", "0"])
         assert code == 2
         assert json.loads(out)["error"]["code"] == "SCHEMA"
@@ -327,13 +387,6 @@ class TestNonFinite:
 class TestSpecIntegrity:
     """Contradictory or malformed spec structure is a schema error, exit 2."""
 
-    def twobytwo_with(self, tmp_path, edit):
-        doc = json.loads(Path(TWOBYTWO).read_text(encoding="utf-8"))
-        edit(doc)
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return str(path)
-
     def test_vertices_and_constraints_together_is_2(self, capsys, tmp_path):
         spec = make_spec(tmp_path, risk_sets={"Q": {
             "vertices": [[0.9, 0.1, 0.0, 0.0], [0.1, 0.9, 0.0, 0.0]],
@@ -354,7 +407,7 @@ class TestSpecIntegrity:
         [[0, 2], [1, 4]],         # outcome out of range
     ])
     def test_bad_financial_partition_is_2(self, capsys, tmp_path, part):
-        spec = self.twobytwo_with(
+        spec = twobytwo_with(
             tmp_path, lambda d: d["financial_partitions"].__setitem__("1", part))
         code, out = run(capsys, ["split", "--spec", spec, "--claim", "X"])
         assert code == 2

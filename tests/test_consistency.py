@@ -1,4 +1,4 @@
-"""Projections, m-stable hulls and the time-consistency check battery."""
+"""Projections, m-stable hulls and the time-consistency checks."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,9 @@ from riskchain import (
     RiskSet,
     ScenarioModel,
     SizeBoundError,
-    check_lower,
     check_strong,
     check_supermartingale,
-    check_weak,
-    chain_time_consistent,
     consistency_report,
-    dual_cone_member,
     eta,
     find_witness,
     includes,
@@ -27,7 +23,7 @@ from riskchain import (
     is_mstable,
     member,
     mstable_hull,
-    project,
+    reserve_plan,
     rho,
     set_equal,
     simplex_set,
@@ -41,6 +37,7 @@ from riskchain.twobytwo import (
     pricing_set,
 )
 
+from oracles import dual_cone_member, project
 from randmodels import nonstable_set, random_claim, random_model, random_riskset
 
 EPS = 0.2
@@ -171,63 +168,6 @@ class TestMstableHull:
         details = exc.value.details
         assert details["layer"] == "consistency.paste_assembly"
         assert details["reached"] > details["bound"] == 4096
-
-
-class TestCheckLower:
-    def test_single_set_chain_passes(self):
-        rng = np.random.default_rng(60)
-        m = random_model(rng)
-        chain = Chain.single(random_riskset(rng, m))
-        sample = [random_claim(rng, m) for _ in range(10)]
-        assert check_lower(chain, sample).passed
-
-    def test_reversed_inclusion_fails_dual(self):
-        m, _ = derived_pair()
-        chain = Chain.per_stage(m, ["0", "1"],
-                                [simplex_set(m), singleton(m, [0.25] * 4)])
-        report = check_lower(chain, [])
-        assert not report.passed
-        assert report.witness["kind"] == "dual"
-
-    def test_worked_projection_chain_passes(self, model, rs):
-        chain = Chain.per_stage(model, ["0", "0+"],
-                                [rs, project(rs, "0+", "1")])
-        rng = np.random.default_rng(61)
-        sample = [random_claim(rng, model) for _ in range(20)]
-        assert check_lower(chain, sample).passed
-
-
-class TestCheckWeak:
-    def test_projection_chain_passes_by_construction(self):
-        rng = np.random.default_rng(62)
-        m = random_model(rng, n_max=6, stages_min=3, stages_max=3)
-        base = random_riskset(rng, m)
-        final = len(m.stages) - 1
-        chain = Chain.per_stage(m, [0, 1], [base, project(base, 1, final)])
-        assert check_weak(chain).passed
-
-    def test_dropped_vertex_fails_at_stage(self):
-        rng = np.random.default_rng(63)
-        m = random_model(rng, n_max=6, stages_min=3, stages_max=3)
-        base = random_riskset(rng, m)
-        final = len(m.stages) - 1
-        proj = project(base, 1, final)
-        assert len(proj.vertices) >= 2
-        smaller = RiskSet.from_vertices(m, proj.vertices[:-1])
-        if set_equal(smaller, proj):
-            pytest.skip("dropped vertex was redundant")
-        chain = Chain.per_stage(m, [0, 1], [base, smaller])
-        report = check_weak(chain)
-        assert not report.passed
-        assert report.witness["stage"] == m.stages[1].label
-
-    def test_worked_chain_passes(self, model, rs):
-        chain = Chain.per_stage(model, ["0", "0+"],
-                                [rs, project(rs, "0+", "1")])
-        assert check_weak(chain).passed
-
-    def test_single_set_chain_weak_by_definition(self, rs):
-        assert check_weak(Chain.single(rs)).passed
 
 
 class TestCheckStrong:
@@ -447,7 +387,8 @@ class TestVerdictKeptOnTheSet:
         assert is_mstable(fresh[0]) == verdict == hull_verdict(fresh[0])
         assert check_strong(fresh[1], []).analytic == verdict
         assert is_mstable(fresh[1]) == verdict
-        assert chain_time_consistent(Chain.single(fresh[2])) == verdict
+        zero = Claim(np.zeros(m.n))
+        assert reserve_plan(Chain.single(fresh[2]), zero).time_consistent == verdict
         assert is_mstable(fresh[2]) == verdict
         assert [id(rs) for rs in route_calls] == [id(rs) for rs in fresh]
 

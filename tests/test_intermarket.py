@@ -29,7 +29,6 @@ from riskchain import (
     mstable_hull,
     one_period_premium,
     product_space,
-    project,
     psi_build,
     psi_verify,
     qf,
@@ -49,6 +48,7 @@ from riskchain.twobytwo import (
     pricing_constraints,
 )
 
+from oracles import project
 from randmodels import random_claim, random_market, random_model, random_riskset
 
 EPS = 0.2
@@ -274,7 +274,7 @@ class TestPsiBuild:
         pi = singleton(pm.fin, [0.5, 0.5])
         q = psi_build(pi, simplex_set(pm.model), pm)
         ind = np.zeros(4)
-        ind[pm.index(0, 0)] = 1.0
+        ind[0] = 1.0    # outcome (i, f) = (0, 0), intermediate-major
         got = float(rho(q, Claim(ind), "0").values[0])
         assert got == pytest.approx(0.5, abs=1e-9)
 
@@ -328,8 +328,8 @@ class TestOnePeriodPremium:
         # oracle: per financial state, maximize over the two band kernels,
         # then average under the pinned financial measure
         s_values = {0: 2.0, 1: 0.5}
-        h = np.array([s_values[pm.fin_of(w)] * (1.0 if pm.inter_of(w) == 0 else 0.0)
-                      for w in range(4)])
+        # outcomes are intermediate-major: the alive row pays the share
+        h = np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel()
         kernels = [np.array([0.6, 0.4]), np.array([0.4, 0.6])]
         oracle_hf = [max(k[0] * s_values[f] for k in kernels) for f in (0, 1)]
         oracle_premium = 0.5 * oracle_hf[0] + 0.5 * oracle_hf[1]
@@ -344,8 +344,8 @@ class TestOnePeriodPremium:
 
     def test_agrees_with_psi_route(self, pm, rs):
         s_values = {0: 2.0, 1: 0.5}
-        h = np.array([s_values[pm.fin_of(w)] * (1.0 if pm.inter_of(w) == 0 else 0.0)
-                      for w in range(4)])
+        # outcomes are intermediate-major: the alive row pays the share
+        h = np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel()
         pi = singleton(pm.fin, [0.5, 0.5])
         res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
         phi = RiskSet.from_vertices(pm.model, rs.vertices)  # its qi is the band

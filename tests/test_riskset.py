@@ -20,7 +20,6 @@ from riskchain import (
     maximize_ratio,
     measure,
     member,
-    node_kernel,
     set_equal,
     simplex_set,
     singleton,
@@ -29,6 +28,7 @@ from riskchain import (
 from riskchain.riskset import _in_hull, _maximize_ratio_lp
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
+from oracles import node_kernel
 from randmodels import random_claim, random_model, random_riskset
 
 EPS = 0.2
