@@ -22,6 +22,7 @@ from .consistency import consistency_report, is_mstable, mstable_hull
 from .errors import (
     EngineError,
     ModelError,
+    NotCoarserError,
     OutOfRangeError,
     SchemaError,
     SizeBoundError,
@@ -38,7 +39,7 @@ from .intermarket import (
 )
 from .risk import Chain, reserve_plan, rho
 from .riskset import LinearConstraint, RiskSet, intersect, set_equal, vertex_enumeration
-from .scenario import Claim, ScenarioModel, parse_stage_label, validate_model
+from .scenario import Claim, ScenarioModel, validate_model
 
 SPEC_VERSION = "1"
 
@@ -198,8 +199,7 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
         raw = doc["financial_partitions"]
         _require(isinstance(raw, dict),
                  "financial_partitions must map whole times to partitions")
-        fins = {parse_stage_label(k)[0]: v for k, v in raw.items()}
-        market = build_refined(model, fins)
+        market = build_refined(model, raw)
         model = market.model
     _require(isinstance(doc.get("risk_sets", {}), dict), "risk_sets must be an object")
     risk_sets = {str(name): _parse_risk_set(frag, model)
@@ -467,7 +467,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _emit({"error": exc.to_dict()}, out)
         return 2
-    except ModelError as exc:
+    except (ModelError, NotCoarserError) as exc:
         _emit({"error": exc.to_dict()}, out)
         return 3
     except SizeBoundError as exc:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import WORK_BOUND
 from .errors import EngineError, SchemaError, SizeBoundError
@@ -222,6 +221,8 @@ def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
         if gap > tol:
             return Claim(x), gap
     # separation LP: maximize h.x - max_i V_i.x over the unit box
+    from scipy.optimize import linprog
+
     V = rs.vertices
     for h in missing:
         c = np.concatenate([-h, [1.0]])

@@ -20,7 +20,7 @@ from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, intersect, set_equal, simplex_set, vertex_enumeration
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
-                       first_crossing, validate_model)
+                       first_crossing, parse_stage_label, validate_model)
 
 
 def _whole_times(model: ScenarioModel) -> int:
@@ -62,13 +62,23 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
     """Insert half-step stages carrying ``G_t v F_{t+1}``.
 
     ``financial_partitions`` maps whole times (1..T; 0 optional and trivial)
-    to partitions coarser than the model's own at the same time.
+    to partitions coarser than the model's own at the same time.  A key is
+    read as a stage label, whose time it names; two keys naming one time,
+    or a time past ``T``, are refused.
     """
     T = _whole_times(model)
     validate_model(model).raise_if_invalid()
     n = model.n
     fins: list[list[tuple[int, ...]]] = []
-    by_time = {int(k): v for k, v in dict(financial_partitions).items()}
+    by_time = {}
+    for key, part in dict(financial_partitions).items():
+        t = parse_stage_label(key)[0]
+        if t in by_time:
+            raise SchemaError(f"financial partitions name time {t} twice", time=t)
+        if t > T:
+            raise SchemaError(f"financial partition for time {t} lies past the "
+                              f"horizon {T}", time=t)
+        by_time[t] = part
     for t in range(T + 1):
         if t == 0:
             part = by_time.get(0, [tuple(range(n))])

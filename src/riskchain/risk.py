@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import EngineError, InfeasibleError, NotMeasurableError, SchemaError
 from .riskset import RiskSet, maximize_ratio
@@ -119,6 +118,8 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     exactly).  Raises INFEASIBLE when no split exists; with an acceptable
     input that is the witness that the chain is not time-consistent.
     """
+    from scipy.optimize import linprog
+
     model = rs.model
     x = np.asarray(claim.values, dtype=float)
     V = rs.vertices

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
-from scipy.spatial import ConvexHull, QhullError
 
 from .config import DEDUP_TOL, MAX_OUTCOMES, WORK_BOUND
 from .errors import (
@@ -119,6 +117,8 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
 def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """Convex-combination membership via nonnegative least squares."""
+    from scipy.optimize import nnls
+
     if len(points) == 0:
         return False
     A = np.vstack([points.T, np.ones(len(points))])
@@ -139,6 +139,17 @@ def _separated(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     top = float((points @ c).max())
     limit = 10.0 * tol * (1.0 + max(1.0, float(np.abs(x).max())))
     return bool(c @ x - top > limit * np.sqrt(c @ c + top ** 2))
+
+
+def _near_vertex(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """True when a nearby row proves ``_in_hull(points, x, tol)`` true.
+
+    NNLS's optimal residual is at most the distance from ``x`` to any row
+    (the weight vector of that row alone), so ``x`` is a member when that
+    distance is a tenth of the ``_in_hull`` threshold.
+    """
+    limit = 0.1 * tol * (1.0 + max(1.0, float(np.abs(x).max())))
+    return bool(np.linalg.norm(points - x, axis=1).min() <= limit)
 
 
 def _top_scores(c: np.ndarray, rows: np.ndarray, own: np.ndarray):
@@ -333,6 +344,8 @@ def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
         cons.append(LinearConstraint(basis[0], base + float(x.max())))
         cons.append(LinearConstraint(-basis[0], -(base + float(x.min()))))
     elif rank >= 2:
+        from scipy.spatial import ConvexHull, QhullError
+
         coords = diffs @ basis.T
         try:
             hull = ConvexHull(coords)
@@ -548,6 +561,8 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
 
 def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
     """Homogenization: y = Q / Q(B), extra scale variable s = 1 / Q(B)."""
+    from scipy.optimize import linprog
+
     n = rs.model.n
     cons = rs.constraints
     c = np.zeros(n + 1)
@@ -578,8 +593,9 @@ def member(rs: RiskSet, q) -> bool:
 
     Constraint rows are scaled to unit normals first, as in vertex
     enumeration, so the verdict does not depend on how a row is scaled.  A
+    vertex near the point (``_near_vertex``) answers "a member" and a
     separating direction (``_separated``) answers "not a member" before NNLS
-    when it can; the verdict is that of NNLS alone.
+    when they can; the verdict is that of NNLS alone.
     """
     tol = rs.model.config.tol
     w = _weights_of(q)
@@ -591,6 +607,8 @@ def member(rs: RiskSet, q) -> bool:
         A, b = _unit_rows(rs.constraints, rs.model.n)
         return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
     V = rs.vertices
+    if _near_vertex(V, w, tol):
+        return True
     return not _separated(V, w, tol) and _in_hull(V, w, tol)
 
 
@@ -627,6 +645,8 @@ def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
     The result carries constraints only; vertices are re-enumerated on demand.
     Raises EMPTY_INTERSECTION when no probability measure satisfies both.
     """
+    from scipy.optimize import linprog
+
     _check_same_model(rs1, rs2)
     cons = list(rs1.constraints) + list(rs2.constraints)
     n = rs1.model.n

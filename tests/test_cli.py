@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +87,14 @@ def seventeen_outcomes(doc):
                claims={"X": [0.0] * n})
 
 
+def crossing_financial_partition(doc):
+    """A horizon-2 model whose time-1 financial partition cuts across its own."""
+    doc.update(grid=["0", "1", "2"],
+               partitions={"0": [[0, 1, 2, 3]], "1": [[0, 1], [2, 3]],
+                           "2": [[0], [1], [2], [3]]},
+               financial_partitions={"1": [[0, 2], [1, 3]], "2": [[0], [1], [2], [3]]})
+
+
 PRICE = ["price", "--claim", "X", "--stage", "0"]
 SPLIT = ["split", "--claim", "X"]
 
@@ -103,8 +114,14 @@ EXIT_CODES = [
                  "SCHEMA", id="financial_key_not_time"),
     pytest.param(setting("financial_partitions", "1", 5), SPLIT, 2, "SCHEMA",
                  id="financial_partition_not_list"),
+    pytest.param(setting("financial_partitions", "1+", [[0, 1, 2, 3]]), SPLIT, 2,
+                 "SCHEMA", id="financial_time_twice"),
+    pytest.param(setting("financial_partitions", "7", [[0, 1, 2, 3]]), SPLIT, 2,
+                 "SCHEMA", id="financial_time_past_horizon"),
     pytest.param(setting("partitions", "1", [[0, 1], [2], [3]]), ["check"], 3,
                  "BAD_TERMINALS", id="final_not_discrete"),
+    pytest.param(crossing_financial_partition, SPLIT, 3, "NOT_COARSER",
+                 id="financial_not_coarser"),
     pytest.param(setting("reference", [0.5, 0.5, 0.0, 0.0]), PRICE, 3, "NO_FULL_SUPPORT",
                  id="reference_not_positive"),
     pytest.param(setting("risk_sets", "Q", "constraints",
@@ -171,6 +188,35 @@ class TestBenchmarkGoldens:
         code, out = run(capsys, BENCH_ARGVS[label])
         assert code == 0
         assert out.encode("utf-8") == (BENCH_DIR / "golden" / f"{label}.json").read_bytes()
+
+
+# benchmark calls that run no scipy solver, so the CLI must not import scipy
+SCIPY_FREE = ["price_flat5_1", "check", "reserve_X", "split_unit_if", "hull", "psi"]
+
+# runs ``main`` on argv[1:] and prints to stderr the scipy modules loaded by then
+MAIN_THEN_SCIPY_MODULES = (
+    "import sys\n"
+    "from riskchain.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+class TestStartsWithoutScipy:
+    """Commands that solve nothing with scipy never import it; each runs in a
+    fresh interpreter, as a user's call does."""
+
+    @pytest.mark.parametrize("label", SCIPY_FREE)
+    def test_golden_bytes_without_scipy(self, label):
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                               if p)
+        run = subprocess.run([sys.executable, "-c", MAIN_THEN_SCIPY_MODULES,
+                              *BENCH_ARGVS[label]], cwd=ROOT, capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=path))
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (BENCH_DIR / "golden" / f"{label}.json").read_bytes()
+        assert run.stderr.decode().strip() == "[]"
 
 
 class TestCheck:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -399,7 +400,7 @@ class TestVerdictsWithoutConstructions:
         def refuse(*args, **kwargs):
             raise AssertionError("a construction ran on the verdict path")
         monkeypatch.setattr(consistency, "paste_assembly", refuse)
-        monkeypatch.setattr(riskset, "nnls", refuse)
+        monkeypatch.setattr(scipy.optimize, "nnls", refuse)
 
     @pytest.mark.usefixtures("no_constructions")
     def test_simplex_v_sets(self):

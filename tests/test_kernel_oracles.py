@@ -14,11 +14,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riskchain.consistency as consistency
-import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
     Chain,
@@ -308,7 +308,8 @@ def check_strong_ref(rs, sample):
 
 
 def captured_linprog(monkeypatch, module):
-    """Record the keyword arguments of every ``linprog`` call in ``module``."""
+    """Record the keyword arguments of every ``linprog`` call that reads it
+    from ``module``."""
     calls = []
     real = module.linprog
 
@@ -544,7 +545,7 @@ class TestAtomMasses:
         rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
         x = rng.uniform(-1.0, 1.0, model.n)
         with pytest.MonkeyPatch.context() as m:
-            calls = captured_linprog(m, risk)
+            calls = captured_linprog(m, scipy.optimize)
             try:
                 decompose_acceptance(rs, Claim(x))
             except InfeasibleError:
@@ -680,8 +681,9 @@ class TestRho:
 
 class TestMember:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-6]))
-    def test_verdict_is_that_of_nnls(self, seed, scale):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-6]),
+           st.sampled_from([1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]))
+    def test_verdict_is_that_of_nnls(self, seed, scale, nudge):
         rng = np.random.default_rng(seed)
         model = random_model(rng, n_min=2, n_max=8, stages_min=2, stages_max=4)
         rs = random_riskset(rng, model, k_min=1, k_max=5)
@@ -691,6 +693,9 @@ class TestMember:
         off = inside + rng.normal(scale=scale, size=inside.shape)
         off -= off.mean(axis=1, keepdims=True) - inside.mean(axis=1, keepdims=True)
         far = rng.dirichlet(np.ones(model.n), size=8)
+        # vertices moved across the near-vertex certificate's radius
+        moved = V + rng.normal(scale=nudge, size=V.shape)
+        moved -= moved.mean(axis=1, keepdims=True) - V.mean(axis=1, keepdims=True)
         tol = model.config.tol
-        for q in np.vstack([V, inside, off, far]):
+        for q in np.vstack([V, inside, off, far, moved]):
             assert member(rs, q) == _in_hull(V, q, tol)
