@@ -96,11 +96,13 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
-def _tolerance(override: Optional[float], doc: dict) -> float:
+def _config(override: Optional[float], doc: dict) -> Config:
+    """The configuration the tolerance override, or else the spec's
+    ``tolerance``, sets; ``Config`` refuses a tolerance below ``MIN_TOL``."""
     tol = override if override is not None else doc.get("tolerance", 1e-9)
     arr = _numbers(tol, "'tolerance'")
     _require(arr.shape == (), "'tolerance' must be a number")
-    return float(arr)
+    return Config(tol=float(arr))
 
 
 @dataclass
@@ -176,7 +178,7 @@ def _read_spec(path: str, tolerance: Optional[float]) -> tuple[dict, Config]:
     if "version" in doc:
         _require(str(doc["version"]) == SPEC_VERSION,
                  f"unsupported spec version {doc['version']!r}")
-    return doc, Config(tol=_tolerance(tolerance, doc))
+    return doc, _config(tolerance, doc)
 
 
 def _parse_claims(doc: dict, n: int) -> dict:
@@ -344,7 +346,7 @@ def cmd_psi(args) -> dict:
 def cmd_example6(args) -> dict:
     eps = args.epsilon
     _require(0 < eps < 1, "--epsilon must lie strictly between 0 and 1")
-    tol = _tolerance(args.tolerance, {})
+    tol = _config(args.tolerance, {}).tol
     model = twobytwo.build_model()
     rs = twobytwo.pricing_set(model, eps)
     checks = []

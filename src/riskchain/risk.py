@@ -28,7 +28,9 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     arithmetic): each row's values on an atom are copied next to each other,
     so every row and atom is one matrix-vector product of the atom's block;
     the ratios are divided by the masses and maximized per atom for all rows
-    at once.  A constraint-only set takes the LP route, row by row.
+    at once.  A constraint-only set takes the LP route, row by row, which
+    needs no solver call on a one-outcome atom once the set is known to
+    charge it (``maximize_ratio``).
     """
     model = rs.model
     st = model.stage(stage)

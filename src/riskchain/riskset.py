@@ -261,7 +261,11 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.n
     Each inequality cuts the current vertex set: surviving vertices stay
     vertices, and new ones appear on the cutting hyperplane as crossings of
     keep/drop vertex pairs (kept vertex outer, dropped inner), filtered by
-    the active-rank test.
+    the active-rank test.  A row whose exact negation comes later (an
+    equality given as a pair) takes its partner at its own turn: after the
+    cut, the vertices strictly inside the partner's half-space are dropped,
+    and the partner, whose crossings would lie on vertices already there,
+    is skipped.
     """
     if n > MAX_OUTCOMES:
         raise SizeBoundError(f"{n} outcomes exceed the bound of {MAX_OUTCOMES}",
@@ -276,35 +280,60 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.n
             continue
         pending.append(np.concatenate([c.a / nrm, [c.b / nrm]]))
     rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
+    partner = _negation_partners(rows)
 
     verts = np.eye(n)
-    for t, row in enumerate(rows):
-        a, b = row[:-1], float(row[-1])
-        vals = verts @ a
-        keep_mask = vals <= b + atol
-        if keep_mask.all():
+    for t, p in enumerate(partner):
+        if p == -2:
             continue
-        kept = verts[keep_mask]
-        dropped = verts[~keep_mask]
-        fu = vals[keep_mask]
-        denom = vals[~keep_mask][None, :] - fu[:, None]
-        iu, iv = np.nonzero(denom > 1e-13)
-        pieces = [kept]
-        if len(iu):
-            lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
-            u = kept[iu]
-            cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
-            good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
-            if len(good):
-                pieces.append(good)
-        verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
-        if len(verts) > WORK_BOUND:
-            raise SizeBoundError(
-                f"vertex enumeration exceeded the work bound of {WORK_BOUND}",
-                bound=WORK_BOUND, reached=len(verts), layer="riskset.vertices")
+        verts = _cut(verts, rows, t, atol)
+        if p >= 0:
+            verts = verts[verts @ rows[p, :-1] <= rows[p, -1] + atol]
         if len(verts) == 0:
             break
     return _sorted_rows(verts)
+
+
+def _cut(verts: np.ndarray, rows: np.ndarray, t: int, atol: float) -> np.ndarray:
+    """The vertices after row ``t`` cuts the polytope of ``verts``."""
+    a, b = rows[t, :-1], float(rows[t, -1])
+    vals = verts @ a
+    keep_mask = vals <= b + atol
+    if keep_mask.all():
+        return verts
+    kept = verts[keep_mask]
+    dropped = verts[~keep_mask]
+    fu = vals[keep_mask]
+    denom = vals[~keep_mask][None, :] - fu[:, None]
+    iu, iv = np.nonzero(denom > 1e-13)
+    pieces = [kept]
+    if len(iu):
+        lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
+        u = kept[iu]
+        cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
+        good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
+        if len(good):
+            pieces.append(good)
+    verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
+    if len(verts) > WORK_BOUND:
+        raise SizeBoundError(
+            f"vertex enumeration exceeded the work bound of {WORK_BOUND}",
+            bound=WORK_BOUND, reached=len(verts), layer="riskset.vertices")
+    return verts
+
+
+def _negation_partners(rows: np.ndarray) -> np.ndarray:
+    """Per row, the index of the first later row that is its exact negation
+    (``-1`` when there is none, ``-2`` for a row that is such a partner)."""
+    # the rows are deduplicated, so each key is one row; + 0.0 and 0.0 -
+    # turn -0.0 into 0.0
+    index = {(row + 0.0).tobytes(): t for t, row in enumerate(rows)}
+    partner = np.full(len(rows), -1, dtype=np.intp)
+    for t, row in enumerate(rows):
+        p = index.get((0.0 - row).tobytes(), -1)
+        if p > t:
+            partner[t], partner[p] = p, -2
+    return partner
 
 
 # -- V-rep -> H-rep: affine hull plus facet enumeration ---------------------
@@ -380,6 +409,7 @@ class RiskSet:
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         self._blocks: dict[int, tuple] = {}
         self._mstable: Optional[bool] = None    # set by consistency.is_mstable
+        self._charged: set[int] = set()         # outcomes the ratio LP found charged
         if vertices is not None:
             if not isinstance(vertices, np.ndarray):
                 vertices = [_weights_of(v) for v in vertices]
@@ -542,14 +572,23 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
 
     With vertices the supremum is the maximum over charged vertices (the ratio
     of a mixture is a mass-weighted average of vertex ratios).  With only
-    constraints it is solved as a homogenized LP.
+    constraints it is solved as a homogenized LP.  On a one-outcome atom
+    ``{w}`` every charging measure gives the ratio ``a[w]``, so once an LP
+    has found ``w`` charged the set keeps that answer and later calls return
+    the LP's value ``-(c . y)`` at ``y_w = 1`` without a solver call: ``a[w]``,
+    with a zero as ``-0.0``.
     """
     idx = list(atom)
     if not idx:
         raise OutOfRangeError("empty atom")
     a = np.asarray(numerator, dtype=float)
     if not rs.has_vertices:
-        return _maximize_ratio_lp(rs, a, idx)
+        if len(idx) == 1 and idx[0] in rs._charged:
+            return -(0.0 - float(a[idx[0]]))
+        value = _maximize_ratio_lp(rs, a, idx)
+        if len(idx) == 1:
+            rs._charged.add(idx[0])
+        return value
     V = rs.vertices
     masses = V[:, idx].sum(axis=1)
     charged = masses > 0

@@ -128,6 +128,11 @@ EXIT_CODES = [
                          [{"a": [1, 1, 1, 1], "op": ">=", "b": 2}]),
                  ["check"], 4, "EMPTY_INTERSECTION", id="no_measure_in_set"),
     pytest.param(seventeen_outcomes, ["hull"], 5, "TOO_LARGE", id="too_many_outcomes"),
+    pytest.param(setting("tolerance", 0), ["check"], 2, "SCHEMA", id="tolerance_zero"),
+    pytest.param(lambda doc: None, ["reserve", "--claim", "X", "--tolerance=-1e-9"], 2,
+                 "SCHEMA", id="tolerance_flag_negative"),
+    pytest.param(setting("tolerance", 1e-16), ["check"], 2, "SCHEMA",
+                 id="tolerance_below_floor"),
 ]
 
 
@@ -324,6 +329,11 @@ class TestExitCodes:
         spec = twobytwo_with(tmp_path, edit)
         got, out = run(capsys, [argv[0], "--spec", spec, *argv[1:]])
         assert (got, json.loads(out)["error"]["code"]) == (code, error)
+
+    @pytest.mark.parametrize("tol", ["0", "1e-16"])
+    def test_example6_tolerance_below_floor_is_2(self, capsys, tol):
+        code, out = run(capsys, ["example6", "--epsilon", "0.3", "--tolerance", tol])
+        assert (code, json.loads(out)["error"]["code"]) == (2, "SCHEMA")
 
     def test_missing_file_is_2(self, capsys, tmp_path):
         code, out = run(capsys, ["check", "--spec", str(tmp_path / "none.json")])

@@ -3,7 +3,8 @@
 The reference functions below are the former implementations, kept as
 oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
 ``itertools.product``, the per-pair H->V cut with one rank test per
-candidate, the per-outcome loops that built the LP rows of
+candidate, the array H->V cut that cuts by both rows of an equality pair,
+the per-outcome loops that built the LP rows of
 ``decompose_acceptance`` and ``dual_cone_member``, ``rho`` as a loop of
 ``maximize_ratio`` calls, ``check_strong`` with one ``eta`` per row and per
 sampled claim, and V-set ``member`` as one NNLS test.  The array kernels
@@ -45,6 +46,8 @@ from riskchain.riskset import (
     _extreme_rows,
     _in_hull,
     _sorted_rows,
+    _maximize_ratio_lp,
+    _vertex_mask,
     kernel_polytope,
     maximize_ratio,
     member,
@@ -182,6 +185,49 @@ def enumerate_ref(n, constraints):
     return _sorted_rows(verts)
 
 
+def enumerate_cut_ref(n, constraints):
+    """``_enumerate_vertices`` with one cut per row, both rows of an
+    equality pair included: the array form of ``enumerate_ref``, with the
+    same bytes, fast enough to draw facet H-reps up to n = 8."""
+    atol = DEDUP_TOL
+    pending = []
+    for c in constraints:
+        nrm = float(np.linalg.norm(c.a))
+        if nrm <= 1e-15:
+            if c.b < -1e-12:
+                return np.empty((0, n))
+            continue
+        pending.append(np.concatenate([c.a / nrm, [c.b / nrm]]))
+    rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
+    verts = np.eye(n)
+    for t, row in enumerate(rows):
+        a, b = row[:-1], float(row[-1])
+        vals = verts @ a
+        keep_mask = vals <= b + atol
+        if keep_mask.all():
+            continue
+        kept = verts[keep_mask]
+        dropped = verts[~keep_mask]
+        fu = vals[keep_mask]
+        denom = vals[~keep_mask][None, :] - fu[:, None]
+        iu, iv = np.nonzero(denom > 1e-13)
+        pieces = [kept]
+        if len(iu):
+            lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
+            u = kept[iu]
+            cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
+            good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
+            if len(good):
+                pieces.append(good)
+        verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
+        if len(verts) > WORK_BOUND:
+            raise SizeBoundError("work bound", bound=WORK_BOUND, reached=len(verts),
+                                 layer="riskset.vertices")
+        if len(verts) == 0:
+            break
+    return _sorted_rows(verts)
+
+
 def atom_masses_ref(model, V, s, t):
     ids = model.atom_ids(t)
     rows = []
@@ -249,6 +295,20 @@ def rho_ref(rs, x, s):
     out = np.empty(model.n)
     for atom in model.atoms(st_):
         out[list(atom)] = maximize_ratio(rs, x, atom)
+    return out
+
+
+def rho_lp_ref(rs, X, s):
+    """``rho`` on a constraint-only set as one ``_maximize_ratio_lp`` per
+    claim row and atom."""
+    model = rs.model
+    st_ = model.stage(s)
+    if st_.index == model.final_stage.index:
+        return X.copy()
+    out = np.empty(X.shape)
+    for row, x in zip(out.reshape(-1, model.n), X.reshape(-1, model.n)):
+        for atom in model.atoms(st_):
+            row[list(atom)] = _maximize_ratio_lp(rs, x, list(atom))
     return out
 
 
@@ -499,6 +559,39 @@ class TestEnumeration:
         assert_identical(_enumerate_vertices(n, cons), enumerate_ref(n, cons))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 5),
+           st.booleans())
+    def test_equality_pairs_match_cutting_both_rows(self, seed, n, k, as_h_set):
+        """Facet H-reps (the complement of the affine hull as row pairs), and
+        random rows some of which are followed by their negation."""
+        rng = np.random.default_rng(seed)
+        if as_h_set:
+            verts = rng.dirichlet(np.ones(n), size=k)
+            cons = RiskSet.from_vertices(random_model(rng, n, n, 2, 2), verts).constraints
+        else:
+            cons = []
+            for _ in range(k + 1):
+                c = LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
+                cons += [c, LinearConstraint(-c.a, -c.b)] if rng.random() < 0.6 else [c]
+        assert_identical(_enumerate_vertices(n, cons), enumerate_cut_ref(n, cons))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 5))
+    def test_equality_pairs_apart(self, seed, n, k):
+        """A partner further down the list meets vertices that rows between
+        the two made, so those vertices come from other crossings: the same
+        vertices, not the same last bits."""
+        rng = np.random.default_rng(seed)
+        cons = [LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
+                for _ in range(k + 1)]
+        cons += [LinearConstraint(-c.a, -c.b) for c in cons if rng.random() < 0.6]
+        cons = [cons[i] for i in rng.permutation(len(cons))]
+        got, want = _enumerate_vertices(n, cons), enumerate_cut_ref(n, cons)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
 # -- atom-mass LP rows ---------------------------------------------------------
 
 def wide_atom_model(rng):
@@ -675,6 +768,68 @@ class TestRho:
             assert got.witness is None
         else:
             assert_identical(got.witness.values, want.witness.values)
+
+
+def lone_outcomes(model):
+    """Outcomes that form an atom on their own at some date before the last."""
+    final = model.final_stage.index
+    return sorted({atom[0] for s in range(final) for atom in model.atoms(s)
+                   if len(atom) == 1})
+
+
+def box_set(rng, model, uncharged=None):
+    """An H-set of upper bounds ``q_w <= u_w``; ``uncharged`` gets ``q_w <= 0``."""
+    n = model.n
+    u = rng.uniform(1.5 / n, 1.0, n)
+    if uncharged is not None:
+        u[uncharged] = 0.0
+    return RiskSet.from_constraints(model, [LinearConstraint(np.eye(n)[w], u[w])
+                                            for w in range(n)])
+
+
+class TestRhoLP:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+    def test_matches_the_per_atom_lp(self, seed, m):
+        """Two H-sets on one model, priced in turn: the facets of a V-set,
+        and bounds that leave one outcome uncharged.  What the first set
+        learns about an outcome must not reach the second."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=3, n_max=7, stages_min=3, stages_max=4)
+        lone = lone_outcomes(model)
+        omega = int(rng.choice(lone)) if lone else 0
+        charged = RiskSet.from_constraints(model, random_riskset(rng, model).constraints)
+        uncharged = box_set(rng, model, uncharged=omega)
+        for rs in (charged, uncharged, charged, uncharged):
+            X = rng.uniform(-1.0, 1.0, (m, model.n) if m else model.n)
+            X[rng.random(X.shape) < 0.2] = 0.0
+            X[rng.random(X.shape) < 0.1] = -0.0
+            for s in range(len(model.stages)):
+                try:
+                    want = rho_lp_ref(rs, X, s)
+                except EmptyKernelError as exc:
+                    with pytest.raises(EmptyKernelError) as got:
+                        rho(rs, Claim(X), s)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert_identical(rho(rs, Claim(X), s).values, want)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_second_claim_solves_only_multi_outcome_atoms(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=4, n_max=8, stages_min=3, stages_max=4)
+        rs = RiskSet.from_constraints(model, random_riskset(rng, model).constraints)
+        dates = [model.atoms(s) for s in range(model.final_stage.index)]
+        wide = sum(len(atom) > 1 for atoms in dates for atom in atoms)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = captured_linprog(mp, scipy.optimize)
+            eta(Chain.single(rs), Claim(rng.uniform(-1.0, 1.0, model.n)))
+            # an outcome alone at several dates is solved at the first only
+            assert len(calls) == wide + len(lone_outcomes(model))
+            del calls[:]
+            eta(Chain.single(rs), Claim(rng.uniform(-1.0, 1.0, model.n)))
+            assert len(calls) == wide
 
 
 # -- V-set membership: separation before NNLS ----------------------------------

@@ -13,6 +13,7 @@ from riskchain import (
     condexp,
     validate_model,
 )
+from riskchain.config import MIN_TOL, Config
 from riskchain.twobytwo import build_model
 
 from randmodels import random_claim, random_model
@@ -90,6 +91,16 @@ class TestConstruction:
         labels = [s.label for s in model.stages]
         assert labels == ["0", "0+", "1"]
         assert model.stage("0+").index == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-16, float("nan"), float("inf")])
+    def test_tolerance_below_floor_rejected(self, tol):
+        with pytest.raises(SchemaError):
+            Config(tol=tol)
+
+    def test_tolerance_at_floor_accepted(self):
+        model = ScenarioModel(["a", "b"], ["0", "1"], [[[0, 1]], [[0], [1]]],
+                              [0.5, 0.5], config=Config(tol=MIN_TOL))
+        assert model.config.tol == MIN_TOL
 
     def test_claim_measurability_enforced(self, model):
         claim(model, [1.0, 2.0, 1.0, 2.0], stage="0+")
