@@ -43,7 +43,9 @@ for s, inc in zip(plan.stage_indices, plan.increments):
 print("telescopes to the claim:",
       np.allclose(plan.total(model), x.values, atol=1e-12))
 
-# the funded claim also splits into per-period acceptable pieces by LP
+# the funded claim also splits into per-period acceptable pieces: the eta
+# differences, with the first piece absorbing the (nonpositive) premium; the
+# printed "LP" label is kept so that the output bytes stay as they were
 parts = decompose_acceptance(rs, funded)
 for i, p in enumerate(parts):
     print(f"LP increment {i}:", np.round(p.values, 6))

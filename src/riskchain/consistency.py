@@ -22,6 +22,7 @@ from .riskset import (
     _affine_rank,
     _extreme_rows,
     _facets,
+    _hull_nnls,
     _sorted_rows,
     _unit_rows,
     kernel_polytope,
@@ -194,46 +195,24 @@ def _stage0_gap(rs: RiskSet, hull: RiskSet, values: np.ndarray) -> float:
 
 
 def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
-    """Deterministic search for a claim with positive time-0 domination gap.
+    """A claim with positive time-0 domination gap, from the NNLS residual of
+    the first hull vertex that ``member`` rejects.
 
-    Tries indicator claims, then sign patterns of vertex differences, then
-    200 random claims drawn from seed 0; a separating LP per hull vertex
-    outside the set guarantees a witness whenever the hull is strictly larger.
+    For that vertex ``h``, NNLS fits ``[h; 1]`` by ``A = [V^T; 1]`` and leaves
+    the residual ``r = b - A w``.  Its KKT conditions (``A^T r <= 0``,
+    ``(A w).r = 0``) give ``x.h - max_v x.v >= |r|^2`` for ``x = r[:n]``, so
+    ``x / max|x|`` has a gap of at least ``|r|``, which is above the
+    membership threshold.  Returns ``(None, 0.0)`` when no hull vertex
+    outside the set leaves a residual.
     """
-    model = rs.model
-    tol = model.config.tol
-    candidates: list[np.ndarray] = []
-    for w in range(model.n):
-        e = np.zeros(model.n)
-        e[w] = 1.0
-        candidates.append(e)
-    missing = [h for h in hull.vertices if not member(rs, h)]
-    for h in missing:
-        for v in rs.vertices:
-            d = np.sign(np.round(h - v, 12))
-            candidates.append(d)
-            candidates.append(-d)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        candidates.append(rng.uniform(-1.0, 1.0, model.n))
-    for x in candidates:
-        gap = _stage0_gap(rs, hull, x)
-        if gap > tol:
-            return Claim(x), gap
-    # separation LP: maximize h.x - max_i V_i.x over the unit box
-    from scipy.optimize import linprog
-
     V = rs.vertices
-    for h in missing:
-        c = np.concatenate([-h, [1.0]])
-        A_ub = np.hstack([V, -np.ones((len(V), 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(len(V)),
-                      bounds=[(-1, 1)] * model.n + [(None, None)], method="highs")
-        if res.status == 0 and -res.fun > tol:
-            x = res.x[:model.n]
-            gap = _stage0_gap(rs, hull, x)
-            if gap > tol:
-                return Claim(x), gap
+    for h in hull.vertices:
+        if not member(rs, h):
+            x = _hull_nnls(V, h)[0][:-1]
+            top = np.abs(x).max()
+            if top > 0:
+                x = x / top
+                return Claim(x), _stage0_gap(rs, hull, x)
     return None, 0.0
 
 
@@ -245,8 +224,10 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     The analytic test takes one of three routes.  A set with rows (an H-set,
     or a V-set whose facets were computed) or with affinely independent
     vertices is decided by η_0 on its rows, and the worst row is the witness.
-    Any other V-set is compared with its hull, and a witness search runs
-    when only the analytic test fails.
+    Any other V-set is compared with its hull; when it differs, the witness
+    is the NNLS residual of a hull vertex outside the set (``find_witness``),
+    whose gap is proven; the sampled witness stands in only when that
+    finds none.
     """
     model = rs.model
     tol = model.config.tol

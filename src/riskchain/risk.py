@@ -9,13 +9,14 @@ plus per-period acceptable increments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import EngineError, InfeasibleError, NotMeasurableError, SchemaError
+from .errors import EmptyKernelError, InfeasibleError, NotMeasurableError, SchemaError
 from .riskset import RiskSet, maximize_ratio
-from .scenario import Claim, ScenarioModel, atom_masses
+from .scenario import Claim, ScenarioModel
 
 
 def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
@@ -30,8 +31,15 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     the ratios are divided by the masses and maximized per atom for all rows
     at once.  A constraint-only set takes the LP route, row by row, which
     needs no solver call on a one-outcome atom once the set is known to
-    charge it (``maximize_ratio``).
+    charge it (``maximize_ratio``).  An atom that no measure of the set
+    charges raises EMPTY_KERNEL.
     """
+    return _rho(rs, claim, stage, fill=False)
+
+
+def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
+    """``rho``; with ``fill`` a vertex-route atom that no vertex charges
+    prices to zero instead of raising."""
     model = rs.model
     st = model.stage(stage)
     x = np.asarray(claim.values, dtype=float)
@@ -39,7 +47,9 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
         return Claim(x.copy(), st.index)
     X = x.reshape(-1, model.n)
     if rs.has_vertices:
-        cols, blocks, masses, starts, ids = rs._atom_blocks(st.index)
+        cols, blocks, masses, starts, ids, empty = rs._atom_blocks(st.index)
+        if empty and not fill:
+            raise EmptyKernelError(f"no vertex charges atom {empty[0]}")
         Xc = X.take(cols, axis=1)[:, :, None]
         vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
         out = np.maximum.reduceat(vals[..., 0] / masses, starts, axis=1).take(ids, axis=1)
@@ -79,14 +89,26 @@ def eta(chain: Chain, claim: Claim) -> AdaptedProcess:
     """Backward composition of the chain, the minimal dominating
     time-consistent price process: identity at the end, then one ``rho`` per
     earlier date."""
-    rs = chain.rs
+    return _eta(chain.rs, claim, rho)
+
+
+def _eta(rs: RiskSet, claim: Claim, price) -> AdaptedProcess:
+    """``eta`` of ``Chain.single(rs)``, each date priced by ``price``, which
+    is ``rho`` or a variant of it."""
     final = rs.model.final_stage.index
     current = Claim(np.asarray(claim.values, dtype=float).copy(), final)
     claims = [current]
     for s in range(final - 1, -1, -1):
-        current = rho(rs, current, s)
+        current = price(rs, current, s)
         claims.append(current)
     return AdaptedProcess(tuple(range(final + 1)), tuple(reversed(claims)))
+
+
+def _increments(process: AdaptedProcess) -> list[Claim]:
+    """The differences of consecutive prices, each measurable at its later
+    date."""
+    c, dates = process.claims, process.stage_indices
+    return [Claim(c[p + 1].values - c[p].values, dates[p + 1]) for p in range(len(c) - 1)]
 
 
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
@@ -114,49 +136,29 @@ def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
 def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     """Split a claim into per-period cone increments summing to it.
 
-    Solves the feasibility LP: one increment per adjacent stage pair,
-    measurable at the later stage, with every vertex expectation nonpositive
-    on every earlier-stage atom (which linearizes the vertex-max price
-    exactly).  Raises INFEASIBLE when no split exists; with an acceptable
-    input that is the witness that the chain is not time-consistent.
+    The split is the mark-to-market one, from the eta recursion of
+    ``Chain.single(rs)``: ``u_0 = eta_1`` and ``u_s = eta_{s+1} - eta_s``.
+    Each ``u_s`` is measurable at stage ``s+1``, and on every stage-``s``
+    atom every vertex expectation of it is at most 0 (at most ``eta_0`` for
+    ``u_0``).  Any split with nonpositive prices forces ``eta_0 <= 0`` by
+    subadditivity and monotonicity, so a claim with ``eta_0 > tol`` raises
+    INFEASIBLE; with an acceptable input that is the witness that the chain
+    is not time-consistent.  Atoms that no vertex charges carry no condition
+    and price to zero here, where ``eta`` raises EMPTY_KERNEL.  A claim with
+    a non-finite value is a SCHEMA error.
     """
-    from scipy.optimize import linprog
-
     model = rs.model
-    x = np.asarray(claim.values, dtype=float)
-    V = rs.vertices
-    n_stages = len(model.stages)
-    if n_stages < 2:
+    rs.vertices     # read first, so an H-set prices by its vertices
+    if len(model.stages) < 2:
         raise SchemaError("need at least two stages to decompose")
-
-    # increment s has one variable per stage-(s+1) atom, in block s
-    steps = range(n_stages - 1)
-    ids = [model.atom_ids(s + 1) for s in steps]
-    sizes = [len(model.atoms(s + 1)) for s in steps]
-    offsets = np.cumsum([0] + sizes)
-    n_var = int(offsets[-1])
-
-    # sum of increments reproduces the claim outcome by outcome
-    A_eq = np.hstack([np.eye(k)[i] for k, i in zip(sizes, ids)])
-    b_eq = x
-
-    # every vertex expectation of increment s is nonpositive on every stage-s atom
-    blocks = [atom_masses(model, V, s, s + 1) for s in steps]
-    A_ub = np.zeros((sum(len(b) for b in blocks), n_var))
-    r = 0
-    for s, b in enumerate(blocks):
-        A_ub[r:r + len(b), offsets[s]:offsets[s + 1]] = b
-        r += len(b)
-    b_ub = np.zeros(len(A_ub))
-
-    res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(None, None)] * n_var, method="highs")
-    if res.status == 2:
+    if not np.isfinite(claim.values).all():
+        raise SchemaError("claim values must be finite")
+    process = _eta(rs, claim, partial(_rho, fill=True))
+    if process.claims[0].values[0] > model.config.tol:
         raise InfeasibleError("claim admits no acceptance decomposition")
-    if res.status != 0:
-        raise EngineError(f"decomposition LP failed with status {res.status}")
-
-    return [Claim(res.x[offsets[s] + ids[s]], s + 1) for s in steps]
+    parts = _increments(process)
+    parts[0] = process.claims[1]
+    return parts
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,14 +194,9 @@ def reserve_plan(chain: Chain, claim: Claim,
         time_consistent = is_mstable(chain.rs)
     process = eta(chain, claim)
     premium = float(process.claims[0].values[0])
-    stages = []
-    incs = []
-    for pos in range(len(process.stage_indices) - 1):
-        diff = process.claims[pos + 1].values - process.claims[pos].values
-        stages.append(process.stage_indices[pos])
-        incs.append(Claim(diff, process.stage_indices[pos + 1]))
     warning = None
     if not time_consistent:
         warning = ("chain is not time-consistent; plan uses the minimal "
                    "dominating prices, premium may exceed the quoted price")
-    return ReservePlan(premium, tuple(stages), tuple(incs), time_consistent, warning)
+    return ReservePlan(premium, process.stage_indices[:-1], tuple(_increments(process)),
+                       time_consistent, warning)

@@ -115,16 +115,24 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     return rows[keep]
 
 
-def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
-    """Convex-combination membership via nonnegative least squares."""
+def _hull_nnls(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """NNLS fit of ``x`` by a convex combination of ``points``: the residual
+    ``b - A w`` of ``A = [points^T; 1]``, ``b = [x; 1]``, and nnls's own
+    residual norm."""
     from scipy.optimize import nnls
 
-    if len(points) == 0:
-        return False
     A = np.vstack([points.T, np.ones(len(points))])
     b = np.concatenate([x, [1.0]])
-    _, resid = nnls(A, b)
-    return resid <= tol * (1.0 + np.abs(b).max())
+    w, resid = nnls(A, b)
+    return b - A @ w, resid
+
+
+def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
+    """Convex-combination membership via nonnegative least squares."""
+    if len(points) == 0:
+        return False
+    _, resid = _hull_nnls(points, x)
+    return resid <= tol * (1.0 + np.maximum(1.0, np.abs(x).max()))
 
 
 def _separated(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -476,31 +484,36 @@ class RiskSet:
         """The stage's charged-vertex blocks, built on the first call for the
         stage and kept.
 
-        Returns ``(cols, blocks, masses, starts, ids)``: ``cols`` lists the
-        outcomes atom after atom (an ``intp`` array); ``blocks`` holds, per
-        atom, its span ``(a, e)`` in ``cols`` and the charged vertices' rows
-        on it ``V[charged][:, idx]``; ``masses`` holds those vertices' masses
-        on their atom, atom after atom, and ``starts`` where each atom's run
-        begins; ``ids`` maps every outcome to its atom.
+        Returns ``(cols, blocks, masses, starts, ids, empty)``: ``cols``
+        lists the outcomes atom after atom (an ``intp`` array); ``blocks``
+        holds, per atom, its span ``(a, e)`` in ``cols`` and the charged
+        vertices' rows on it ``V[charged][:, idx]``; ``masses`` holds those
+        vertices' masses on their atom, atom after atom, and ``starts`` where
+        each atom's run begins; ``ids`` maps every outcome to its atom;
+        ``empty`` lists the atoms no vertex charges.  Such an atom gets one
+        zero row of mass 1, so it prices to zero where the caller allows it.
         """
         cached = self._blocks.get(stage)
         if cached is None:
             V = self.vertices
-            cols, blocks, masses = [], [], []
+            cols, blocks, masses, empty = [], [], [], []
             a = 0
             for atom in self.model.atoms(stage):
                 idx = np.array(atom, dtype=np.intp)
                 mass = V[:, idx].sum(axis=1)
                 charged = mass > 0
-                if not charged.any():
-                    raise EmptyKernelError(f"no vertex charges atom {atom}")
+                if charged.any():
+                    block, mass = V[charged][:, idx], mass[charged]
+                else:
+                    empty.append(atom)
+                    block, mass = np.zeros((1, len(idx))), np.ones(1)
                 cols.append(idx)
-                blocks.append((a, a + len(idx), V[charged][:, idx]))
-                masses.append(mass[charged])
+                blocks.append((a, a + len(idx), block))
+                masses.append(mass)
                 a += len(idx)
             starts = np.cumsum([0] + [len(m) for m in masses[:-1]])
             cached = (np.concatenate(cols), blocks, np.concatenate(masses), starts,
-                      self.model.atom_ids(stage))
+                      self.model.atom_ids(stage), tuple(empty))
             self._blocks[stage] = cached
         return cached
 
@@ -599,13 +612,19 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
 
 
 def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
-    """Homogenization: y = Q / Q(B), extra scale variable s = 1 / Q(B)."""
+    """Homogenization: y = Q / Q(B), extra scale variable s = 1 / Q(B).
+
+    The objective is scaled by a power of two that brings ``max |a|`` on the
+    atom below 1 (claims already below 1 are left as they are), which keeps
+    HiGHS inside its numeric range on large claims; the scaling is exact.
+    """
     from scipy.optimize import linprog
 
     n = rs.model.n
     cons = rs.constraints
+    scale = 2.0 ** -max(0, np.frexp(np.abs(a[idx]).max())[1])
     c = np.zeros(n + 1)
-    c[idx] = -a[idx]
+    c[idx] = -a[idx] * scale
     A_ub = None
     b_ub = None
     if cons:
@@ -621,7 +640,7 @@ def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
         raise EmptyKernelError(f"no measure in the set charges atom {tuple(idx)}")
     if res.status != 0:
         raise EngineError(f"ratio LP failed with status {res.status}")
-    return float(-res.fun)
+    return float(-res.fun / scale)
 
 
 # -- membership, inclusion, intersection -------------------------------------

@@ -4,6 +4,8 @@
 fixed between two dates, everything else free) vertex by vertex; it is the
 independent route to the financial and intermediate parts ``qf`` / ``qi``
 and to the acceptance criterion that ``dual_cone_member`` states as an LP.
+``acceptance_lp`` is the feasibility LP of the acceptance split, the oracle
+of ``decompose_acceptance``.
 ``node_kernel`` is the conditional kernel of one measure, the oracle of
 ``kernel_polytope``, and ``int_band_constraints`` is the intermediate part
 of the worked 2x2 market as inequalities.
@@ -18,9 +20,11 @@ from scipy.optimize import linprog
 
 from riskchain import (
     EngineError,
+    InfeasibleError,
     LinearConstraint,
     OutOfRangeError,
     RiskSet,
+    SchemaError,
     ScenarioModel,
     SizeBoundError,
     kernel_polytope,
@@ -84,6 +88,45 @@ def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:
     if res.status != 0:
         raise EngineError(f"dual cone LP failed with status {res.status}")
     return True
+
+
+def acceptance_lp(rs: RiskSet, claim: Claim) -> list[Claim]:
+    """The acceptance split as a feasibility LP: one increment per adjacent
+    stage pair, measurable at the later stage, with every vertex expectation
+    nonpositive on every earlier-stage atom (which linearizes the vertex-max
+    price exactly).  Raises INFEASIBLE when no split exists."""
+    model = rs.model
+    x = np.asarray(claim.values, dtype=float)
+    V = rs.vertices
+    n_stages = len(model.stages)
+    if n_stages < 2:
+        raise SchemaError("need at least two stages to decompose")
+
+    # increment s has one variable per stage-(s+1) atom, in block s
+    steps = range(n_stages - 1)
+    ids = [model.atom_ids(s + 1) for s in steps]
+    sizes = [len(model.atoms(s + 1)) for s in steps]
+    offsets = np.cumsum([0] + sizes)
+    n_var = int(offsets[-1])
+
+    # sum of increments reproduces the claim outcome by outcome
+    A_eq = np.hstack([np.eye(k)[i] for k, i in zip(sizes, ids)])
+
+    # every vertex expectation of increment s is nonpositive on every stage-s atom
+    blocks = [atom_masses(model, V, s, s + 1) for s in steps]
+    A_ub = np.zeros((sum(len(b) for b in blocks), n_var))
+    r = 0
+    for s, b in enumerate(blocks):
+        A_ub[r:r + len(b), offsets[s]:offsets[s + 1]] = b
+        r += len(b)
+
+    res = linprog(np.zeros(n_var), A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq,
+                  b_eq=x, bounds=[(None, None)] * n_var, method="highs")
+    if res.status == 2:
+        raise InfeasibleError("claim admits no acceptance decomposition")
+    if res.status != 0:
+        raise EngineError(f"decomposition LP failed with status {res.status}")
+    return [Claim(res.x[offsets[s] + ids[s]], s + 1) for s in steps]
 
 
 def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> Kernel:

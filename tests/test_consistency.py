@@ -11,12 +11,14 @@ import riskchain.riskset as riskset
 from riskchain import (
     Chain,
     Claim,
+    InfeasibleError,
     RiskSet,
     ScenarioModel,
     SizeBoundError,
     check_strong,
     check_supermartingale,
     consistency_report,
+    decompose_acceptance,
     eta,
     find_witness,
     includes,
@@ -363,6 +365,51 @@ class TestVerdictRoutes:
         # the row witness shows the failures the theory predicts
         assert not check_supermartingale(rs, report.witness).passed
         assert check_supermartingale(mstable_hull(rs), report.witness).passed
+
+
+def refuse_lp(*args, **kwargs):
+    raise AssertionError("an LP ran")
+
+
+class TestResidualWitness:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["many", "patched"]))
+    def test_hull_route_failures_get_a_certified_witness(self, seed, route):
+        """Non-m-stable sets on the hull route, by having more than n
+        vertices or by the row route being switched off: ``check_strong``
+        with no sample still names a witness, whose brute-force gap clears
+        ``tol``, and neither it nor the acceptance split solves an LP."""
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if route == "patched":
+                mp.setattr(consistency, "_verdict_rows", lambda rs: None)
+            while True:
+                m = random_model(rng, n_min=3, n_max=6, stages_min=3, stages_max=4)
+                k = m.n + 3 if route == "many" else 3
+                rs = random_riskset(rng, m, k_min=k, k_max=k)
+                if consistency._verdict_rows(rs) is None and not hull_verdict(rs):
+                    break
+            mp.setattr(scipy.optimize, "linprog", refuse_lp)
+            rs = RiskSet.from_vertices(m, rs.vertices)
+            report = check_strong(rs, [])
+            x = random_claim(rng, m)
+            x = Claim(x.values - float(rho(rs, x, 0).values[0]))
+            for s in (rs, RiskSet.from_constraints(m, rs.constraints)):
+                try:
+                    decompose_acceptance(s, x)
+                except InfeasibleError:
+                    pass
+        assert not report.analytic and report.witness is not None
+        hull = mstable_hull(rs)
+        x = report.witness.values
+        brute = max(hull.vertices @ x) - max(rs.vertices @ x)
+        assert brute > m.config.tol
+        assert brute == pytest.approx(report.witness_gap, abs=1e-9)
+        # it separates the first hull vertex outside the set from the set
+        h = next(h for h in hull.vertices if not member(rs, h))
+        assert h @ x - max(rs.vertices @ x) > m.config.tol
+        witness, gap = find_witness(rs, hull)
+        assert np.array_equal(witness.values, x) and gap == report.witness_gap
 
 
 class TestVerdictKeptOnTheSet:

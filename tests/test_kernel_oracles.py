@@ -4,13 +4,14 @@ The reference functions below are the former implementations, kept as
 oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
 ``itertools.product``, the per-pair H->V cut with one rank test per
 candidate, the array H->V cut that cuts by both rows of an equality pair,
-the per-outcome loops that built the LP rows of
-``decompose_acceptance`` and ``dual_cone_member``, ``rho`` as a loop of
+the per-outcome loops that built the LP rows of the
+acceptance-split oracle and ``dual_cone_member``, ``rho`` as a loop of
 ``maximize_ratio`` calls, ``check_strong`` with one ``eta`` per row and per
 sampled claim, and V-set ``member`` as one NNLS test.  The array kernels
 must give bit-identical arrays and the same verdicts.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import riskchain.consistency as consistency
+import riskchain.risk as risk
 import riskchain.riskset as riskset
 from riskchain import (
     Chain,
@@ -54,6 +56,7 @@ from riskchain.riskset import (
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.scenario import atom_masses
+from riskchain.twobytwo import build_model
 
 import oracles
 from oracles import dual_cone_member
@@ -368,13 +371,13 @@ def check_strong_ref(rs, sample):
 
 
 def captured_linprog(monkeypatch, module):
-    """Record the keyword arguments of every ``linprog`` call that reads it
-    from ``module``."""
+    """Record the objective ``c`` and the keyword arguments of every
+    ``linprog`` call that reads it from ``module``."""
     calls = []
     real = module.linprog
 
     def spy(c, **kwargs):
-        calls.append(kwargs)
+        calls.append(dict(kwargs, c=c))
         return real(c, **kwargs)
 
     monkeypatch.setattr(module, "linprog", spy)
@@ -638,9 +641,9 @@ class TestAtomMasses:
         rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
         x = rng.uniform(-1.0, 1.0, model.n)
         with pytest.MonkeyPatch.context() as m:
-            calls = captured_linprog(m, scipy.optimize)
+            calls = captured_linprog(m, oracles)
             try:
-                decompose_acceptance(rs, Claim(x))
+                oracles.acceptance_lp(rs, Claim(x))
             except InfeasibleError:
                 pass
         A_ub, A_eq = decompose_lp_ref(model, rs.vertices)
@@ -663,6 +666,61 @@ class TestAtomMasses:
         A_ub, b_ub = dual_cone_lp_ref(model, rs.vertices, x, s, t)
         assert_identical(calls[0]["A_ub"], A_ub)
         assert_identical(calls[0]["b_ub"], b_ub)
+
+
+# -- the acceptance split from eta -----------------------------------------------
+
+# rho with uncharged atoms priced at zero, as the split prices them
+FILLED = functools.partial(risk._rho, fill=True)
+
+
+def split_verdict(split, rs, claim):
+    try:
+        return split(rs, claim)
+    except InfeasibleError:
+        return None
+
+
+class TestAcceptanceSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["random", "hull", "sparse"]),
+           st.sampled_from([-1e-3, 0.0, 1e-3]))
+    def test_split_is_valid_and_agrees_with_the_lp(self, seed, kind, offset):
+        """Claims funded at rho_0 and at eta_0, each moved by ``offset``:
+        away from ``|eta_0| <= 1e-6`` the split exists iff the LP oracle
+        finds one, and every split is one."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=2, n_max=8, stages_min=2, stages_max=5)
+        if kind == "sparse":
+            rs = sparse_riskset(rng, model)
+        else:
+            rs = random_riskset(rng, model)
+            if kind == "hull":
+                rs = mstable_hull(rs)
+        V = rs.vertices
+        tol = model.config.tol
+        x = rng.uniform(-1.0, 1.0, model.n)
+        eta0 = float(risk._eta(rs, Claim(x), FILLED).claims[0].values[0])
+        for level in (eta0, float(rho(rs, Claim(x), 0).values[0])):
+            claim = Claim(x - level + offset)
+            level0 = float(risk._eta(rs, claim, FILLED).claims[0].values[0])
+            parts = split_verdict(decompose_acceptance, rs, claim)
+            if abs(level0) > 1e-6:
+                assert (parts is None) == (split_verdict(oracles.acceptance_lp, rs, claim)
+                                           is None)
+            if parts is None:
+                continue
+            assert len(parts) == len(model.stages) - 1
+            assert np.abs(sum(p.values for p in parts) - claim.values).max() <= 1e-12
+            for s, u in enumerate(parts):
+                assert u.stage == s + 1
+                assert model.is_measurable(u.values, model.stage(s + 1))
+                # every charged vertex expectation on every stage-s atom
+                masses = atom_masses(model, V, s, s + 1)
+                charged = masses.sum(axis=1) > 0
+                values = np.array([u.values[list(a)[0]] for a in model.atoms(s + 1)])
+                assert np.all(masses[charged] @ values
+                              <= tol * masses[charged].sum(axis=1))
 
 
 # -- rho from cached atom blocks ---------------------------------------------
@@ -830,6 +888,34 @@ class TestRhoLP:
             del calls[:]
             eta(Chain.single(rs), Claim(rng.uniform(-1.0, 1.0, model.n)))
             assert len(calls) == wide
+
+
+    @pytest.mark.parametrize("decade", [1, 5, 11, 12, 13, 14, 15, 16, 20])
+    def test_large_claims_match_the_vertex_route(self, decade):
+        """The facet H-set of a 2-vertex set prices uniform claims of every
+        magnitude as its vertices do; unscaled, HiGHS stopped with status 4
+        on some claims from 1e11 on."""
+        model = build_model()
+        vset = RiskSet.from_vertices(model, [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4]])
+        hset = RiskSet.from_constraints(model, vset.constraints)
+        X = np.random.default_rng(decade).uniform(-10.0 ** decade, 10.0 ** decade, (40, 4))
+        for s in ("0", "0+"):
+            for x in X:
+                want = rho(vset, Claim(x), s).values
+                got = rho(hset, Claim(x), s).values
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(x).max()
+
+    def test_claims_below_one_keep_their_objective(self):
+        model = build_model()
+        vset = RiskSet.from_vertices(model, [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4]])
+        hset = RiskSet.from_constraints(model, vset.constraints)
+        x = np.array([0.75, -0.5, 0.999, -0.25])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = captured_linprog(mp, scipy.optimize)
+            maximize_ratio(hset, x, [0, 2])
+        c = np.zeros(5)
+        c[[0, 2]] = -x[[0, 2]]
+        assert_identical(calls[0]["c"], c)
 
 
 # -- V-set membership: separation before NNLS ----------------------------------

@@ -11,6 +11,7 @@ from riskchain import (
     InfeasibleError,
     NotMeasurableError,
     RiskSet,
+    SchemaError,
     cone_member,
     condexp,
     decompose_acceptance,
@@ -284,6 +285,11 @@ class TestDecomposeAcceptance:
         for s, p in enumerate(parts):
             assert all(np.ptp(p.values[list(a)]) <= 1e-7 for a in rs.model.atoms(s + 1))
             assert np.all(rho(rs, p, s).values <= 1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_claim_is_a_schema_error(self, rs, bad):
+        with pytest.raises(SchemaError, match="claim values must be finite"):
+            decompose_acceptance(rs, Claim(np.array([bad, 0.0, -1.0, 0.0])))
 
     def test_nonstable_witness_infeasible(self):
         rng = np.random.default_rng(15)
