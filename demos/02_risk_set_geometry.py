@@ -11,7 +11,6 @@ from riskchain import (
     kernel_polytope,
     maximize_ratio,
     member,
-    vertex_enumeration,
 )
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
@@ -20,7 +19,7 @@ model = build_model()
 rs = pricing_set(model, eps)
 
 print("H-representation rows:", len(rs.constraints))
-verts = vertex_enumeration(rs).vertices
+verts = rs.vertices
 print("enumerated vertices:")
 print(verts)
 print("closed-form extreme points:")

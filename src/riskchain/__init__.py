@@ -37,7 +37,6 @@ from .riskset import (
     set_equal,
     simplex_set,
     singleton,
-    vertex_enumeration,
 )
 from .risk import (
     AdaptedProcess,

@@ -38,7 +38,7 @@ from .intermarket import (
     split_reserve,
 )
 from .risk import Chain, reserve_plan, rho
-from .riskset import LinearConstraint, RiskSet, intersect, set_equal, vertex_enumeration
+from .riskset import LinearConstraint, RiskSet, intersect, set_equal
 from .scenario import Claim, ScenarioModel, validate_model
 
 SPEC_VERSION = "1"
@@ -357,7 +357,7 @@ def cmd_example6(args) -> dict:
     def bool_check(name, ok):
         checks.append({"name": name, "max_diff": 0.0 if ok else 1.0, "pass": bool(ok)})
 
-    verts = vertex_enumeration(rs).vertices
+    verts = rs.vertices
     formula = twobytwo.extreme_points(eps)
     if len(verts) == len(formula):
         d = max(min(float(np.max(np.abs(v - f))) for v in verts) for f in formula)
@@ -407,7 +407,7 @@ def cmd_example6(args) -> dict:
     bool_check("intermediate_part", set_equal(
         qi_set, RiskSet.from_vertices(mm.model, twobytwo.int_part_vertices(eps))))
     bool_check("intersection_recovers_set", set_equal(
-        vertex_enumeration(intersect(qf_set, qi_set)), rs_mm))
+        intersect(qf_set, qi_set), rs_mm))
     bool_check("pasting_stable", is_mstable(rs_mm))
 
     ok = all(c["pass"] for c in checks)

@@ -270,7 +270,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
         if hull is not None:
             witness, witness_gap = find_witness(rs, hull)
         if sampled:
-            note = "inconsistent, sample found no witness; search supplied one"
+            note = "inconsistent, sample found no witness; the analytic test supplied one"
         if witness is None and sampled_witness is not None:
             witness = sampled_witness
             witness_gap = _stage0_gap(rs, hull, sampled_witness.values)

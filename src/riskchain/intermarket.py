@@ -18,7 +18,7 @@ import numpy as np
 from .consistency import is_mstable, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
-from .riskset import RiskSet, intersect, set_equal, simplex_set, vertex_enumeration
+from .riskset import RiskSet, intersect, set_equal, simplex_set
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        first_crossing, parse_stage_label, validate_model)
 
@@ -152,7 +152,7 @@ class FiReport:
 def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)
-    eq = set_equal(rs, vertex_enumeration(intersect(qf_set, qi_set)))
+    eq = set_equal(rs, intersect(qf_set, qi_set))
     mst = is_mstable(rs)
     full = simplex_set(mm.model)
     return FiReport(
@@ -191,8 +191,7 @@ def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> SplitReservePla
     Both kinds of increment are differences of the backward recursion, so they
     price to zero at their own date; the split telescopes to the claim.
     """
-    tc = is_mstable(rs)
-    plan = reserve_plan(Chain.single(rs), claim, time_consistent=tc)
+    plan = reserve_plan(Chain.single(rs), claim)
     # the refined grid alternates 0, 0+, 1, 1+, ..., so do the increments
     fin_incs = plan.increments[0::2]
     int_incs = plan.increments[1::2]
@@ -202,10 +201,11 @@ def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> SplitReservePla
         if not cone_member(rs, ui, mm.half(t), mm.whole(t + 1)):
             raise EngineError(f"intermediate increment at time {t} failed its cone check")
     warning = None
-    if not tc:
+    if not plan.time_consistent:
         warning = ("set is not time-consistent on the refined grid; plan uses "
                    "the minimal dominating prices")
-    return SplitReservePlan(plan.premium, fin_incs, int_incs, tc, warning)
+    return SplitReservePlan(plan.premium, fin_incs, int_incs, plan.time_consistent,
+                            warning)
 
 
 # -- product spaces -----------------------------------------------------------

@@ -178,20 +178,19 @@ class ReservePlan:
         return out
 
 
-def reserve_plan(chain: Chain, claim: Claim,
-                 time_consistent: Optional[bool] = None) -> ReservePlan:
+def reserve_plan(chain: Chain, claim: Claim) -> ReservePlan:
     """Mark-to-market reserve schedule built from the eta recursion.
 
     The premium is the time-0 eta price and each increment is one eta
     difference, so the plan telescopes exactly and every increment prices to
     zero at its own date.  For chains that are not time-consistent the eta
     prices dominate the chain's own, and a warning records that the plan is
-    the conservative repair.  ``time_consistent`` defaults to ``is_mstable``
-    of the chain's set.
+    the conservative repair.  ``time_consistent`` is ``is_mstable`` of the
+    chain's set.
     """
-    if time_consistent is None:
-        from .consistency import is_mstable
-        time_consistent = is_mstable(chain.rs)
+    from .consistency import is_mstable
+
+    time_consistent = is_mstable(chain.rs)
     process = eta(chain, claim)
     premium = float(process.claims[0].values[0])
     warning = None

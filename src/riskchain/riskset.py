@@ -3,7 +3,8 @@
 A RiskSet is a polytope inside the probability simplex, given either as a
 vertex list (authoritative for evaluation) or as a list of extra linear
 inequalities over the weights (authoritative for intersection).  The other
-representation is derived lazily and cached.  The core primitive is the
+representation is derived lazily and cached; an intersection enumerates its
+vertices at once, which is also its emptiness test.  The core primitive is the
 linear-fractional maximization ``sup Q(a;B)/Q(B)``, computed exactly as a
 vertex maximum or as a homogenized LP.
 """
@@ -690,37 +691,17 @@ def set_equal(rs1: RiskSet, rs2: RiskSet) -> bool:
     return includes(rs1, rs2) and includes(rs2, rs1)
 
 
-def vertex_enumeration(rs: RiskSet) -> RiskSet:
-    """Materialize the V-representation; idempotent when already present."""
-    if rs.has_vertices:
-        return rs
-    return RiskSet._of_extreme(rs.model, rs.vertices)
-
-
 def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
     """Intersection by concatenating H-representations.
 
-    The result carries constraints only; vertices are re-enumerated on demand.
-    Raises EMPTY_INTERSECTION when no probability measure satisfies both.
+    The result keeps the joined rows, which stay authoritative, and carries
+    their vertices, enumerated at once.  Raises EMPTY_INTERSECTION when no
+    probability measure satisfies both.
     """
-    from scipy.optimize import linprog
-
     _check_same_model(rs1, rs2)
-    cons = list(rs1.constraints) + list(rs2.constraints)
-    n = rs1.model.n
-    if cons:
-        A_ub = np.array([c.a for c in cons])
-        b_ub = np.array([c.b for c in cons])
-    else:
-        A_ub = b_ub = None
-    res = linprog(np.zeros(n), A_ub=A_ub, b_ub=b_ub,
-                  A_eq=np.ones((1, n)), b_eq=[1.0],
-                  bounds=[(0, None)] * n, method="highs")
-    if res.status == 2:
-        raise EmptyIntersectionError("the intersection contains no probability measure")
-    if res.status != 0:
-        raise EngineError(f"feasibility LP failed with status {res.status}")
-    return RiskSet.from_constraints(rs1.model, cons)
+    rs = RiskSet.from_constraints(rs1.model, rs1.constraints + rs2.constraints)
+    rs.vertices     # raises EmptyIntersectionError on an empty system
+    return rs
 
 
 def _check_same_model(rs1: RiskSet, rs2: RiskSet):

@@ -95,22 +95,6 @@ def first_crossing(fine_atoms: Sequence[Sequence[int]],
     return None
 
 
-def atom_masses(model: ScenarioModel, V: np.ndarray, s, t) -> np.ndarray:
-    """Mass of each vertex on each stage-``t`` atom inside each stage-``s`` atom.
-
-    One row per (stage-``s`` atom, vertex), atom outer; one column per
-    stage-``t`` atom.  Row ``(A, v)`` holds ``sum_{w in A, w in B} v[w]`` in
-    column ``B``, accumulated over outcomes in index order.
-    """
-    V = np.asarray(V, dtype=float)
-    k = len(V)
-    rows = model.atom_ids(s)[:, None] * k + np.arange(k)
-    cols = np.broadcast_to(model.atom_ids(t)[:, None], rows.shape)
-    out = np.zeros((len(model.atoms(s)) * k, len(model.atoms(t))))
-    np.add.at(out, (rows, cols), V.T)
-    return out
-
-
 class ScenarioModel:
     """Outcomes, stage grid, refining partitions and reference measure.
 

@@ -6,6 +6,7 @@ independent route to the financial and intermediate parts ``qf`` / ``qi``
 and to the acceptance criterion that ``dual_cone_member`` states as an LP.
 ``acceptance_lp`` is the feasibility LP of the acceptance split, the oracle
 of ``decompose_acceptance``.
+``atom_masses`` lays out vertex masses per atom pair for those LPs.
 ``node_kernel`` is the conditional kernel of one measure, the oracle of
 ``kernel_polytope``, and ``int_band_constraints`` is the intermediate part
 of the worked 2x2 market as inequalities.
@@ -31,7 +32,23 @@ from riskchain import (
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.riskset import Kernel, _dedup_rows, _sorted_rows, _weights_of
-from riskchain.scenario import Claim, atom_masses
+from riskchain.scenario import Claim
+
+
+def atom_masses(model: ScenarioModel, V: np.ndarray, s, t) -> np.ndarray:
+    """Mass of each vertex on each stage-``t`` atom inside each stage-``s`` atom.
+
+    One row per (stage-``s`` atom, vertex), atom outer; one column per
+    stage-``t`` atom.  Row ``(A, v)`` holds ``sum_{w in A, w in B} v[w]`` in
+    column ``B``, accumulated over outcomes in index order.
+    """
+    V = np.asarray(V, dtype=float)
+    k = len(V)
+    rows = model.atom_ids(s)[:, None] * k + np.arange(k)
+    cols = np.broadcast_to(model.atom_ids(t)[:, None], rows.shape)
+    out = np.zeros((len(model.atoms(s)) * k, len(model.atoms(t))))
+    np.add.at(out, (rows, cols), V.T)
+    return out
 
 
 def project(rs: RiskSet, s, t) -> RiskSet:

@@ -31,7 +31,6 @@ from riskchain import (
     set_equal,
     simplex_set,
     singleton,
-    vertex_enumeration,
 )
 from riskchain.scenario import ScenarioModel
 from riskchain.twobytwo import (
@@ -83,7 +82,7 @@ class TestCriterion1:
         rs = pricing_set(model, eps)
         worst = 0.0
 
-        verts = vertex_enumeration(rs).vertices
+        verts = rs.vertices
         formula = extreme_points(eps)
         ok = len(verts) == 4
         if ok:
@@ -135,7 +134,7 @@ class TestCriterion2:
         report(f"C2.intermediate_part eps={eps}",
                set_equal(qi_set, band_v) and set_equal(qi_set, band_h))
         report(f"C2.intersection eps={eps}", set_equal(
-            vertex_enumeration(intersect(qf_set, qi_set)), rs))
+            intersect(qf_set, qi_set), rs))
         report(f"C2.mstable eps={eps}", is_mstable(rs))
 
 
@@ -246,7 +245,7 @@ class TestCriterion6:
                 rs = mstable_hull(rs)
             qf_set = qf(rs, mkt)
             qi_set = qi(rs, mkt)
-            eq = set_equal(rs, vertex_enumeration(intersect(qf_set, qi_set)))
+            eq = set_equal(rs, intersect(qf_set, qi_set))
             mst = is_mstable(rs)
             both[mst] += 1
             agree_ok = agree_ok and (eq == mst)

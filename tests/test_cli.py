@@ -318,6 +318,11 @@ class TestExample6:
         assert doc["pass"]
         assert all(c["pass"] for c in doc["checks"])
 
+    def test_golden_bytes_without_an_lp(self, capsys, no_lp):
+        code, out = run(capsys, ["example6", "--epsilon", "0.2"])
+        assert code == 0
+        assert out.encode("utf-8") == (BENCH_DIR / "golden" / "example6_0.2.json").read_bytes()
+
     def test_bad_epsilon_is_schema_error(self, capsys):
         code, out = run(capsys, ["example6", "--epsilon", "1.5"])
         assert code == 2

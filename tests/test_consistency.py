@@ -360,7 +360,8 @@ class TestVerdictRoutes:
         assert _verdict_rows(rs) is not None
         report = check_strong(rs, [])
         assert not report.analytic and report.sampled
-        assert report.note is not None
+        assert report.note == ("inconsistent, sample found no witness; "
+                               "the analytic test supplied one")
         check_witness(rs, report.witness, report.witness_gap)
         # the row witness shows the failures the theory predicts
         assert not check_supermartingale(rs, report.witness).passed

@@ -1,5 +1,6 @@
 """Market decomposition, product spaces and the pricing-class builder."""
 
+from dataclasses import astuple
 from functools import reduce
 
 import numpy as np
@@ -38,7 +39,6 @@ from riskchain import (
     simplex_set,
     singleton,
     split_reserve,
-    vertex_enumeration,
 )
 from riskchain.riskset import _in_hull
 from riskchain.twobytwo import (
@@ -58,13 +58,13 @@ def qf_by_projection(rs, mm):
     """Financial part as the intersection of the per-period (t -> t+)
     projections: an independent oracle for the assembly route of ``qf``."""
     parts = [project(rs, str(t), f"{t}+") for t in range(mm.horizon)]
-    return vertex_enumeration(reduce(intersect, parts))
+    return RiskSet.from_vertices(mm.model, reduce(intersect, parts).vertices)
 
 
 def qi_by_projection(rs, mm):
     """Intermediate part as the intersection of the (t+ -> t+1) projections."""
     parts = [project(rs, f"{t}+", str(t + 1)) for t in range(mm.horizon)]
-    return vertex_enumeration(reduce(intersect, parts))
+    return RiskSet.from_vertices(mm.model, reduce(intersect, parts).vertices)
 
 
 @pytest.fixture
@@ -189,6 +189,20 @@ class TestCheckFi:
         assert not report.mstable
         assert not report.equals_intersection
         assert report.parts_agree
+
+    def test_no_lp_runs(self, no_lp, mm, rs):
+        """check_fi decides the intersection by vertex enumeration alone: the
+        worked set, random sets (not m-stable) and their hulls (m-stable) get
+        their known reports without an LP."""
+        assert astuple(check_fi(rs, mm)) == (True,) * 7
+        rng = np.random.default_rng(7)
+        for k in range(4):
+            mkt = random_market(rng, n_max=5)
+            rand = random_riskset(rng, mkt.model)
+            if k % 2:
+                rand = mstable_hull(rand)
+            stable = bool(k % 2)
+            assert astuple(check_fi(rand, mkt)) == (stable, stable) + (True,) * 5
 
 
 class TestSplitReserve:

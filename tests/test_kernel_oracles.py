@@ -55,11 +55,10 @@ from riskchain.riskset import (
     member,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
-from riskchain.scenario import atom_masses
 from riskchain.twobytwo import build_model
 
 import oracles
-from oracles import dual_cone_member
+from oracles import atom_masses, dual_cone_member
 from randmodels import random_model, random_riskset, refine_once
 
 TOL = DEDUP_TOL
@@ -362,7 +361,7 @@ def check_strong_ref(rs, sample):
         if hull is not None:
             witness, witness_gap = consistency.find_witness(rs, hull)
         if sampled:
-            note = "inconsistent, sample found no witness; search supplied one"
+            note = "inconsistent, sample found no witness; the analytic test supplied one"
         if witness is None and sampled_witness is not None:
             witness = sampled_witness
             witness_gap = consistency._stage0_gap(rs, hull, sampled_witness.values)

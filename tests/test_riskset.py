@@ -23,7 +23,6 @@ from riskchain import (
     set_equal,
     simplex_set,
     singleton,
-    vertex_enumeration,
 )
 from riskchain.riskset import _in_hull, _maximize_ratio_lp
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
@@ -240,7 +239,7 @@ class TestMaximizeRatio:
                 cons.append(LinearConstraint(a, a @ model.reference + rng.uniform(0.01, 0.3)))
             rs = RiskSet.from_constraints(model, cons)
             atoms = [a for s in model.stages[:-1] for a in model.atoms(s)]
-        enum = vertex_enumeration(rs)
+        enum = RiskSet.from_vertices(model, rs.vertices)
         for _ in range(50):
             a = rng.uniform(-1, 1, model.n)
             atom = atoms[int(rng.integers(len(atoms)))]
@@ -269,7 +268,7 @@ class TestMaximizeRatio:
 
 class TestMember:
     def test_vertices_are_members(self, rs):
-        for v in vertex_enumeration(rs).vertices:
+        for v in rs.vertices:
             assert member(rs, v)
 
     def test_uniform_is_member_of_worked_set(self, rs):
@@ -279,8 +278,7 @@ class TestMember:
         # density 1.5 above the cap 1 + eps = 1.2
         q = np.array([1.5, 1.0, 0.5, 1.0]) / 4
         assert not member(rs, q)
-        enum = vertex_enumeration(rs)
-        v_only = RiskSet.from_vertices(rs.model, enum.vertices)
+        v_only = RiskSet.from_vertices(rs.model, rs.vertices)
         assert not member(v_only, q)
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
@@ -305,11 +303,11 @@ class TestVertexEnumeration:
         m = ScenarioModel(["a", "b", "c"], ["0", "1"],
                           [[[0, 1, 2]], [[0], [1], [2]]], [1 / 3] * 3)
         rs = RiskSet.from_constraints(m, [])
-        assert set_equal(vertex_enumeration(rs), simplex_set(m))
+        assert set_equal(RiskSet.from_vertices(m, rs.vertices), simplex_set(m))
         assert len(rs.vertices) == 3
 
     def test_worked_set_has_four_extreme_points(self, rs):
-        got = vertex_enumeration(rs).vertices
+        got = rs.vertices
         want = extreme_points(EPS)
         assert len(got) == 4
         for w in want:
@@ -318,7 +316,7 @@ class TestVertexEnumeration:
     def test_one_dimensional_cut(self):
         m = two_outcome_model()
         rs = RiskSet.from_constraints(m, [LinearConstraint([1.0, 0.0], 0.6)])
-        got = vertex_enumeration(rs).vertices
+        got = rs.vertices
         want = np.array([[0.0, 1.0], [0.6, 0.4]])
         assert got.shape == (2, 2)
         for w in want:
@@ -326,7 +324,8 @@ class TestVertexEnumeration:
 
     def test_idempotent_on_v_rep(self, model):
         rs = RiskSet.from_vertices(model, extreme_points(EPS))
-        assert vertex_enumeration(rs) is rs
+        assert rs.vertices is rs.vertices
+        assert not rs.has_constraints
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -334,12 +333,11 @@ class TestVertexEnumeration:
         rng = np.random.default_rng(seed)
         m = random_model(rng)
         first = random_riskset(rng, m, k_min=3, k_max=5)
-        second = vertex_enumeration(
-            RiskSet.from_constraints(m, first.constraints))
+        second = RiskSet.from_vertices(
+            m, RiskSet.from_constraints(m, first.constraints).vertices)
         assert set_equal(first, second)
         assert all(member(first, v) for v in second.vertices)
-        third = vertex_enumeration(
-            RiskSet.from_constraints(m, second.constraints))
+        third = RiskSet.from_constraints(m, second.constraints)
         b = sorted(map(tuple, np.round(second.vertices, 9)))
         c = sorted(map(tuple, np.round(third.vertices, 9)))
         assert len(b) == len(c)
@@ -350,8 +348,7 @@ class TestVertexEnumeration:
         rng = np.random.default_rng(30)
         m = random_model(rng)
         first = random_riskset(rng, m, k_min=3, k_max=5)
-        second = vertex_enumeration(
-            RiskSet.from_constraints(m, first.constraints))
+        second = RiskSet.from_constraints(m, first.constraints)
         assert len(first.vertices) == len(second.vertices)
 
     def test_too_large_outcome_space(self):
