@@ -304,9 +304,10 @@ def cmd_split(args) -> dict:
     rs = _named_set(bundle)
     x = _named_claim(bundle, args.claim)
     plan = split_reserve(rs, bundle.market, x)
-    fin = [{"time": t, "stage": f"{t}+", "values": list(inc.values)}
+    model = bundle.model
+    fin = [{"time": t, "stage": model.stages[inc.stage].label, "values": list(inc.values)}
            for t, inc in enumerate(plan.fin_increments)]
-    inter = [{"time": t, "stage": str(t + 1), "values": list(inc.values)}
+    inter = [{"time": t, "stage": model.stages[inc.stage].label, "values": list(inc.values)}
              for t, inc in enumerate(plan.int_increments)]
     return {
         "command": "split",

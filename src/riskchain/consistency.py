@@ -4,7 +4,8 @@ Pasting assembly recombines per-node kernels along the whole grid into an
 exact vertex set; the m-stable hull is its one-source case.  On top of it sit
 the strong consistency check and the supermartingale test.  The m-stability
 verdict reads η_0 on the set's rows where it has or cheaply gets them, and
-builds the hull only for the other V-sets.
+builds the hull only for the other V-sets; ``_analytic`` decides it once per
+set and keeps it there with its witness.
 """
 
 from __future__ import annotations
@@ -163,17 +164,28 @@ def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
     return False, Claim(x), float(eta0[worst] - (V @ x).max())
 
 
+def _analytic(rs: RiskSet) -> tuple[bool, Optional[Claim], float]:
+    """The m-stability verdict with its witness and gap: η_0 on the set's
+    rows (``_verdict_rows``), else the hull comparison and ``find_witness``.
+    Decided once per set and kept on it."""
+    if rs._verdict is None:
+        rows = _verdict_rows(rs)
+        if rows is not None:
+            rs._verdict = _row_verdict(rs, *rows)
+        else:
+            hull = mstable_hull(rs)
+            if set_equal(rs, hull):
+                rs._verdict = (True, None, 0.0)
+            else:
+                rs._verdict = (False, *find_witness(rs, hull))
+    return rs._verdict
+
+
 def is_mstable(rs: RiskSet) -> bool:
     """True when per-node recombination adds nothing to the set: decided on
     the set's rows when it has or cheaply gets them, else by comparing the
     set with its hull.  The verdict is kept on the set."""
-    if rs._mstable is None:
-        rows = _verdict_rows(rs)
-        if rows is None:
-            rs._mstable = set_equal(rs, mstable_hull(rs))
-        else:
-            rs._mstable = _row_verdict(rs, *rows)[0]
-    return rs._mstable
+    return _analytic(rs)[0]
 
 
 # -- strong -------------------------------------------------------------------
@@ -221,26 +233,16 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     sampled domination test of the backward recursion against the one-shot
     price.
 
-    The analytic test takes one of three routes.  A set with rows (an H-set,
-    or a V-set whose facets were computed) or with affinely independent
-    vertices is decided by η_0 on its rows, and the worst row is the witness.
-    Any other V-set is compared with its hull; when it differs, the witness
-    is the NNLS residual of a hull vertex outside the set (``find_witness``),
-    whose gap is proven; the sampled witness stands in only when that
-    finds none.
+    The analytic test is ``_analytic``'s, kept on the set, by one of three
+    routes.  A set with rows (an H-set, or a V-set whose facets were
+    computed) or with affinely independent vertices is decided by η_0 on its
+    rows, and the worst row is the witness.  Any other V-set is compared with
+    its hull; when it differs, the witness is the NNLS residual of a hull
+    vertex outside the set (``find_witness``), whose gap is proven; the
+    sampled witness stands in only when that finds none.
     """
-    model = rs.model
-    tol = model.config.tol
-    rows = _verdict_rows(rs)
-    hull = None
-    witness = None
-    witness_gap = 0.0
-    if rows is None:
-        hull = mstable_hull(rs)
-        analytic = set_equal(rs, hull)
-    else:
-        analytic, witness, witness_gap = _row_verdict(rs, *rows)
-    rs._mstable = analytic
+    tol = rs.model.config.tol
+    analytic, witness, witness_gap = _analytic(rs)
 
     chain = Chain.single(rs)
     max_gap = 0.0
@@ -267,13 +269,11 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
 
     note = None
     if not analytic:
-        if hull is not None:
-            witness, witness_gap = find_witness(rs, hull)
         if sampled:
             note = "inconsistent, sample found no witness; the analytic test supplied one"
         if witness is None and sampled_witness is not None:
             witness = sampled_witness
-            witness_gap = _stage0_gap(rs, hull, sampled_witness.values)
+            witness_gap = _stage0_gap(rs, mstable_hull(rs), sampled_witness.values)
     return StrongReport(analytic and sampled, analytic, sampled, max_gap,
                         witness, witness_gap, note)
 

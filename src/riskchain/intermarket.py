@@ -1,10 +1,11 @@
 """Financial / intermediate market decomposition and product-space pricing.
 
 Half-step stages refine each period by the next financial information
-(``G_{t+} = G_t v F_{t+1}``).  The financial part of a pricing set fixes its
-(t -> t+) kernels, the intermediate part its (t+ -> t+1) kernels; reserve
-plans split accordingly into hedgeable and residual increments.  On product
-spaces, a financial pricing set extends by independence and combines with any
+(``G_{t+} = G_t v F_{t+1}``); only ``build_refined`` inserts them.  The
+financial part of a pricing set fixes its (t -> t+) kernels, the intermediate
+part its (t+ -> t+1) kernels (``_step_sources``); reserve plans split
+accordingly into hedgeable and residual increments.  On product spaces, a
+financial pricing set extends by independence and combines with any
 intermediate set into a time-consistent global pricing mechanism.
 """
 
@@ -112,14 +113,11 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
     return MarketModel(refined, tuple(tuple(p) for p in fins))
 
 
-def _step_sources(mm: MarketModel, rs: RiskSet, financial: bool):
-    """One kernel source per adjacent pair of the refined grid: the set on its
-    own steps, free elsewhere."""
-    sources = []
-    for st in mm.model.stages[:-1]:
-        own = (not st.half) if financial else st.half
-        sources.append(rs if own else None)
-    return sources
+def _step_sources(mm: MarketModel, fin_src, int_src):
+    """One kernel source per adjacent pair of the refined grid: ``int_src`` on
+    the (t+ -> t+1) steps, ``fin_src`` on the (t -> t+) ones; ``None`` leaves
+    a step free."""
+    return [int_src if st.half else fin_src for st in mm.model.stages[:-1]]
 
 
 def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
@@ -128,12 +126,12 @@ def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
     Equals the intersection of the per-period projections; assembled directly
     from the set's financial-step kernels with free intermediate steps.
     """
-    return paste_assembly(mm.model, _step_sources(mm, rs, financial=True))
+    return paste_assembly(mm.model, _step_sources(mm, rs, None))
 
 
 def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
     """Intermediate part: all measures whose (t+ -> t+1) kernels the set allows."""
-    return paste_assembly(mm.model, _step_sources(mm, rs, financial=False))
+    return paste_assembly(mm.model, _step_sources(mm, None, rs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,14 +231,14 @@ class ProductModel:
 
 
 def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
-    """Build the product model with ``G_t = F_t x I_t`` and
-    ``G_{t+} = F_{t+1} x I_t`` and factorized reference."""
+    """Build the product model with ``G_t = F_t x I_t`` and factorized
+    reference; ``build_refined`` adds ``G_{t+} = F_{t+1} x I_t`` from the
+    financial partitions ``F_t x {every intermediate outcome}``."""
     T = _whole_times(fin)
     if _whole_times(inter) != T:
         raise SchemaError("factor models must share the horizon")
     validate_model(fin).raise_if_invalid()
     validate_model(inter).raise_if_invalid()
-    n = fin.n * inter.n
     outcomes = [f"({io},{fo})" for io in inter.outcomes for fo in fin.outcomes]
     reference = np.outer(inter.reference, fin.reference).ravel()
 
@@ -248,19 +246,12 @@ def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
         return [[i * fin.n + f for i in ai for f in af]
                 for ai in p_int for af in p_fin]
 
-    grid = []
-    partitions = []
-    for t in range(T + 1):
-        grid.append(str(t))
-        partitions.append(rect(fin.atoms(str(t)), inter.atoms(str(t))))
-        if t < T:
-            grid.append(f"{t}+")
-            partitions.append(rect(fin.atoms(str(t + 1)), inter.atoms(str(t))))
+    grid = [str(t) for t in range(T + 1)]
+    partitions = [rect(fin.atoms(t), inter.atoms(t)) for t in grid]
     model = ScenarioModel(outcomes, grid, partitions, reference, config=fin.config)
-    validate_model(model).raise_if_invalid()
-    fins = [rect(fin.atoms(str(t)), [tuple(range(inter.n))]) for t in range(T + 1)]
-    fins_canon = tuple(tuple(_canonical_atoms(p, n)) for p in fins)
-    return ProductModel(fin, inter, MarketModel(model, fins_canon))
+    every = [tuple(range(inter.n))]
+    market = build_refined(model, {t: rect(fin.atoms(t), every) for t in grid})
+    return ProductModel(fin, inter, market)
 
 
 def extend_pi(pi: RiskSet, pm: ProductModel) -> RiskSet:
@@ -278,8 +269,7 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
     kernels, which is the same set.  The construction verifies that both
     parts are recovered and the result is pasting-stable."""
     hat_pi = extend_pi(pi, pm)
-    sources = [hat_pi if not st.half else phi for st in pm.model.stages[:-1]]
-    q = paste_assembly(pm.model, sources)
+    q = paste_assembly(pm.model, _step_sources(pm.market, hat_pi, phi))
     if not set_equal(qf(q, pm.market), qf(hat_pi, pm.market)):
         raise EngineError("financial part was not recovered")
     if not set_equal(qi(q, pm.market), qi(phi, pm.market)):
@@ -321,7 +311,7 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     comp_dev = 0.0
     for t in range(pm.market.horizon):
         inner = rho(q, X, str(t + 1))
-        mid = rho(qi_part, inner, f"{t}+")
+        mid = rho(qi_part, inner, pm.market.half(t))
         lhs = rho(qf_part, mid, str(t)).values
         comp_dev = float(np.fmax.reduce(np.max(np.abs(lhs - prices[t]), axis=1),
                                         initial=comp_dev))

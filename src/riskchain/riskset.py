@@ -53,10 +53,10 @@ def _measure_rows(rows, n: int) -> np.ndarray:
     return w / total[:, None]
 
 
-def measure(weights, n: Optional[int] = None) -> Measure:
+def measure(weights) -> Measure:
     """Validate and normalize a weight vector into a Measure."""
     w = np.asarray(weights, dtype=float)
-    return Measure(_measure_rows(w[None], w.size if n is None else n)[0])
+    return Measure(_measure_rows(w[None], w.size)[0])
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,18 @@ def _hull_nnls(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     return b - A @ w, resid
 
 
+def _nnls_threshold(x: np.ndarray, tol: float):
+    """``_in_hull``'s bound on the NNLS residual of ``x``, per row of a 2-D
+    ``x``; the certificates scale ``tol`` and are proved against it."""
+    return tol * (1.0 + np.maximum(1.0, np.abs(x).max(axis=-1)))
+
+
 def _in_hull(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """Convex-combination membership via nonnegative least squares."""
     if len(points) == 0:
         return False
     _, resid = _hull_nnls(points, x)
-    return resid <= tol * (1.0 + np.maximum(1.0, np.abs(x).max()))
+    return resid <= _nnls_threshold(x, tol)
 
 
 def _separated(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
@@ -146,7 +152,7 @@ def _separated(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     """
     c = x - points.mean(axis=0)
     top = float((points @ c).max())
-    limit = 10.0 * tol * (1.0 + max(1.0, float(np.abs(x).max())))
+    limit = _nnls_threshold(x, 10.0 * tol)
     return bool(c @ x - top > limit * np.sqrt(c @ c + top ** 2))
 
 
@@ -157,7 +163,7 @@ def _near_vertex(points: np.ndarray, x: np.ndarray, tol: float) -> bool:
     (the weight vector of that row alone), so ``x`` is a member when that
     distance is a tenth of the ``_in_hull`` threshold.
     """
-    limit = 0.1 * tol * (1.0 + max(1.0, float(np.abs(x).max())))
+    limit = _nnls_threshold(x, 0.1 * tol)
     return bool(np.linalg.norm(points - x, axis=1).min() <= limit)
 
 
@@ -189,7 +195,7 @@ def _certified_extreme(rows: np.ndarray) -> np.ndarray:
     nearest point of the other rows' hull.
     """
     k = len(rows)
-    limit = 10.0 * DEDUP_TOL * (1.0 + np.maximum(1.0, np.abs(rows).max(axis=1)))
+    limit = _nnls_threshold(rows, 10.0 * DEDUP_TOL)
     certified = np.zeros(k, dtype=bool)
     todo = np.arange(k)
     base = (rows.sum(axis=0) - rows) / (k - 1)
@@ -417,8 +423,9 @@ class RiskSet:
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         self._blocks: dict[int, tuple] = {}
-        self._mstable: Optional[bool] = None    # set by consistency.is_mstable
+        self._verdict: Optional[tuple] = None   # set by consistency._analytic
         self._charged: set[int] = set()         # outcomes the ratio LP found charged
+        self._rows_given = constraints is not None      # member reads the rows
         if vertices is not None:
             if not isinstance(vertices, np.ndarray):
                 vertices = [_weights_of(v) for v in vertices]
@@ -647,8 +654,9 @@ def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
 # -- membership, inclusion, intersection -------------------------------------
 
 def member(rs: RiskSet, q) -> bool:
-    """Membership at tolerance: constraint evaluation when an H-representation
-    exists, otherwise convex-combination feasibility against the vertices.
+    """Membership at tolerance, from the representation the set was built
+    from: its rows for a set given rows (an intersection too), else
+    convex-combination feasibility against the vertices, facets read or not.
 
     Constraint rows are scaled to unit normals first, as in vertex
     enumeration, so the verdict does not depend on how a row is scaled.  A
@@ -662,7 +670,7 @@ def member(rs: RiskSet, q) -> bool:
         raise SchemaError("measure length does not match the model")
     if w.min() < -tol or abs(w.sum() - 1.0) > tol:
         return False
-    if rs.has_constraints:
+    if rs._rows_given:
         A, b = _unit_rows(rs.constraints, rs.model.n)
         return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
     V = rs.vertices

@@ -114,12 +114,11 @@ class ScenarioModel:
             raise SizeBoundError(f"grid length {len(grid)} exceeds bound {MAX_GRID}",
                                  bound=MAX_GRID, reached=len(grid), layer="scenario.grid")
 
-        keys = []
         self.stages: list[Stage] = []
         for idx, label in enumerate(grid):
             t, half = parse_stage_label(label)
             self.stages.append(Stage(idx, f"{t}+" if half else str(t), t, half))
-            keys.append((t, 1 if half else 0))
+        keys = [st.key for st in self.stages]
         if not keys:
             raise SchemaError("empty stage grid")
         if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):

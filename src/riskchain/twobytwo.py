@@ -8,6 +8,8 @@ decomposition parts, the half-step prices and the time-0 price can each be
 written down directly and diffed against engine output.
 
 Outcome order is intermediate-major: ``(i,f), (i,f'), (i',f), (i',f')``.
+The grid ``0, 0+, 1`` is the one ``intermarket.build_refined`` makes from the
+whole-time model and the financial partition ``{f, f'}``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,14 @@ COLUMNS = {"f": [0, 2], "f'": [1, 3]}
 
 
 def build_model() -> ScenarioModel:
-    """Grid 0, 0+, 1; the half-step reveals the financial coordinate."""
-    return ScenarioModel(
-        outcomes=OUTCOMES,
-        grid=["0", "0+", "1"],
-        partitions=[[[0, 1, 2, 3]], [[0, 2], [1, 3]], [[0], [1], [2], [3]]],
-        reference=[0.25, 0.25, 0.25, 0.25],
-    )
+    """Grid 0, 0+, 1; the half-step reveals the financial coordinate.  This is
+    the refined model of :func:`market_model`."""
+    return market_model().model
 
 
-def market_model(model: ScenarioModel | None = None) -> MarketModel:
-    """Same market with the financial partition made explicit."""
+def market_model() -> MarketModel:
+    """The one-period market with the financial partition made explicit;
+    ``build_refined`` inserts the half-step."""
     base = ScenarioModel(
         outcomes=OUTCOMES,
         grid=["0", "1"],

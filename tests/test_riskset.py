@@ -288,6 +288,23 @@ class TestMember:
         assert member(rs, [0.5 + 1.2e-9, 0.5 - 1.2e-9])
         assert not member(rs, [0.5 + 1e-6, 0.5 - 1e-6])
 
+    @pytest.mark.parametrize("offset", [1.5e-9, 1.9e-9])
+    def test_verdict_does_not_depend_on_reading_the_facets(self, offset):
+        """A point just outside an edge of a V-set, inside NNLS's band but
+        outside the facet rows' band: the V-set answers by NNLS whether or
+        not its facets have been read, and a set given those rows by the
+        rows."""
+        m = ScenarioModel(["a", "b", "c"], ["0", "1"],
+                          [[[0, 1, 2]], [[0], [1], [2]]], [1 / 3] * 3)
+        V = np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.2, 0.4, 0.4]])
+        rs = RiskSet.from_vertices(m, V)
+        # unit normal of the edge V[0]V[1], pointing away from V[2]
+        q = (V[0] + V[1]) / 2 + offset * np.array([2.0, -1.0, -1.0]) / np.sqrt(6.0)
+        assert member(rs, q) and _in_hull(rs.vertices, q, m.config.tol)
+        rs.constraints
+        assert member(rs, q)
+        assert not member(RiskSet.from_constraints(m, rs.constraints), q)
+
     def test_member_agrees_across_representations(self):
         rng = np.random.default_rng(31)
         m = random_model(rng)
