@@ -114,10 +114,12 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     when the set takes the hull route.
 
     Rows the set already carries are used as they are.  A V-set with affinely
-    independent vertices gets its facets; any other V-set returns None,
-    because facet enumeration of a many-vertex set costs far more than
-    building its hull.  So does a simplex too thin for facet enumeration,
-    and any set that leaves an atom of a pricing date uncharged, where η is
+    independent vertices gets its facets, in closed form and with no
+    solver; any other V-set returns None, because facet enumeration of a
+    many-vertex set costs far more than building its hull.  So does a
+    simplex too thin for its facets (a singular barycentric inverse, or
+    rows that miss a vertex by more than ``_facets``' precision check), and
+    any set that leaves an atom of a pricing date uncharged, where η is
     undefined.
     """
     model = rs.model

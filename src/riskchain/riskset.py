@@ -366,6 +366,15 @@ def _affine_rank(svals: np.ndarray) -> int:
 def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
     """Inequalities describing the hull of ``verts`` (equalities as pairs).
 
+    ``verts`` are extreme points.  In the coordinates of their affine hull,
+    a polygon (rank 2) gets one row per edge, its vertices taken in angular
+    order around their centroid, and a simplex (rank + 1 vertices) one row
+    per barycentric coordinate ``lambda_i >= 0``, read off the inverse of
+    ``[coords^T; 1]``; only other sets of rank 3 or more call qhull.  Each
+    way gives qhull's ``(unit normal, offset)`` rows.  Raises EngineError
+    when the set is too thin for its facets: a singular inverse, a qhull
+    failure, or rows that miss a vertex by more than ``10 * _FACET_TOL``.
+
     ``svd`` is the full SVD of ``verts - verts[0]`` when the caller has
     already taken it.
     """
@@ -388,19 +397,33 @@ def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
         cons.append(LinearConstraint(basis[0], base + float(x.max())))
         cons.append(LinearConstraint(-basis[0], -(base + float(x.min()))))
     elif rank >= 2:
-        from scipy.spatial import ConvexHull, QhullError
-
         coords = diffs @ basis.T
-        try:
-            hull = ConvexHull(coords)
-        except QhullError as exc:
-            raise EngineError(f"facet enumeration failed: {exc}") from exc
-        A = hull.equations[:, :-1] @ basis
-        b = -hull.equations[:, -1] + A @ v0
+        if rank == 2:
+            rel = coords - coords.mean(axis=0)
+            ring = coords[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+            edge = np.roll(ring, -1, axis=0) - ring
+            normal = np.column_stack([edge[:, 1], -edge[:, 0]])
+            normal /= np.linalg.norm(normal, axis=1)[:, None]
+            eqs = np.column_stack([normal, -np.einsum("ij,ij->i", normal, ring)])
+        elif len(verts) == rank + 1:
+            try:
+                inv = np.linalg.inv(np.vstack([coords.T, np.ones(len(verts))]))
+            except np.linalg.LinAlgError as exc:
+                raise EngineError(f"facet enumeration failed: {exc}") from exc
+            eqs = -inv / np.linalg.norm(inv[:, :-1], axis=1)[:, None]
+        else:
+            from scipy.spatial import ConvexHull, QhullError
+
+            try:
+                eqs = ConvexHull(coords).equations
+            except QhullError as exc:
+                raise EngineError(f"facet enumeration failed: {exc}") from exc
+        A = eqs[:, :-1] @ basis
+        b = -eqs[:, -1] + A @ v0
         worst = float((verts @ A.T - b).max())
         if worst > 10 * tol:
             raise EngineError("facet enumeration lost precision")
-        # triangulated facets repeat the same hyperplane once per simplex
+        # qhull's triangulated facets repeat the same hyperplane once per simplex
         rows = _dedup_rows(np.column_stack([A, b]), tol)
         cons.extend(LinearConstraint(r[:-1], r[-1]) for r in rows)
     return cons
@@ -668,7 +691,8 @@ def member(rs: RiskSet, q) -> bool:
     w = _weights_of(q)
     if w.shape != (rs.model.n,):
         raise SchemaError("measure length does not match the model")
-    if w.min() < -tol or abs(w.sum() - 1.0) > tol:
+    # written so that NaN, which fails every comparison, answers False
+    if not (w.min() >= -tol and abs(w.sum() - 1.0) <= tol):
         return False
     if rs._rows_given:
         A, b = _unit_rows(rs.constraints, rs.model.n)

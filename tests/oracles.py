@@ -9,7 +9,9 @@ of ``decompose_acceptance``.
 ``atom_masses`` lays out vertex masses per atom pair for those LPs.
 ``node_kernel`` is the conditional kernel of one measure, the oracle of
 ``kernel_polytope``, and ``int_band_constraints`` is the intermediate part
-of the worked 2x2 market as inequalities.
+of the worked 2x2 market as inequalities.  ``qhull_facets`` takes every
+facet from qhull, the oracle of ``_facets``' closed forms for polygons and
+simplices.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from riskchain import (
     EngineError,
@@ -31,7 +34,14 @@ from riskchain import (
     kernel_polytope,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
-from riskchain.riskset import Kernel, _dedup_rows, _sorted_rows, _weights_of
+from riskchain.riskset import (
+    _FACET_TOL,
+    Kernel,
+    _affine_rank,
+    _dedup_rows,
+    _sorted_rows,
+    _weights_of,
+)
 from riskchain.scenario import Claim
 
 
@@ -178,3 +188,20 @@ def int_band_constraints(epsilon: float, model: ScenarioModel) -> RiskSet:
         a[bottom], a[top] = 1.0, -d
         cons.append(LinearConstraint(a, 0.0))
     return RiskSet.from_constraints(model, cons)
+
+
+def qhull_facets(verts: np.ndarray) -> np.ndarray:
+    """Rows ``[a | b]`` of ``a . q <= b`` describing the hull of ``verts``, a
+    set of affine rank 2 or more: the complement of the affine hull as
+    equality pairs, then qhull's facets in the affine hull's coordinates,
+    mapped back and deduplicated."""
+    v0 = verts[0]
+    diffs = verts - v0
+    _, svals, vt = np.linalg.svd(diffs, full_matrices=True)
+    rank = _affine_rank(svals)
+    basis = vt[:rank]
+    eqs = ConvexHull(diffs @ basis.T).equations
+    A = eqs[:, :-1] @ basis
+    b = -eqs[:, -1] + A @ v0
+    pairs = [row for w in vt[rank:] for row in (np.r_[w, w @ v0], -np.r_[w, w @ v0])]
+    return np.vstack(pairs + [_dedup_rows(np.column_stack([A, b]), _FACET_TOL)])

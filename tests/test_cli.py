@@ -196,7 +196,8 @@ class TestBenchmarkGoldens:
 
 
 # benchmark calls that run no scipy solver, so the CLI must not import scipy
-SCIPY_FREE = ["price_flat5_1", "check", "reserve_X", "split_unit_if", "hull", "psi"]
+SCIPY_FREE = ["price_flat5_1", "check", "reserve_X", "split_unit_if", "hull", "psi",
+              "example6_0.1", "example6_0.2", "example6_0.5"]
 
 # runs ``main`` on argv[1:] and prints to stderr the scipy modules loaded by then
 MAIN_THEN_SCIPY_MODULES = (

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from riskchain import (
     EmptyIntersectionError,
     EmptyKernelError,
+    EngineError,
     LinearConstraint,
     RiskSet,
     ScenarioModel,
@@ -16,18 +17,21 @@ from riskchain import (
     density,
     includes,
     intersect,
+    is_mstable,
     kernel_polytope,
     maximize_ratio,
     measure,
     member,
+    mstable_hull,
     set_equal,
     simplex_set,
     singleton,
 )
-from riskchain.riskset import _in_hull, _maximize_ratio_lp
+from riskchain.consistency import _row_verdict, _verdict_rows
+from riskchain.riskset import _facets, _in_hull, _maximize_ratio_lp
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
-from oracles import node_kernel
+from oracles import node_kernel, qhull_facets
 from randmodels import random_claim, random_model, random_riskset
 
 EPS = 0.2
@@ -305,6 +309,15 @@ class TestMember:
         assert member(rs, q)
         assert not member(RiskSet.from_constraints(m, rs.constraints), q)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5, 0.25, 0.25],
+                                         [np.inf, -np.inf, 0.5, 0.5]])
+    @pytest.mark.parametrize("rows_given", [False, True])
+    def test_non_finite_weights_are_not_members(self, model, rows_given, weights):
+        rs = RiskSet.from_vertices(model, np.eye(4)[:2])
+        if rows_given:
+            rs = RiskSet.from_constraints(model, rs.constraints)
+        assert not member(rs, weights)
+
     def test_member_agrees_across_representations(self):
         rng = np.random.default_rng(31)
         m = random_model(rng)
@@ -383,6 +396,96 @@ class TestVertexEnumeration:
         rs = RiskSet.from_constraints(m, [LinearConstraint([1.0, 1.0], -1.0)])
         with pytest.raises(EmptyIntersectionError):
             _ = rs.vertices
+
+
+def facet_rows(verts: np.ndarray) -> np.ndarray:
+    return np.array([np.r_[c.a, c.b] for c in _facets(verts)])
+
+
+def same_rows(R1: np.ndarray, R2: np.ndarray, tol: float) -> bool:
+    """Equal as sets of rows: as many rows, and each row of either within
+    ``tol`` (max-norm) of a row of the other."""
+    if R1.shape != R2.shape:
+        return False
+    dist = np.abs(R1[:, None] - R2[None]).max(axis=2)
+    return dist.min(axis=1).max() <= tol and dist.min(axis=0).max() <= tol
+
+
+@st.composite
+def simplices(draw):
+    """rank + 1 measures with full support, rank 2-8, n = 4-16."""
+    n = draw(st.integers(4, 16))
+    rank = draw(st.integers(2, min(8, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.dirichlet(np.full(n, 2.0), size=rank + 1)
+
+
+@st.composite
+def polygons(draw):
+    """3-8 measures on a circle in a random plane through a full-support
+    center, n = 4-16; the angles keep a gap, so every one is extreme."""
+    n = draw(st.integers(4, 16))
+    k = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = rng.dirichlet(np.full(n, 5.0))
+    # two orthonormal directions in the plane sum(q) = 0
+    plane = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, 2))]))[0][:, 1:]
+    angles = (np.arange(k) + rng.uniform(0.0, 0.8, k)) * (2 * np.pi / k)
+    ring = np.column_stack([np.cos(angles), np.sin(angles)]) @ plane.T
+    return center + 0.5 * center.min() * ring
+
+
+class TestFacets:
+    """The closed forms for polygons and simplices against qhull."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(simplices())
+    def test_simplex_rows_match_qhull(self, verts):
+        assert same_rows(facet_rows(verts), qhull_facets(verts), 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygons())
+    def test_polygon_rows_match_qhull(self, verts):
+        assert same_rows(facet_rows(verts), qhull_facets(verts), 1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_simplex_verdict_agrees_with_the_hull(self, seed):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=8)
+        rank = int(rng.integers(2, m.n))
+        rs = RiskSet.from_vertices(m, rng.dirichlet(np.full(m.n, 2.0), size=rank + 1))
+        rows = _verdict_rows(rs)
+        assert rows is not None
+        assert _row_verdict(rs, *rows)[0] == set_equal(rs, mstable_hull(rs))
+
+    @pytest.mark.parametrize("height", [1e-10, 5e-10])
+    def test_thin_simplex_takes_the_hull_route(self, height):
+        """A fourth vertex lifted off the other three's plane by less than the
+        rank threshold: the set counts as flat, so its verdict comes from
+        the hull."""
+        rng = np.random.default_rng(5)
+        m = random_model(rng, n_min=6, n_max=6)
+        base = rng.dirichlet(np.full(m.n, 5.0), size=3)
+        lift = np.zeros(m.n)
+        lift[:2] = 1.0, -1.0
+        rs = RiskSet._of_extreme(m, np.vstack([base, base.mean(axis=0) + height * lift]))
+        assert _verdict_rows(rs) is None
+        assert is_mstable(rs) == set_equal(rs, mstable_hull(rs))
+
+    def test_singular_inverse_takes_the_hull_route(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        m = random_model(rng, n_min=6, n_max=6)
+        rs = RiskSet.from_vertices(m, rng.dirichlet(np.full(m.n, 2.0), size=4))
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(EngineError):
+            _facets(rs.vertices)
+        assert _verdict_rows(rs) is None
+        assert is_mstable(rs) == set_equal(rs, mstable_hull(rs))
 
 
 class TestIntersect:
