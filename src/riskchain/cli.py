@@ -86,8 +86,17 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _no_booleans(values) -> bool:
+    """True when no JSON boolean sits anywhere in ``values``."""
+    if isinstance(values, list):
+        return all(_no_booleans(v) for v in values)
+    return not isinstance(values, bool)
+
+
 def _numbers(values, what: str) -> np.ndarray:
-    """Spec numbers as a float array; non-numeric or non-finite ones are schema errors."""
+    """Spec numbers as a float array; booleans (which numpy would read as 0
+    and 1) and non-numeric or non-finite values are schema errors."""
+    _require(_no_booleans(values), f"{what} must hold numbers, not booleans")
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -210,8 +219,12 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
 
 
 def _named_set(bundle: SpecBundle, name: str = "Q") -> RiskSet:
+    """The named spec set, its vertices read first, so every command prices
+    it by its vertices (an empty or too large H-set is refused here)."""
     _require(name in bundle.risk_sets, f"spec must define a risk set named {name!r}")
-    return bundle.risk_sets[name]
+    rs = bundle.risk_sets[name]
+    rs.vertices
+    return rs
 
 
 def _named_claim(bundle: SpecBundle, name: str) -> Claim:
@@ -227,13 +240,16 @@ def _sample_claims(model: ScenarioModel, count: int) -> list[Claim]:
 # -- commands -----------------------------------------------------------------
 
 def cmd_price(args) -> dict:
+    """The claim's worst-case price on each atom of the stage: the maximum
+    over the vertices of ``Q``, which ``_named_set`` enumerates first for a
+    constraint-given ``Q``, so no LP runs."""
     bundle = load_spec(args.spec, args.tolerance)
-    rs = _named_set(bundle)
     x = _named_claim(bundle, args.claim)
     try:
         stage = bundle.model.stage(args.stage)
     except OutOfRangeError as exc:
         raise SchemaError(str(exc)) from exc
+    rs = _named_set(bundle)
     priced = rho(rs, x, stage)
     atoms = bundle.model.atoms(stage)
     return {
@@ -276,8 +292,8 @@ def cmd_hull(args) -> dict:
 
 def cmd_reserve(args) -> dict:
     bundle = load_spec(args.spec, args.tolerance)
-    rs = _named_set(bundle)
     x = _named_claim(bundle, args.claim)
+    rs = _named_set(bundle)
     plan = reserve_plan(Chain.single(rs), x)
     model = bundle.model
     incs = []
@@ -301,8 +317,8 @@ def cmd_split(args) -> dict:
     bundle = load_spec(args.spec, args.tolerance)
     _require(bundle.market is not None,
              "split needs 'financial_partitions' in the spec")
-    rs = _named_set(bundle)
     x = _named_claim(bundle, args.claim)
+    rs = _named_set(bundle)
     plan = split_reserve(rs, bundle.market, x)
     model = bundle.model
     fin = [{"time": t, "stage": model.stages[inc.stage].label, "values": list(inc.values)}

@@ -280,7 +280,8 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.n
     equality given as a pair) takes its partner at its own turn: after the
     cut, the vertices strictly inside the partner's half-space are dropped,
     and the partner, whose crossings would lie on vertices already there,
-    is skipped.
+    is skipped.  A cut with more crossing pairs, or more vertices, than
+    ``WORK_BOUND`` raises TOO_LARGE.
     """
     if n > MAX_OUTCOMES:
         raise SizeBoundError(f"{n} outcomes exceed the bound of {MAX_OUTCOMES}",
@@ -321,6 +322,7 @@ def _cut(verts: np.ndarray, rows: np.ndarray, t: int, atol: float) -> np.ndarray
     fu = vals[keep_mask]
     denom = vals[~keep_mask][None, :] - fu[:, None]
     iu, iv = np.nonzero(denom > 1e-13)
+    _within_work_bound(len(iu))
     pieces = [kept]
     if len(iu):
         lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
@@ -330,11 +332,17 @@ def _cut(verts: np.ndarray, rows: np.ndarray, t: int, atol: float) -> np.ndarray
         if len(good):
             pieces.append(good)
     verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
-    if len(verts) > WORK_BOUND:
+    _within_work_bound(len(verts))
+    return verts
+
+
+def _within_work_bound(reached: int):
+    """Raise TOO_LARGE when a cut's crossing pairs or vertices exceed
+    ``WORK_BOUND``; the crossings are counted before any is built."""
+    if reached > WORK_BOUND:
         raise SizeBoundError(
             f"vertex enumeration exceeded the work bound of {WORK_BOUND}",
-            bound=WORK_BOUND, reached=len(verts), layer="riskset.vertices")
-    return verts
+            bound=WORK_BOUND, reached=reached, layer="riskset.vertices")
 
 
 def _negation_partners(rows: np.ndarray) -> np.ndarray:

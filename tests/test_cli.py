@@ -87,6 +87,19 @@ def seventeen_outcomes(doc):
                claims={"X": [0.0] * n})
 
 
+def box_of_sixteen(doc):
+    """A 16-outcome H-set ``q_i <= 0.118``: ~10^5 vertices, far past
+    ``WORK_BOUND``."""
+    n = 16
+    doc.update(outcomes=[f"w{i}" for i in range(n)],
+               partitions={"0": [list(range(n))], "1": [[w] for w in range(n)]},
+               reference=[1.0 / n] * n,
+               financial_partitions={"1": [list(range(n))]},
+               risk_sets={"Q": {"constraints": [{"a": np.eye(n)[i].tolist(), "b": 0.118}
+                                                for i in range(n)]}},
+               claims={"X": [float(w) for w in range(n)]})
+
+
 def crossing_financial_partition(doc):
     """A horizon-2 model whose time-1 financial partition cuts across its own."""
     doc.update(grid=["0", "1", "2"],
@@ -94,6 +107,10 @@ def crossing_financial_partition(doc):
                            "2": [[0], [1], [2], [3]]},
                financial_partitions={"1": [[0, 2], [1, 3]], "2": [[0], [1], [2], [3]]})
 
+
+# Q asks for total mass 2, which no probability measure has
+no_measure_in_q = setting("risk_sets", "Q", "constraints",
+                          [{"a": [1, 1, 1, 1], "op": ">=", "b": 2}])
 
 PRICE = ["price", "--claim", "X", "--stage", "0"]
 SPLIT = ["split", "--claim", "X"]
@@ -124,15 +141,27 @@ EXIT_CODES = [
                  id="financial_not_coarser"),
     pytest.param(setting("reference", [0.5, 0.5, 0.0, 0.0]), PRICE, 3, "NO_FULL_SUPPORT",
                  id="reference_not_positive"),
-    pytest.param(setting("risk_sets", "Q", "constraints",
-                         [{"a": [1, 1, 1, 1], "op": ">=", "b": 2}]),
-                 ["check"], 4, "EMPTY_INTERSECTION", id="no_measure_in_set"),
+    pytest.param(no_measure_in_q, ["check"], 4, "EMPTY_INTERSECTION", id="no_measure_in_set"),
+    pytest.param(no_measure_in_q, PRICE, 4, "EMPTY_INTERSECTION",
+                 id="no_measure_in_set_price"),
+    pytest.param(no_measure_in_q, ["reserve", "--claim", "nope"], 2, "SCHEMA",
+                 id="unknown_claim_before_empty_set"),
     pytest.param(seventeen_outcomes, ["hull"], 5, "TOO_LARGE", id="too_many_outcomes"),
+    pytest.param(box_of_sixteen, PRICE, 5, "TOO_LARGE", id="too_many_vertices_price"),
+    pytest.param(box_of_sixteen, ["check"], 5, "TOO_LARGE", id="too_many_vertices_check"),
     pytest.param(setting("tolerance", 0), ["check"], 2, "SCHEMA", id="tolerance_zero"),
     pytest.param(lambda doc: None, ["reserve", "--claim", "X", "--tolerance=-1e-9"], 2,
                  "SCHEMA", id="tolerance_flag_negative"),
     pytest.param(setting("tolerance", 1e-16), ["check"], 2, "SCHEMA",
                  id="tolerance_below_floor"),
+    pytest.param(setting("tolerance", True), ["check"], 2, "SCHEMA",
+                 id="tolerance_boolean"),
+    pytest.param(setting("claims", "X", [True, 0, -1, 0]), PRICE, 2, "SCHEMA",
+                 id="claim_boolean"),
+    pytest.param(setting("risk_sets", "Q", {"vertices": [[True, 0, 0, 0], [0, 1, 0, 0]]}),
+                 ["check"], 2, "SCHEMA", id="vertex_boolean"),
+    pytest.param(setting("risk_sets", "Q", "constraints", [{"a": [True, 0, 0, 0], "b": 0.3}]),
+                 PRICE, 2, "SCHEMA", id="constraint_boolean"),
 ]
 
 
@@ -196,8 +225,8 @@ class TestBenchmarkGoldens:
 
 
 # benchmark calls that run no scipy solver, so the CLI must not import scipy
-SCIPY_FREE = ["price_flat5_1", "check", "reserve_X", "split_unit_if", "hull", "psi",
-              "example6_0.1", "example6_0.2", "example6_0.5"]
+SCIPY_FREE = ["price_X_0", "price_unit_if_0p", "price_flat5_1", "check", "reserve_X",
+              "split_unit_if", "hull", "psi", "example6_0.1", "example6_0.2", "example6_0.5"]
 
 # runs ``main`` on argv[1:] and prints to stderr the scipy modules loaded by then
 MAIN_THEN_SCIPY_MODULES = (
@@ -334,7 +363,10 @@ class TestExitCodes:
     def test_matrix(self, capsys, tmp_path, edit, argv, code, error):
         spec = twobytwo_with(tmp_path, edit)
         got, out = run(capsys, [argv[0], "--spec", spec, *argv[1:]])
-        assert (got, json.loads(out)["error"]["code"]) == (code, error)
+        err = json.loads(out)["error"]
+        assert (got, err["code"]) == (code, error)
+        if code == 5:   # every size refusal here is vertex enumeration's
+            assert err["details"]["layer"] == "riskset.vertices"
 
     @pytest.mark.parametrize("tol", ["0", "1e-16"])
     def test_example6_tolerance_below_floor_is_2(self, capsys, tol):

@@ -27,6 +27,7 @@ from riskchain import (
     simplex_set,
     singleton,
 )
+from riskchain.config import WORK_BOUND
 from riskchain.consistency import _row_verdict, _verdict_rows
 from riskchain.riskset import _facets, _in_hull, _maximize_ratio_lp
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
@@ -390,6 +391,20 @@ class TestVertexEnumeration:
         with pytest.raises(SizeBoundError) as exc:
             _ = rs.vertices
         assert exc.value.details == {"bound": 16, "reached": 17, "layer": "riskset.vertices"}
+
+    def test_too_many_crossings_refused_before_building(self):
+        # q_i <= 0.118 on 16 outcomes has ~10^5 vertices
+        n = 16
+        m = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
+                          [[list(range(n))], [[w] for w in range(n)]],
+                          [1 / n] * n)
+        rs = RiskSet.from_constraints(
+            m, [LinearConstraint(np.eye(n)[i], 0.118) for i in range(n)])
+        with pytest.raises(SizeBoundError) as exc:
+            _ = rs.vertices
+        details = exc.value.details
+        assert details["layer"] == "riskset.vertices"
+        assert details["bound"] == WORK_BOUND < details["reached"]
 
     def test_infeasible_system_reports_empty(self):
         m = two_outcome_model()
