@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .consistency import is_mstable, paste_assembly
+from .consistency import is_mstable, mstable_hull, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
-from .riskset import RiskSet, intersect, set_equal, simplex_set
+from .riskset import RiskSet, set_equal, simplex_set
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        first_crossing, parse_stage_label, validate_model)
 
@@ -136,7 +136,13 @@ def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
 
 @dataclass(frozen=True, slots=True)
 class FiReport:
-    """Decomposition diagnostics for a pricing set on a refined model."""
+    """Decomposition diagnostics for a pricing set on a refined model.
+
+    ``equals_intersection`` is ``rs == mstable_hull(rs)``: the hull pastes
+    the set's kernels on every step of the refined grid, so it is
+    ``qf(rs) ∩ qi(rs)`` by rectangularity.  ``mstable`` is the verdict of
+    ``is_mstable``, reached by another route where the set has rows.
+    """
 
     mstable: bool
     equals_intersection: bool
@@ -148,9 +154,17 @@ class FiReport:
 
 
 def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
+    """The paper's decomposition checks: the set is m-stable iff it equals the
+    intersection of its financial and intermediate parts, each part is
+    m-stable, and each part's complementary part is the whole simplex.
+
+    The intersection is taken as the set's pasting hull, so neither part is
+    faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
+    is the same set.
+    """
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)
-    eq = set_equal(rs, intersect(qf_set, qi_set))
+    eq = set_equal(rs, mstable_hull(rs))
     mst = is_mstable(rs)
     full = simplex_set(mm.model)
     return FiReport(

@@ -454,6 +454,7 @@ class RiskSet:
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         self._blocks: dict[int, tuple] = {}
+        self._kernels: dict[tuple[int, int, int], tuple] = {}  # by kernel_polytope
         self._verdict: Optional[tuple] = None   # set by consistency._analytic
         self._charged: set[int] = set()         # outcomes the ratio LP found charged
         self._rows_given = constraints is not None      # member reads the rows
@@ -593,28 +594,37 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:
     """Extreme one-step kernels of the set at one atom.
 
     By the perspective identity, the conditional kernels of the whole set are
-    exactly the convex hull of the charged vertices' kernels.
+    exactly the convex hull of the charged vertices' kernels.  They are
+    extracted on the first call for ``(s, t, atom_id)`` and kept on the set
+    with read-only ``probs``; each call returns a fresh list.
     """
     model = rs.model
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("kernel target stage must come after the source stage")
-    atom = model.atoms(st_s)[atom_id]
-    idx = list(atom)
-    children = model.sub_atoms(st_s, st_t, atom_id)
-    child_idx = [list(model.atoms(st_t)[c]) for c in children]
-    V = rs.vertices
-    masses = V[:, idx].sum(axis=1)
-    charged = masses > 0
-    if not charged.any():
-        raise EmptyKernelError(
-            f"no vertex charges atom {atom_id} at stage {st_s.label}",
-            stage=st_s.label, atom=atom_id)
-    rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
-    rows = rows / masses[charged][:, None]
-    rows = _extreme_rows(rows)
-    rows = _sorted_rows(rows)
-    return [Kernel(st_s.index, atom_id, st_t.index, tuple(children), r) for r in rows]
+    key = (st_s.index, st_t.index, atom_id)
+    cached = rs._kernels.get(key)
+    if cached is None:
+        atom = model.atoms(st_s)[atom_id]
+        idx = list(atom)
+        children = model.sub_atoms(st_s, st_t, atom_id)
+        child_idx = [list(model.atoms(st_t)[c]) for c in children]
+        V = rs.vertices
+        masses = V[:, idx].sum(axis=1)
+        charged = masses > 0
+        if not charged.any():
+            raise EmptyKernelError(
+                f"no vertex charges atom {atom_id} at stage {st_s.label}",
+                stage=st_s.label, atom=atom_id)
+        rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
+        rows = rows / masses[charged][:, None]
+        rows = _extreme_rows(rows)
+        rows = _sorted_rows(rows)
+        rows.flags.writeable = False
+        cached = tuple(Kernel(st_s.index, atom_id, st_t.index, tuple(children), r)
+                       for r in rows)
+        rs._kernels[key] = cached
+    return list(cached)
 
 
 # -- the linear-fractional primitive ----------------------------------------

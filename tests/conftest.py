@@ -21,3 +21,21 @@ def no_lp(monkeypatch):
         raise AssertionError("an LP ran")
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse_lp)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make every H→V enumeration (``riskset._enumerate_vertices``) and every
+    qhull call (``scipy.spatial.ConvexHull``) fail the test."""
+    import scipy.spatial
+
+    import riskchain.riskset
+
+    def refuse(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        return fail
+
+    monkeypatch.setattr(riskchain.riskset, "_enumerate_vertices",
+                        refuse("_enumerate_vertices"))
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse("ConvexHull"))

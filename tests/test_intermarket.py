@@ -42,6 +42,7 @@ from riskchain import (
 )
 from riskchain.riskset import _in_hull
 from riskchain.twobytwo import (
+    extreme_points,
     fin_part_vertices,
     int_part_vertices,
     market_model,
@@ -190,19 +191,46 @@ class TestCheckFi:
         assert not report.equals_intersection
         assert report.parts_agree
 
-    def test_no_lp_runs(self, no_lp, mm, rs):
-        """check_fi decides the intersection by vertex enumeration alone: the
-        worked set, random sets (not m-stable) and their hulls (m-stable) get
-        their known reports without an LP."""
-        assert astuple(check_fi(rs, mm)) == (True,) * 7
-        rng = np.random.default_rng(7)
+    @staticmethod
+    def _check_random_reports(rng, **market_args):
+        """Random sets (not m-stable) and their hulls (m-stable) get their
+        known reports."""
         for k in range(4):
-            mkt = random_market(rng, n_max=5)
+            mkt = random_market(rng, **market_args)
             rand = random_riskset(rng, mkt.model)
             if k % 2:
                 rand = mstable_hull(rand)
             stable = bool(k % 2)
             assert astuple(check_fi(rand, mkt)) == (stable, stable) + (True,) * 5
+
+    def test_no_lp_runs(self, no_lp, mm, rs):
+        """check_fi solves no LP: the worked set, random sets and their hulls
+        get their known reports without one."""
+        assert astuple(check_fi(rs, mm)) == (True,) * 7
+        self._check_random_reports(np.random.default_rng(7), n_max=5)
+
+    def test_no_vertex_enumeration(self, no_enumeration, mm):
+        """On V-sets check_fi converts nothing H→V and calls no qhull: the
+        intersection is the pasting hull.  The worked set is given by its
+        closed-form extreme points."""
+        worked = RiskSet.from_vertices(mm.model, extreme_points(EPS))
+        assert astuple(check_fi(worked, mm)) == (True,) * 7
+        self._check_random_reports(np.random.default_rng(8))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_intersection_of_parts_is_the_hull(self, seed, hulled):
+        """Rectangularity, against the H→V route as oracle: ``qf ∩ qi``
+        enumerated from the parts' facets is the pasting hull, and
+        ``equals_intersection`` is the verdict that oracle gives."""
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model)
+        if hulled:
+            rs = mstable_hull(rs)
+        joined = intersect(qf(rs, mkt), qi(rs, mkt))
+        assert set_equal(joined, mstable_hull(rs))
+        assert check_fi(rs, mkt).equals_intersection == set_equal(rs, joined)
 
 
 class TestSplitReserve:

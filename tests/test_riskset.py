@@ -182,9 +182,31 @@ class TestKernelPolytope:
         assert np.allclose(kers[0].probs, [0.5, 0.5], atol=1e-12)
 
     def test_empty_kernel_when_no_vertex_charges(self, model):
+        # raised on every call: no error is kept on the set
         rs = RiskSet.from_vertices(model, [[0.5, 0.0, 0.5, 0.0]])
-        with pytest.raises(EmptyKernelError):
-            kernel_polytope(rs, "0+", "1", 1)
+        for _ in range(2):
+            with pytest.raises(EmptyKernelError):
+                kernel_polytope(rs, "0+", "1", 1)
+        assert len(kernel_polytope(rs, "0+", "1", 0)) == 1
+
+    def test_repeated_call_returns_equal_kernels(self, rs):
+        first = kernel_polytope(rs, "0+", "1", 0)
+        again = kernel_polytope(rs, "0+", "1", 0)
+        assert [(k.stage, k.atom, k.target_stage, k.children) for k in again] == \
+            [(k.stage, k.atom, k.target_stage, k.children) for k in first]
+        assert all(np.array_equal(a.probs, b.probs) for a, b in zip(first, again))
+
+    def test_kept_probs_are_read_only(self, rs):
+        ker = kernel_polytope(rs, "0+", "1", 0)[0]
+        with pytest.raises(ValueError):
+            ker.probs[0] = 0.0
+        assert np.allclose(kernel_polytope(rs, "0+", "1", 0)[0].probs, ker.probs)
+
+    def test_returned_list_is_the_callers(self, rs):
+        kers = kernel_polytope(rs, "0+", "1", 0)
+        count = len(kers)
+        kers.clear()
+        assert len(kernel_polytope(rs, "0+", "1", 0)) == count
 
     def test_perspective_exactness(self):
         # kernels of random mixtures stay inside the vertex-kernel hull
