@@ -218,11 +218,11 @@ def load_spec(path: str, tolerance: Optional[float] = None) -> SpecBundle:
     return SpecBundle(model, market, risk_sets, _parse_claims(doc, model.n))
 
 
-def _named_set(bundle: SpecBundle, name: str = "Q") -> RiskSet:
-    """The named spec set, its vertices read first, so every command prices
+def _named_set(bundle: SpecBundle) -> RiskSet:
+    """The spec set ``Q``, its vertices read first, so every command prices
     it by its vertices (an empty or too large H-set is refused here)."""
-    _require(name in bundle.risk_sets, f"spec must define a risk set named {name!r}")
-    rs = bundle.risk_sets[name]
+    _require("Q" in bundle.risk_sets, "spec must define a risk set named 'Q'")
+    rs = bundle.risk_sets["Q"]
     rs.vertices
     return rs
 

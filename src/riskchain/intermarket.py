@@ -42,11 +42,10 @@ def _common_refinement(p1, p2, n: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Refined model with grid ``0, 0+, 1, ..., T`` plus the financial
-    partitions that generated the half-steps."""
+    """Refined model with grid ``0, 0+, 1, ..., T``, whose half-step
+    ``t+`` carries ``G_t v F_{t+1}``."""
 
     model: ScenarioModel
-    fin_partitions: tuple[tuple[tuple[int, ...], ...], ...]  # F_0 .. F_T
 
     @property
     def horizon(self) -> int:
@@ -110,7 +109,7 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
     refined = ScenarioModel(model.outcomes, grid, partitions, model.reference,
                             config=model.config)
     validate_model(refined).raise_if_invalid()
-    return MarketModel(refined, tuple(tuple(p) for p in fins))
+    return MarketModel(refined)
 
 
 def _step_sources(mm: MarketModel, fin_src, int_src):

@@ -86,7 +86,7 @@ def _weights_of(q) -> np.ndarray:
     return np.asarray(getattr(q, "weights", q), dtype=float)
 
 
-# elements per block of the row-blocked score and rank arrays
+# elements per block of the row-blocked score and count arrays
 _BLOCK = 1 << 16
 
 
@@ -199,14 +199,15 @@ def _certified_extreme(rows: np.ndarray) -> np.ndarray:
     certified = np.zeros(k, dtype=bool)
     todo = np.arange(k)
     base = (rows.sum(axis=0) - rows) / (k - 1)
-    for _ in range(16 if k >= 64 else 1):
+    rounds = 16 if k >= 64 else 1
+    for r in range(rounds):
         c = rows[todo] - base
         top, best = _top_scores(c, rows, todo)
         own = np.einsum("ij,ij->i", c, rows[todo])
         ok = own - top > limit[todo] * np.sqrt(np.einsum("ij,ij->i", c, c) + top ** 2)
         certified[todo[ok]] = True
         todo, base, c, best = todo[~ok], base[~ok], c[~ok], best[~ok]
-        if len(todo) == 0:
+        if len(todo) == 0 or r + 1 == rounds:
             break
         step = rows[best] - base
         gamma = np.einsum("ij,ij->i", c, step) / np.maximum(
@@ -242,46 +243,17 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 # -- H-rep -> V-rep: incremental cutting over the simplex -------------------
 
-def _vertex_mask(cands: np.ndarray, rows: np.ndarray, atol: float) -> np.ndarray:
-    """Active-rank test for every candidate at once.
-
-    A feasible point is a vertex iff its active normals (the simplex's sum
-    normal, the active nonnegativity normals and the active rows ``[a | b]``)
-    span R^n.  Each candidate's active normals are stacked in that order and
-    zero-padded to a common height, so one batched rank call decides a block.
-    """
-    k, n = cands.shape
-    A, b = rows[:, :-1], rows[:, -1]
-    normals = np.vstack([np.ones(n) / np.sqrt(n), np.eye(n), A])
-    active = np.hstack([np.ones((k, 1), dtype=bool), cands <= atol,
-                        np.abs(cands @ A.T - b) <= atol])
-    out = np.zeros(k, dtype=bool)
-    todo = np.flatnonzero(active.sum(axis=1) >= n)
-    if len(todo) == 0:
-        return out
-    height = int(active[todo].sum(axis=1).max())
-    step = max(1, _BLOCK // (height * n))
-    for s in range(0, len(todo), step):
-        idx = todo[s:s + step]
-        order = np.argsort(~active[idx], axis=1, kind="stable")[:, :height]
-        on = np.take_along_axis(active[idx], order, axis=1)
-        stack = np.where(on[..., None], normals[order], 0.0)
-        out[idx] = np.linalg.matrix_rank(stack, tol=1e-8) == n
-    return out
-
-
 def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.ndarray:
     """Vertices of the simplex cut by the given inequalities.
 
-    Each inequality cuts the current vertex set: surviving vertices stay
-    vertices, and new ones appear on the cutting hyperplane as crossings of
-    keep/drop vertex pairs (kept vertex outer, dropped inner), filtered by
-    the active-rank test.  A row whose exact negation comes later (an
-    equality given as a pair) takes its partner at its own turn: after the
-    cut, the vertices strictly inside the partner's half-space are dropped,
-    and the partner, whose crossings would lie on vertices already there,
-    is skipped.  A cut with more crossing pairs, or more vertices, than
-    ``WORK_BOUND`` raises TOO_LARGE.
+    Each inequality cuts the current vertex set (``_cut``): surviving
+    vertices stay vertices, and new ones appear on the cutting hyperplane,
+    one per edge from a kept vertex to a dropped one.  A row whose exact
+    negation comes later (an equality given as a pair) takes its partner at
+    its own turn: after the cut, the vertices strictly inside the partner's
+    half-space are dropped, and the partner, whose crossings would lie on
+    vertices already there, is skipped.  A cut that would leave more than
+    ``WORK_BOUND`` vertices raises TOO_LARGE.
     """
     if n > MAX_OUTCOMES:
         raise SizeBoundError(f"{n} outcomes exceed the bound of {MAX_OUTCOMES}",
@@ -311,34 +283,56 @@ def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.n
 
 
 def _cut(verts: np.ndarray, rows: np.ndarray, t: int, atol: float) -> np.ndarray:
-    """The vertices after row ``t`` cuts the polytope of ``verts``."""
+    """The vertices after row ``t`` cuts the polytope of ``verts``: one
+    double-description step.
+
+    The new vertices are the crossings of the hyperplane with the edges from
+    a kept vertex ``u`` to a dropped vertex ``v``, one per edge.  Over the
+    nonnegativity rows and ``rows[:t]``, ``u`` and ``v`` span an edge iff no
+    third vertex is active on every constraint active at both.  Sharing at
+    least ``n - 2`` active constraints is necessary, so one count product
+    screens every pair and only the pairs that pass take the exact test;
+    both products are built in row blocks of ``_BLOCK`` elements.  The kept
+    vertices plus the edges are the vertex count, checked against
+    ``WORK_BOUND`` before any crossing is built.
+    """
     a, b = rows[t, :-1], float(rows[t, -1])
     vals = verts @ a
     keep_mask = vals <= b + atol
     if keep_mask.all():
         return verts
-    kept = verts[keep_mask]
-    dropped = verts[~keep_mask]
-    fu = vals[keep_mask]
-    denom = vals[~keep_mask][None, :] - fu[:, None]
-    iu, iv = np.nonzero(denom > 1e-13)
-    _within_work_bound(len(iu))
-    pieces = [kept]
-    if len(iu):
-        lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
-        u = kept[iu]
-        cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
-        good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
-        if len(good):
-            pieces.append(good)
-    verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
-    _within_work_bound(len(verts))
-    return verts
+    if not keep_mask.any():
+        return verts[:0]
+    n = verts.shape[1]
+    A, c = rows[:t, :-1], rows[:t, -1]
+    active = np.hstack([verts <= atol, np.abs(verts @ A.T - c) <= atol]).astype(np.float32)
+    kept, dropped = verts[keep_mask], verts[~keep_mask]
+    fu, fv = vals[keep_mask], vals[~keep_mask]
+    act_u, act_v = active[keep_mask], active[~keep_mask]
+    iu, iv = [], []
+    step = max(1, _BLOCK // len(dropped))
+    for s in range(0, len(kept), step):
+        shared = act_u[s:s + step] @ act_v.T
+        i, j = np.nonzero((shared >= n - 2) & (fv - fu[s:s + step, None] > 1e-13))
+        iu.append(i + s)
+        iv.append(j)
+    iu, iv = np.concatenate(iu), np.concatenate(iv)
+    edge = np.empty(len(iu), dtype=bool)
+    step = max(1, _BLOCK // max(len(verts), active.shape[1]))
+    for s in range(0, len(iu), step):
+        common = act_u[iu[s:s + step]] * act_v[iv[s:s + step]]
+        covers = common @ active.T == common.sum(axis=1)[:, None]
+        edge[s:s + step] = covers.sum(axis=1) == 2
+    iu, iv = iu[edge], iv[edge]
+    _within_work_bound(len(kept) + len(iu))
+    lam = np.clip((b - fu[iu]) / (fv[iv] - fu[iu]), 0.0, 1.0)
+    u = kept[iu]
+    return _dedup_rows(np.vstack([kept, u + lam[:, None] * (dropped[iv] - u)]), atol)
 
 
 def _within_work_bound(reached: int):
-    """Raise TOO_LARGE when a cut's crossing pairs or vertices exceed
-    ``WORK_BOUND``; the crossings are counted before any is built."""
+    """Raise TOO_LARGE when a cut would leave more than ``WORK_BOUND``
+    vertices; ``_cut`` counts them before it builds any crossing."""
     if reached > WORK_BOUND:
         raise SizeBoundError(
             f"vertex enumeration exceeded the work bound of {WORK_BOUND}",

@@ -49,7 +49,6 @@ from riskchain.riskset import (
     _in_hull,
     _sorted_rows,
     _maximize_ratio_lp,
-    _vertex_mask,
     kernel_polytope,
     maximize_ratio,
     member,
@@ -189,8 +188,9 @@ def enumerate_ref(n, constraints):
 
 def enumerate_cut_ref(n, constraints):
     """``_enumerate_vertices`` with one cut per row, both rows of an
-    equality pair included: the array form of ``enumerate_ref``, with the
-    same bytes, fast enough to draw facet H-reps up to n = 8."""
+    equality pair included: ``enumerate_ref`` with array crossings, the same
+    bytes and the same all-crossings-then-rank filter, fast enough to draw
+    facet H-reps up to n = 8."""
     atol = DEDUP_TOL
     pending = []
     for c in constraints:
@@ -218,9 +218,10 @@ def enumerate_cut_ref(n, constraints):
             lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
             u = kept[iu]
             cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
-            good = cand[_vertex_mask(cand, rows[:t + 1], atol)]
-            if len(good):
-                pieces.append(good)
+            cut_rows = [(r[:-1], r[-1]) for r in rows[:t + 1]]
+            good = [w for w in cand if is_vertex_ref(w, cut_rows, atol)]
+            if good:
+                pieces.append(np.array(good))
         verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
         if len(verts) > WORK_BOUND:
             raise SizeBoundError("work bound", bound=WORK_BOUND, reached=len(verts),

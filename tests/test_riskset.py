@@ -351,6 +351,16 @@ class TestMember:
             assert member(rs, q) == member(by_cons, q)
 
 
+def box_of_sixteen(cap: float) -> RiskSet:
+    """The H-set ``q_i <= cap`` on 16 outcomes."""
+    n = 16
+    m = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
+                      [[list(range(n))], [[w] for w in range(n)]],
+                      [1 / n] * n)
+    return RiskSet.from_constraints(
+        m, [LinearConstraint(np.eye(n)[i], cap) for i in range(n)])
+
+
 class TestVertexEnumeration:
     def test_plain_simplex(self):
         m = ScenarioModel(["a", "b", "c"], ["0", "1"],
@@ -381,11 +391,16 @@ class TestVertexEnumeration:
         assert not rs.has_constraints
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_round_trip_fixed_point(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_round_trip_fixed_point(self, seed, wide):
+        """4-8 outcomes with 3-5 vertices, or 12-16 outcomes with 4-6."""
         rng = np.random.default_rng(seed)
-        m = random_model(rng)
-        first = random_riskset(rng, m, k_min=3, k_max=5)
+        if wide:
+            m = random_model(rng, n_min=12, n_max=16)
+            first = random_riskset(rng, m, k_min=4, k_max=6)
+        else:
+            m = random_model(rng)
+            first = random_riskset(rng, m, k_min=3, k_max=5)
         second = RiskSet.from_vertices(
             m, RiskSet.from_constraints(m, first.constraints).vertices)
         assert set_equal(first, second)
@@ -414,14 +429,16 @@ class TestVertexEnumeration:
             _ = rs.vertices
         assert exc.value.details == {"bound": 16, "reached": 17, "layer": "riskset.vertices"}
 
+    def test_box_vertices(self):
+        # two weights at 0.34 and one at 0.32
+        V = np.sort(box_of_sixteen(0.34).vertices, axis=1)
+        assert V.shape == (16 * 15 * 14 // 2, 16)
+        assert np.allclose(V[:, -3:], [0.32, 0.34, 0.34], atol=1e-12)
+        assert V[:, :-3].max() <= 1e-12
+
     def test_too_many_crossings_refused_before_building(self):
         # q_i <= 0.118 on 16 outcomes has ~10^5 vertices
-        n = 16
-        m = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
-                          [[list(range(n))], [[w] for w in range(n)]],
-                          [1 / n] * n)
-        rs = RiskSet.from_constraints(
-            m, [LinearConstraint(np.eye(n)[i], 0.118) for i in range(n)])
+        rs = box_of_sixteen(0.118)
         with pytest.raises(SizeBoundError) as exc:
             _ = rs.vertices
         details = exc.value.details
