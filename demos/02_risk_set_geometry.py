@@ -35,7 +35,7 @@ print("density of a vertex:", lam, "restricted:", lam_half)
 
 # one-step kernels of the whole set at one node, reduced to extreme points
 for k in kernel_polytope(rs, "0+", "1", 0):
-    print("kernel vertex on the f column:", k.probs)
+    print("kernel vertex on the f column:", k)
 
 # the pricing primitive: worst-case conditional expectation on an atom
 payoff = np.array([1.0, 0.0, 0.0, 0.0])

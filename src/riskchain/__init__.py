@@ -23,16 +23,13 @@ from .scenario import (
     validate_model,
 )
 from .riskset import (
-    Kernel,
     LinearConstraint,
-    Measure,
     RiskSet,
     density,
     includes,
     intersect,
     kernel_polytope,
     maximize_ratio,
-    measure,
     member,
     set_equal,
     simplex_set,

@@ -55,11 +55,10 @@ def paste_assembly(model, sources) -> RiskSet:
 
     def node_kernels(stage_idx: int, atom_id: int):
         src = sources[stage_idx]
+        children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
         if src is None:
-            children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
-            return children, list(np.eye(len(children)))
-        kernels = kernel_polytope(src, stage_idx, stage_idx + 1, atom_id)
-        return list(kernels[0].children), [k.probs for k in kernels]
+            return children, np.eye(len(children))
+        return children, kernel_polytope(src, stage_idx, stage_idx + 1, atom_id)
 
     def assemble(stage_idx: int, atom_id: int) -> np.ndarray:
         key = (stage_idx, atom_id)
@@ -123,11 +122,11 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     undefined.
     """
     model = rs.model
-    V = rs.vertices     # read first, so later prices take the vertex route
-    mass = V.sum(axis=0)
-    if any((np.bincount(model.atom_ids(s), weights=mass) <= 0).any()
-           for s in range(model.final_stage.index)):
+    # the blocks read the vertices first, so later prices take the vertex
+    # route; their last entry lists the atoms that no vertex charges
+    if any(rs._atom_blocks(s)[-1] for s in range(model.final_stage.index)):
         return None
+    V = rs.vertices
     if rs.has_constraints:
         return _unit_rows(rs.constraints, model.n)
     # more than n measures are affinely dependent, as they share the plane

@@ -16,25 +16,35 @@ import numpy as np
 
 from .errors import EmptyKernelError, InfeasibleError, NotMeasurableError, SchemaError
 from .riskset import RiskSet, maximize_ratio
-from .scenario import Claim, ScenarioModel
+from .scenario import Claim, ScenarioModel, _outcome_vector
 
 
 def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     """Worst-case conditional price of a claim at a stage, atom by atom.
 
     ``claim.values`` is one claim ``(n,)`` or a stack of claims ``(m, n)``,
-    one per row; each row is priced exactly as it would be alone.  At the
-    final stage this is the identity.  A set with vertices prices from its
-    cached per-stage blocks (``maximize_ratio``'s vertex route, with the same
-    arithmetic): each row's values on an atom are copied next to each other,
-    so every row and atom is one matrix-vector product of the atom's block;
-    the ratios are divided by the masses and maximized per atom for all rows
-    at once.  A constraint-only set takes the LP route, row by row, which
-    needs no solver call on a one-outcome atom once the set is known to
-    charge it (``maximize_ratio``).  An atom that no measure of the set
-    charges raises EMPTY_KERNEL.
+    one per row, and any other shape is a SCHEMA error; each row is priced
+    exactly as it would be alone.  At the final stage this is the identity.
+    A set with vertices prices from its cached per-stage blocks
+    (``maximize_ratio``'s vertex route, with the same arithmetic): each
+    row's values on an atom are copied next to each other, so every row and
+    atom is one matrix-vector product of the atom's block; the ratios are
+    divided by the masses and maximized per atom for all rows at once.  A
+    constraint-only set takes the LP route, row by row, which needs no
+    solver call on a one-outcome atom once the set is known to charge it
+    (``maximize_ratio``).  An atom that no measure of the set charges raises
+    EMPTY_KERNEL.
     """
     return _rho(rs, claim, stage, fill=False)
+
+
+def _claim_values(claim: Claim, n: int) -> np.ndarray:
+    """The claim's values as floats: one claim ``(n,)`` or a stack ``(m, n)``;
+    any other shape is a SCHEMA error."""
+    x = np.asarray(claim.values, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise SchemaError(f"claim values have shape {x.shape}, expected ({n},) or (m, {n})")
+    return x
 
 
 def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
@@ -42,7 +52,7 @@ def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
     prices to zero instead of raising."""
     model = rs.model
     st = model.stage(stage)
-    x = np.asarray(claim.values, dtype=float)
+    x = _claim_values(claim, model.n)
     if st.index == model.final_stage.index:
         return Claim(x.copy(), st.index)
     X = x.reshape(-1, model.n)
@@ -81,9 +91,6 @@ class AdaptedProcess:
     stage_indices: tuple[int, ...]
     claims: tuple[Claim, ...]
 
-    def at(self, stage_index: int) -> Claim:
-        return self.claims[self.stage_indices.index(stage_index)]
-
 
 def eta(chain: Chain, claim: Claim) -> AdaptedProcess:
     """Backward composition of the chain, the minimal dominating
@@ -96,7 +103,7 @@ def _eta(rs: RiskSet, claim: Claim, price) -> AdaptedProcess:
     """``eta`` of ``Chain.single(rs)``, each date priced by ``price``, which
     is ``rho`` or a variant of it."""
     final = rs.model.final_stage.index
-    current = Claim(np.asarray(claim.values, dtype=float).copy(), final)
+    current = Claim(_claim_values(claim, rs.model.n).copy(), final)
     claims = [current]
     for s in range(final - 1, -1, -1):
         current = price(rs, current, s)
@@ -113,21 +120,23 @@ def _increments(process: AdaptedProcess) -> list[Claim]:
 
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
     """True when the time-0 price of the claim is at most zero (one-sided)."""
+    _outcome_vector(claim.values, rs.model.n, "claim")
     return float(rho(rs, claim, 0).values[0]) <= rs.model.config.tol
 
 
 def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
     """Membership of the one-period trading cone at (s, s_next).
 
-    Requires measurability at ``s_next`` (violations raise NOT_MEASURABLE,
-    distinct from a mere risk violation) and nonpositive stage-``s`` price on
-    every atom.
+    Requires one claim ``(n,)``, measurable at ``s_next`` (violations raise
+    NOT_MEASURABLE, distinct from a mere risk violation), and nonpositive
+    stage-``s`` price on every atom.
     """
     model = rs.model
     st_s, st_n = model.stage(s), model.stage(s_next)
     if st_n.index <= st_s.index:
         raise SchemaError("cone stages must be ordered")
-    if not model.is_measurable(claim.values, st_n):
+    x = _outcome_vector(claim.values, model.n, "claim")
+    if not model.is_measurable(x, st_n):
         raise NotMeasurableError(
             f"claim is not measurable at stage {st_n.label}", stage=st_n.label)
     return bool(np.all(rho(rs, claim, st_s).values <= model.config.tol))
@@ -144,14 +153,14 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     subadditivity and monotonicity, so a claim with ``eta_0 > tol`` raises
     INFEASIBLE; with an acceptable input that is the witness that the chain
     is not time-consistent.  Atoms that no vertex charges carry no condition
-    and price to zero here, where ``eta`` raises EMPTY_KERNEL.  A claim with
-    a non-finite value is a SCHEMA error.
+    and price to zero here, where ``eta`` raises EMPTY_KERNEL.  A claim
+    other than one ``(n,)`` vector of finite values is a SCHEMA error.
     """
     model = rs.model
     rs.vertices     # read first, so an H-set prices by its vertices
     if len(model.stages) < 2:
         raise SchemaError("need at least two stages to decompose")
-    if not np.isfinite(claim.values).all():
+    if not np.isfinite(_outcome_vector(claim.values, model.n, "claim")).all():
         raise SchemaError("claim values must be finite")
     process = _eta(rs, claim, partial(_rho, fill=True))
     if process.claims[0].values[0] > model.config.tol:
@@ -190,6 +199,7 @@ def reserve_plan(chain: Chain, claim: Claim) -> ReservePlan:
     """
     from .consistency import is_mstable
 
+    _outcome_vector(claim.values, chain.rs.model.n, "claim")
     time_consistent = is_mstable(chain.rs)
     process = eta(chain, claim)
     premium = float(process.claims[0].values[0])

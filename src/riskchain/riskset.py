@@ -25,14 +25,7 @@ from .errors import (
     SchemaError,
     SizeBoundError,
 )
-from .scenario import Claim, ScenarioModel, condexp
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Probability weights over outcomes (nonnegative, summing to one)."""
-
-    weights: np.ndarray
+from .scenario import ScenarioModel, _outcome_vector, condexp
 
 
 def _measure_rows(rows, n: int) -> np.ndarray:
@@ -53,12 +46,6 @@ def _measure_rows(rows, n: int) -> np.ndarray:
     return w / total[:, None]
 
 
-def measure(weights) -> Measure:
-    """Validate and normalize a weight vector into a Measure."""
-    w = np.asarray(weights, dtype=float)
-    return Measure(_measure_rows(w[None], w.size)[0])
-
-
 @dataclass(frozen=True)
 class LinearConstraint:
     """One inequality ``a . q <= b`` over measure weights."""
@@ -69,21 +56,6 @@ class LinearConstraint:
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", float(self.b))
-
-
-@dataclass(frozen=True)
-class Kernel:
-    """One-step conditional distribution of an atom over its sub-atoms."""
-
-    stage: int
-    atom: int
-    target_stage: int
-    children: tuple[int, ...]
-    probs: np.ndarray
-
-
-def _weights_of(q) -> np.ndarray:
-    return np.asarray(getattr(q, "weights", q), dtype=float)
 
 
 # elements per block of the row-blocked score and count arrays
@@ -448,19 +420,17 @@ class RiskSet:
         self._vertices: Optional[np.ndarray] = None
         self._constraints: Optional[tuple[LinearConstraint, ...]] = None
         self._blocks: dict[int, tuple] = {}
-        self._kernels: dict[tuple[int, int, int], tuple] = {}  # by kernel_polytope
+        self._kernels: dict[tuple[int, int, int], np.ndarray] = {}  # by kernel_polytope
         self._verdict: Optional[tuple] = None   # set by consistency._analytic
         self._charged: set[int] = set()         # outcomes the ratio LP found charged
         self._rows_given = constraints is not None      # member reads the rows
         if vertices is not None:
-            if not isinstance(vertices, np.ndarray):
-                vertices = [_weights_of(v) for v in vertices]
             if len(vertices) == 0:
                 raise SchemaError("vertex list may not be empty")
             try:
                 self._generators = _measure_rows(vertices, model.n)
             except ValueError as exc:
-                raise SchemaError("vertex rows have unequal lengths") from exc
+                raise SchemaError("vertex rows must be numbers, all of one length") from exc
         if constraints is not None:
             cons = []
             for c in constraints:
@@ -516,7 +486,9 @@ class RiskSet:
 
     def _atom_blocks(self, stage: int) -> tuple:
         """The stage's charged-vertex blocks, built on the first call for the
-        stage and kept.
+        stage and kept: the one place that works out which vertices charge
+        an atom of the model, and with what mass, for ``rho``,
+        ``kernel_polytope`` and the m-stability verdict.
 
         Returns ``(cols, blocks, masses, starts, ids, empty)``: ``cols``
         lists the outcomes atom after atom (an ``intp`` array); ``blocks``
@@ -567,7 +539,7 @@ def simplex_set(model: ScenarioModel) -> RiskSet:
 
 
 def singleton(model: ScenarioModel, q) -> RiskSet:
-    return RiskSet.from_vertices(model, [_weights_of(q)])
+    return RiskSet.from_vertices(model, [q])
 
 
 # -- densities and kernels ---------------------------------------------------
@@ -578,47 +550,44 @@ def density(model: ScenarioModel, q, stage) -> tuple[np.ndarray, np.ndarray]:
     Returns the pointwise ratio and its conditional expectation under the
     reference at ``stage`` (the density of the restriction of ``q``).
     """
-    w = _weights_of(q)
-    lam = w / model.reference
+    lam = _outcome_vector(q, model.n, "measure") / model.reference
     lam_t = condexp(model.reference, lam, stage, model).values
     return lam, lam_t
 
 
-def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> list[Kernel]:
-    """Extreme one-step kernels of the set at one atom.
+def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> np.ndarray:
+    """Extreme one-step kernels of the set at one atom, one per row.
 
-    By the perspective identity, the conditional kernels of the whole set are
-    exactly the convex hull of the charged vertices' kernels.  They are
-    extracted on the first call for ``(s, t, atom_id)`` and kept on the set
-    with read-only ``probs``; each call returns a fresh list.
+    The columns follow ``model.sub_atoms(s, t, atom_id)``.  By the
+    perspective identity, the conditional kernels of the whole set are
+    exactly the convex hull of the charged vertices' kernels: each charged
+    vertex's row of the atom's block (``_atom_blocks``), summed over the
+    outcomes of each child and divided by the vertex's mass on the atom.
+    The rows are reduced to extreme points and sorted on the first call for
+    ``(s, t, atom_id)``, and the read-only array is kept on the set and
+    returned.
     """
     model = rs.model
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("kernel target stage must come after the source stage")
     key = (st_s.index, st_t.index, atom_id)
-    cached = rs._kernels.get(key)
-    if cached is None:
-        atom = model.atoms(st_s)[atom_id]
-        idx = list(atom)
-        children = model.sub_atoms(st_s, st_t, atom_id)
-        child_idx = [list(model.atoms(st_t)[c]) for c in children]
-        V = rs.vertices
-        masses = V[:, idx].sum(axis=1)
-        charged = masses > 0
-        if not charged.any():
+    rows = rs._kernels.get(key)
+    if rows is None:
+        cols, blocks, masses, starts, _, empty = rs._atom_blocks(st_s.index)
+        if model.atoms(st_s)[atom_id] in empty:
             raise EmptyKernelError(
                 f"no vertex charges atom {atom_id} at stage {st_s.label}",
                 stage=st_s.label, atom=atom_id)
-        rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
-        rows = rows / masses[charged][:, None]
-        rows = _extreme_rows(rows)
-        rows = _sorted_rows(rows)
+        a, e, block = blocks[atom_id]
+        fine = model.atom_ids(st_t)[cols[a:e]]
+        rows = np.stack([block[:, fine == c].sum(axis=1)
+                         for c in model.sub_atoms(st_s, st_t, atom_id)], axis=1)
+        rows = rows / masses[starts[atom_id]:starts[atom_id] + len(block), None]
+        rows = _sorted_rows(_extreme_rows(rows))
         rows.flags.writeable = False
-        cached = tuple(Kernel(st_s.index, atom_id, st_t.index, tuple(children), r)
-                       for r in rows)
-        rs._kernels[key] = cached
-    return list(cached)
+        rs._kernels[key] = rows
+    return rows
 
 
 # -- the linear-fractional primitive ----------------------------------------
@@ -637,7 +606,7 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
     idx = list(atom)
     if not idx:
         raise OutOfRangeError("empty atom")
-    a = np.asarray(numerator, dtype=float)
+    a = _outcome_vector(numerator, rs.model.n, "numerator")
     if not rs.has_vertices:
         if len(idx) == 1 and idx[0] in rs._charged:
             return -(0.0 - float(a[idx[0]]))
@@ -700,9 +669,7 @@ def member(rs: RiskSet, q) -> bool:
     when they can; the verdict is that of NNLS alone.
     """
     tol = rs.model.config.tol
-    w = _weights_of(q)
-    if w.shape != (rs.model.n,):
-        raise SchemaError("measure length does not match the model")
+    w = _outcome_vector(q, rs.model.n, "measure")
     # written so that NaN, which fails every comparison, answers False
     if not (w.min() >= -tol and abs(w.sum() - 1.0) <= tol):
         return False

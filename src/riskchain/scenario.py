@@ -205,11 +205,17 @@ class Claim:
         return len(self.values)
 
 
+def _outcome_vector(values, n: int, what: str) -> np.ndarray:
+    """``values`` as floats, checked to be one value per outcome."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n,):
+        raise SchemaError(f"{what} length does not match outcome count")
+    return v
+
+
 def claim(model: ScenarioModel, values, stage=None) -> Claim:
     """Build a claim, checking length and (when declared) measurability."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (model.n,):
-        raise SchemaError("claim length does not match outcome count")
+    v = _outcome_vector(values, model.n, "claim")
     if stage is None:
         return Claim(v)
     st = model.stage(stage)
@@ -271,10 +277,11 @@ def condexp(measure, claim_like, stage, model: ScenarioModel) -> Claim:
     """Conditional expectation of a claim given the stage partition.
 
     On atoms the measure does not charge, the reference measure is used
-    instead, so the result is total and deterministic.
+    instead, so the result is total and deterministic.  The measure and the
+    claim each hold one value per outcome.
     """
-    w = np.asarray(getattr(measure, "weights", measure), dtype=float)
-    x = np.asarray(getattr(claim_like, "values", claim_like), dtype=float)
+    w = _outcome_vector(measure, model.n, "measure")
+    x = _outcome_vector(getattr(claim_like, "values", claim_like), model.n, "claim")
     st = model.stage(stage)
     out = np.empty(model.n)
     for atom in model.atoms(st):

@@ -8,7 +8,9 @@ and to the acceptance criterion that ``dual_cone_member`` states as an LP.
 of ``decompose_acceptance``.
 ``atom_masses`` lays out vertex masses per atom pair for those LPs.
 ``node_kernel`` is the conditional kernel of one measure, the oracle of
-``kernel_polytope``, and ``int_band_constraints`` is the intermediate part
+``kernel_polytope``'s perspective identity, and ``kernel_rows`` the charged
+vertices' kernels by the per-child formula, the oracle of its rows before
+reduction.  ``int_band_constraints`` is the intermediate part
 of the worked 2x2 market as inequalities.  ``qhull_facets`` takes every
 facet from qhull, the oracle of ``_facets``' closed forms for polygons and
 simplices.
@@ -36,11 +38,9 @@ from riskchain import (
 from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.riskset import (
     _FACET_TOL,
-    Kernel,
     _affine_rank,
     _dedup_rows,
     _sorted_rows,
-    _weights_of,
 )
 from riskchain.scenario import Claim
 
@@ -74,10 +74,9 @@ def project(rs: RiskSet, s, t) -> RiskSet:
         raise OutOfRangeError("projection needs s < t")
     rows = []
     for bi in range(len(model.atoms(st_s))):
-        kernels = kernel_polytope(rs, st_s, st_t, bi)
-        child_atoms = [model.atoms(st_t)[c] for c in kernels[0].children]
-        for ker in kernels:
-            charged = [i for i, p in enumerate(ker.probs) if p > 0]
+        child_atoms = [model.atoms(st_t)[c] for c in model.sub_atoms(st_s, st_t, bi)]
+        for probs in kernel_polytope(rs, st_s, st_t, bi):
+            charged = [i for i, p in enumerate(probs) if p > 0]
             count = 1
             for i in charged:
                 count *= len(child_atoms[i])
@@ -89,7 +88,7 @@ def project(rs: RiskSet, s, t) -> RiskSet:
             for combo in itertools.product(*(child_atoms[i] for i in charged)):
                 mu = np.zeros(model.n)
                 for i, outcome in zip(charged, combo):
-                    mu[outcome] = ker.probs[i]
+                    mu[outcome] = probs[i]
                 rows.append(mu)
     verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
     return RiskSet._of_extreme(model, verts)
@@ -156,9 +155,10 @@ def acceptance_lp(rs: RiskSet, claim: Claim) -> list[Claim]:
     return [Claim(res.x[offsets[s] + ids[s]], s + 1) for s in steps]
 
 
-def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> Kernel:
-    """Conditional distribution of ``q`` on a stage-``s`` atom over stage-``t``
-    sub-atoms; the reference kernel on atoms of zero mass."""
+def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> np.ndarray:
+    """Conditional distribution of ``q`` on a stage-``s`` atom over its
+    stage-``t`` sub-atoms, in ``model.sub_atoms`` order; the reference kernel
+    on atoms of zero mass."""
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("kernel target stage must come after the source stage")
@@ -166,13 +166,26 @@ def node_kernel(model: ScenarioModel, q, s, t, atom_id: int) -> Kernel:
     if not 0 <= atom_id < len(atoms_s):
         raise OutOfRangeError(f"atom id {atom_id} out of range at stage {st_s.label}")
     children = model.sub_atoms(st_s, st_t, atom_id)
-    w = _weights_of(q)
+    w = np.asarray(q, dtype=float)
     idx = list(atoms_s[atom_id])
     src = w if w[idx].sum() > 0 else model.reference
     total = src[idx].sum()
     atoms_t = model.atoms(st_t)
-    probs = np.array([src[list(atoms_t[c])].sum() for c in children]) / total
-    return Kernel(st_s.index, atom_id, st_t.index, tuple(children), probs)
+    return np.array([src[list(atoms_t[c])].sum() for c in children]) / total
+
+
+def kernel_rows(rs: RiskSet, s, t, atom_id: int) -> np.ndarray:
+    """The kernels of the vertices that charge a stage-``s`` atom, one row
+    each, before any reduction: per stage-``t`` child ``ci``, the vertices'
+    mass on it over their mass on the atom."""
+    model = rs.model
+    idx = list(model.atoms(s)[atom_id])
+    child_idx = [list(model.atoms(t)[c]) for c in model.sub_atoms(s, t, atom_id)]
+    V = rs.vertices
+    masses = V[:, idx].sum(axis=1)
+    charged = masses > 0
+    rows = np.stack([V[charged][:, ci].sum(axis=1) for ci in child_idx], axis=1)
+    return rows / masses[charged][:, None]
 
 
 def int_band_constraints(epsilon: float, model: ScenarioModel) -> RiskSet:

@@ -539,21 +539,22 @@ class TestMonotoneDomination:
         for t in range(mkt.horizon):
             s, half = mkt.whole(t), mkt.half(t)
             for aid in range(len(model.atoms(s))):
-                k1 = np.array([k.probs for k in kernel_polytope(rs1, s, half, aid)])
-                for ker in kernel_polytope(rs2, s, half, aid):
-                    if _in_hull(k1, ker.probs, 1e-9):
+                k1 = kernel_polytope(rs1, s, half, aid)
+                children = model.sub_atoms(s, half, aid)
+                for probs in kernel_polytope(rs2, s, half, aid):
+                    if _in_hull(k1, probs, 1e-9):
                         continue
-                    c = np.concatenate([-ker.probs, [1.0]])
+                    c = np.concatenate([-probs, [1.0]])
                     A_ub = np.hstack([k1, -np.ones((len(k1), 1))])
                     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(len(k1)),
-                                  bounds=[(-1, 1)] * len(ker.probs) + [(None, None)],
+                                  bounds=[(-1, 1)] * len(probs) + [(None, None)],
                                   method="highs")
                     if res.status != 0 or -res.fun <= 1e-9:
                         continue
-                    d = res.x[:len(ker.probs)]
+                    d = res.x[:len(probs)]
                     x = np.zeros(model.n)
                     atoms_half = model.atoms(half)
-                    for ci, child in enumerate(ker.children):
+                    for ci, child in enumerate(children):
                         x[list(atoms_half[child])] = d[ci]
                     return Claim(x), t
         return None

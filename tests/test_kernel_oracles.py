@@ -91,11 +91,10 @@ def paste_ref(model, sources):
 
     def node_kernels(stage_idx, atom_id):
         src = sources[stage_idx]
+        children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
         if src is None:
-            children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
             return children, list(np.eye(len(children)))
-        kernels = kernel_polytope(src, stage_idx, stage_idx + 1, atom_id)
-        return list(kernels[0].children), [k.probs for k in kernels]
+        return children, list(kernel_polytope(src, stage_idx, stage_idx + 1, atom_id))
 
     def assemble(stage_idx, atom_id):
         key = (stage_idx, atom_id)
@@ -666,6 +665,43 @@ class TestAtomMasses:
         A_ub, b_ub = dual_cone_lp_ref(model, rs.vertices, x, s, t)
         assert_identical(calls[0]["A_ub"], A_ub)
         assert_identical(calls[0]["b_ub"], b_ub)
+
+
+# -- kernels from cached atom blocks -------------------------------------------
+
+class TestKernelRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_rows_match_the_per_child_formula(self, seed, sparse, wide):
+        """Every atom and stage pair, adjacent or not: the rows before
+        reduction, in vertex order, then the kept array; an atom no vertex
+        charges raises on every call."""
+        rng = np.random.default_rng(seed)
+        model = wide_atom_model(rng) if wide else random_model(
+            rng, n_min=2, n_max=12, stages_min=2, stages_max=6)
+        rs = sparse_riskset(rng, model) if sparse else random_riskset(rng, model)
+        rs.vertices     # reduced before the reduction is patched out
+        nodes = [(s, t, aid) for s in range(len(model.stages))
+                 for t in range(s + 1, len(model.stages))
+                 for aid in range(len(model.atoms(s)))]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(riskset, "_extreme_rows", lambda rows: rows)
+            m.setattr(riskset, "_sorted_rows", lambda rows: rows)
+            for s, t, aid in nodes:
+                want = oracles.kernel_rows(rs, s, t, aid)
+                if len(want) == 0:
+                    for _ in range(2):
+                        with pytest.raises(EmptyKernelError):
+                            kernel_polytope(rs, s, t, aid)
+                else:
+                    assert_identical(kernel_polytope(rs, s, t, aid), want)
+        rs._kernels.clear()
+        for s, t, aid in nodes:
+            want = oracles.kernel_rows(rs, s, t, aid)
+            if len(want):
+                got = kernel_polytope(rs, s, t, aid)
+                assert_identical(got, _sorted_rows(_extreme_rows(want)))
+                assert not got.flags.writeable
 
 
 # -- the acceptance split from eta -----------------------------------------------

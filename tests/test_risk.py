@@ -15,13 +15,15 @@ from riskchain import (
     cone_member,
     condexp,
     decompose_acceptance,
+    density,
     eta,
     is_acceptable,
+    maximize_ratio,
     reserve_plan,
     rho,
     singleton,
 )
-from riskchain.twobytwo import build_model, pricing_set
+from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
 from randmodels import (
     hulled_set,
@@ -172,10 +174,10 @@ class TestEta:
 
     def test_worked_market_recursion(self, rs, claim_x):
         process = eta(Chain.single(rs), claim_x)
-        half = process.at(rs.model.stage("0+").index)
+        half = process.claims[rs.model.stage("0+").index]
         assert half.values[0] == pytest.approx(EPS, abs=1e-12)   # f column
         assert half.values[1] == pytest.approx(0.0, abs=1e-12)   # f' column
-        root = process.at(0)
+        root = process.claims[0]
         assert root.values[0] == pytest.approx(EPS / 2, abs=1e-12)
         # time-consistency of the worked set: eta_0 equals rho_0
         assert root.values[0] == pytest.approx(
@@ -362,3 +364,49 @@ class TestReservePlan:
         assert np.allclose(plan.total(m), witness.values, atol=1e-9)
         # conservative: premium dominates the quoted one-shot price
         assert plan.premium >= float(rho(rs, witness, 0).values[0]) - 1e-9
+
+
+# values of the wrong shape for the 4-outcome model: n - 1, 2n, and 3-D
+BAD_SHAPES = [np.ones(3), np.arange(8.0), np.ones((2, 2, 4))]
+BAD_IDS = ["n-1", "2n", "3-D"]
+
+PRICING_ENTRIES = {
+    "rho": lambda rs, x: rho(rs, Claim(x), "0+"),
+    "rho_final": lambda rs, x: rho(rs, Claim(x), "1"),
+    "eta": lambda rs, x: eta(Chain.single(rs), Claim(x)),
+    "is_acceptable": lambda rs, x: is_acceptable(rs, Claim(x)),
+    "cone_member": lambda rs, x: cone_member(rs, Claim(x), "0", "0+"),
+    "decompose_acceptance": lambda rs, x: decompose_acceptance(rs, Claim(x)),
+    "reserve_plan": lambda rs, x: reserve_plan(Chain.single(rs), Claim(x)),
+    "maximize_ratio": lambda rs, x: maximize_ratio(rs, x, (0, 2)),
+    "condexp_claim": lambda rs, x: condexp(np.full(4, 0.25), x, "0+", rs.model),
+    "condexp_measure": lambda rs, x: condexp(x / x.sum(), np.zeros(4), "0+", rs.model),
+    "density": lambda rs, x: density(rs.model, x / x.sum(), "0+"),
+}
+
+
+class TestShapes:
+    """A claim or measure with other than one value per outcome is a SCHEMA
+    error on either route; ``rho`` and ``eta`` also price a stack
+    ``(m, n)``."""
+
+    @pytest.mark.parametrize("given_by", ["rows", "vertices"])
+    @pytest.mark.parametrize("entry", list(PRICING_ENTRIES))
+    @pytest.mark.parametrize("x", BAD_SHAPES, ids=BAD_IDS)
+    def test_wrong_shape_is_schema_error(self, model, given_by, entry, x):
+        rs = (pricing_set(model, EPS) if given_by == "rows"
+              else RiskSet.from_vertices(model, extreme_points(EPS)))
+        with pytest.raises(SchemaError):
+            PRICING_ENTRIES[entry](rs, x)
+
+    @pytest.mark.parametrize("entry", ["is_acceptable", "cone_member",
+                                       "decompose_acceptance", "reserve_plan",
+                                       "maximize_ratio", "condexp_claim"])
+    def test_one_claim_entries_refuse_a_stack(self, rs, entry):
+        with pytest.raises(SchemaError):
+            PRICING_ENTRIES[entry](rs, np.ones((2, 4)))
+
+    def test_stack_of_claims_still_prices(self, rs, claim_x):
+        X = Claim(np.stack([claim_x.values, -claim_x.values]))
+        assert rho(rs, X, "0+").values.shape == (2, 4)
+        assert eta(Chain.single(rs), X).claims[0].values.shape == (2, 4)

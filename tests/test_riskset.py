@@ -20,7 +20,6 @@ from riskchain import (
     is_mstable,
     kernel_polytope,
     maximize_ratio,
-    measure,
     member,
     mstable_hull,
     set_equal,
@@ -52,23 +51,39 @@ def two_outcome_model():
     return ScenarioModel(["u", "d"], ["0", "1"], [[[0, 1]], [[0], [1]]], [0.5, 0.5])
 
 
+def three_outcome_model():
+    return ScenarioModel(["a", "b", "c"], ["0", "1"], [[[0, 1, 2]], [[0], [1], [2]]],
+                         [0.25, 0.25, 0.5])
+
+
 class TestMeasure:
+    """Measures are weight rows, validated where a set takes them."""
+
     def test_rejects_negative(self):
         with pytest.raises(SchemaError):
-            measure([-0.2, 1.2])
+            singleton(two_outcome_model(), [-0.2, 1.2])
+        with pytest.raises(SchemaError):
+            RiskSet.from_vertices(two_outcome_model(), [[0.5, 0.5], [-0.2, 1.2]])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(SchemaError):
-            measure([0.4, 0.4])
+            singleton(two_outcome_model(), [0.4, 0.4])
+        with pytest.raises(SchemaError):
+            RiskSet.from_vertices(two_outcome_model(), [[0.5, 0.5], [0.4, 0.4]])
 
     def test_normalizes_exactly(self):
-        m = measure([1 / 3, 1 / 3, 1 / 3])
-        assert m.weights.sum() == 1.0
+        q = singleton(three_outcome_model(), [1 / 3, 1 / 3, 1 / 3]).vertices[0]
+        assert q.sum() == 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(SchemaError):
-            measure([bad, 0.5, 0.5])
+            singleton(three_outcome_model(), [bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize("q", [[1.0], [0.25, 0.25, 0.25, 0.25], [[0.5, 0.5]]])
+    def test_singleton_rejects_wrong_shape(self, q):
+        with pytest.raises(SchemaError):
+            singleton(two_outcome_model(), q)
 
     @pytest.mark.parametrize("rows", [[[np.nan, 1.0]], [[0.5, 0.5], [np.inf, 0.0]]])
     def test_vertex_set_rejects_non_finite(self, rows):
@@ -78,6 +93,10 @@ class TestMeasure:
     def test_vertex_set_rejects_ragged_rows(self):
         with pytest.raises(SchemaError):
             RiskSet.from_vertices(two_outcome_model(), [[0.5, 0.5], [1.0]])
+
+    def test_vertex_set_rejects_non_numeric_rows(self):
+        with pytest.raises(SchemaError):
+            RiskSet.from_vertices(two_outcome_model(), [["x", 0.5]])
 
     def test_vertex_rows_normalize_like_single_measures(self):
         rng = np.random.default_rng(7)
@@ -95,7 +114,7 @@ class TestMeasure:
             normalized = set()
             for r in rows:
                 w = np.maximum(r, 0.0)
-                assert (w / w.sum()).tobytes() == measure(r).weights.tobytes()
+                assert (w / w.sum()).tobytes() == singleton(model, r).vertices[0].tobytes()
                 normalized.add((w / w.sum()).tobytes())
             assert len(got) >= 2
             assert all(g.tobytes() in normalized for g in got)
@@ -142,28 +161,25 @@ class TestDensity:
 class TestNodeKernel:
     def test_root_kernel_is_marginal(self, model):
         q = np.array([0.1, 0.2, 0.3, 0.4])
-        ker = node_kernel(model, q, "0", "0+", 0)
-        assert ker.children == (0, 1)
-        assert np.allclose(ker.probs, [0.4, 0.6], atol=1e-12)
+        assert model.sub_atoms("0", "0+", 0) == [0, 1]
+        assert np.allclose(node_kernel(model, q, "0", "0+", 0), [0.4, 0.6], atol=1e-12)
 
     def test_worked_vertex_column_kernel(self, model):
         # signs (1,-1): column f carries (1+eps)/4 over (1-eps)/4
         q = extreme_points(EPS)[1]
-        ker = node_kernel(model, q, "0+", "1", 0)
-        assert np.allclose(ker.probs, [0.6, 0.4], atol=1e-12)
+        assert np.allclose(node_kernel(model, q, "0+", "1", 0), [0.6, 0.4], atol=1e-12)
 
     def test_null_atom_falls_back_to_reference(self, model):
         q = np.array([0.5, 0.0, 0.5, 0.0])
-        ker = node_kernel(model, q, "0+", "1", 1)
-        assert np.allclose(ker.probs, [0.5, 0.5], atol=1e-12)
+        assert np.allclose(node_kernel(model, q, "0+", "1", 1), [0.5, 0.5], atol=1e-12)
 
 
 class TestKernelPolytope:
     def test_singleton_set_single_kernel(self, model):
         q = np.array([0.1, 0.2, 0.3, 0.4])
         kers = kernel_polytope(singleton(model, q), "0+", "1", 0)
-        assert len(kers) == 1
-        assert np.allclose(kers[0].probs, [0.25, 0.75], atol=1e-12)
+        assert kers.shape == (1, 2)
+        assert np.allclose(kers[0], [0.25, 0.75], atol=1e-12)
 
     def test_worked_column_collapses_to_two(self, rs):
         # oracle: conditionals of the four closed-form extreme points
@@ -173,13 +189,13 @@ class TestKernelPolytope:
             oracle.add(tuple(np.round(cond, 12)))
         assert oracle == {(0.6, 0.4), (0.4, 0.6)}
         kers = kernel_polytope(rs, "0+", "1", 0)
-        got = {tuple(np.round(k.probs, 12)) for k in kers}
+        got = {tuple(np.round(k, 12)) for k in kers}
         assert got == oracle
 
     def test_worked_root_kernel_pinned(self, rs):
         kers = kernel_polytope(rs, "0", "0+", 0)
-        assert len(kers) == 1
-        assert np.allclose(kers[0].probs, [0.5, 0.5], atol=1e-12)
+        assert kers.shape == (1, 2)
+        assert np.allclose(kers[0], [0.5, 0.5], atol=1e-12)
 
     def test_empty_kernel_when_no_vertex_charges(self, model):
         # raised on every call: no error is kept on the set
@@ -191,22 +207,32 @@ class TestKernelPolytope:
 
     def test_repeated_call_returns_equal_kernels(self, rs):
         first = kernel_polytope(rs, "0+", "1", 0)
-        again = kernel_polytope(rs, "0+", "1", 0)
-        assert [(k.stage, k.atom, k.target_stage, k.children) for k in again] == \
-            [(k.stage, k.atom, k.target_stage, k.children) for k in first]
-        assert all(np.array_equal(a.probs, b.probs) for a, b in zip(first, again))
+        assert kernel_polytope(rs, "0+", "1", 0) is first
+        assert kernel_polytope(rs, 1, 2, 0) is first
+        assert first.shape[1] == len(rs.model.sub_atoms("0+", "1", 0))
 
     def test_kept_probs_are_read_only(self, rs):
-        ker = kernel_polytope(rs, "0+", "1", 0)[0]
+        # the kept array is returned itself, so no caller can change it
+        kers = kernel_polytope(rs, "0+", "1", 0)
+        before = kers.copy()
         with pytest.raises(ValueError):
-            ker.probs[0] = 0.0
-        assert np.allclose(kernel_polytope(rs, "0+", "1", 0)[0].probs, ker.probs)
+            kers[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            kers[0] = 0.0
+        assert kernel_polytope(rs, "0+", "1", 0).tobytes() == before.tobytes()
 
     def test_returned_list_is_the_callers(self, rs):
+        # a caller's own list or copy of the kernels can be emptied or
+        # overwritten without shrinking or changing the kept kernels
         kers = kernel_polytope(rs, "0+", "1", 0)
         count = len(kers)
-        kers.clear()
-        assert len(kernel_polytope(rs, "0+", "1", 0)) == count
+        mine = list(kers)
+        mine.clear()
+        edited = kers.copy()
+        edited[:] = 0.0
+        again = kernel_polytope(rs, "0+", "1", 0)
+        assert len(again) == count
+        assert np.allclose(again.sum(axis=1), 1.0, atol=1e-12)
 
     def test_perspective_exactness(self):
         # kernels of random mixtures stay inside the vertex-kernel hull
@@ -224,8 +250,7 @@ class TestKernelPolytope:
             if q[list(m.atoms(s)[aid])].sum() <= 0:
                 continue
             ker = node_kernel(m, q, s, t, aid)
-            hull = np.array([k.probs for k in kernel_polytope(rs, s, t, aid)])
-            assert _in_hull(hull, ker.probs, 1e-9)
+            assert _in_hull(kernel_polytope(rs, s, t, aid), ker, 1e-9)
 
 
 class TestMaximizeRatio:
