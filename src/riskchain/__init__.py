@@ -17,10 +17,8 @@ from .scenario import (
     Claim,
     ScenarioModel,
     Stage,
-    ValidationReport,
     claim,
     condexp,
-    validate_model,
 )
 from .riskset import (
     LinearConstraint,

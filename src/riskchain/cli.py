@@ -39,7 +39,7 @@ from .intermarket import (
 )
 from .risk import Chain, reserve_plan, rho
 from .riskset import LinearConstraint, RiskSet, intersect, set_equal
-from .scenario import Claim, ScenarioModel, validate_model
+from .scenario import Claim, ScenarioModel
 
 SPEC_VERSION = "1"
 
@@ -139,9 +139,7 @@ def _parse_model(doc: dict, config: Config) -> ScenarioModel:
         _require(isinstance(part, list) and all(isinstance(a, list) for a in part),
                  f"partition at stage {label!r} must be a list of atoms")
         parts.append(part)
-    model = ScenarioModel(doc["outcomes"], grid, parts, doc["reference"], config=config)
-    validate_model(model).raise_if_invalid()
-    return model
+    return ScenarioModel(doc["outcomes"], grid, parts, doc["reference"], config=config)
 
 
 def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:

@@ -21,10 +21,11 @@ class SchemaError(EngineError):
 
 
 class ModelError(EngineError):
-    """A ScenarioModel invariant is violated; ``code`` is set per violation."""
+    """A ScenarioModel invariant is violated; ``code`` is set per violation
+    and ``details`` name the stage and atom at fault (None when none is)."""
 
-    def __init__(self, code, message, **details):
-        super().__init__(message, **details)
+    def __init__(self, code, message, stage_index=None, atom_index=None):
+        super().__init__(message, stage_index=stage_index, atom_index=atom_index)
         self.code = code
 
 

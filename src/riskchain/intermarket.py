@@ -21,7 +21,7 @@ from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, set_equal, simplex_set
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
-                       first_crossing, parse_stage_label, validate_model)
+                       crossing_atom, parse_stage_label)
 
 
 def _whole_times(model: ScenarioModel) -> int:
@@ -67,7 +67,6 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
     or a time past ``T``, are refused.
     """
     T = _whole_times(model)
-    validate_model(model).raise_if_invalid()
     n = model.n
     fins: list[list[tuple[int, ...]]] = []
     by_time = {}
@@ -90,7 +89,7 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
             part = _canonical_atoms(part, n)
         except SchemaError as exc:
             raise SchemaError(f"financial partition at time {t}: {exc}", time=t) from exc
-        if first_crossing(model.atoms(str(t)), atom_index(part, n)) is not None:
+        if crossing_atom(model.atom_ids(str(t)), atom_index(part, n)) is not None:
             raise NotCoarserError(
                 f"financial partition at time {t} is not coarser than the model's",
                 time=t)
@@ -106,10 +105,8 @@ def build_refined(model: ScenarioModel, financial_partitions) -> MarketModel:
         if t < T:
             grid.append(f"{t}+")
             partitions.append(_common_refinement(model.atoms(str(t)), fins[t + 1], n))
-    refined = ScenarioModel(model.outcomes, grid, partitions, model.reference,
-                            config=model.config)
-    validate_model(refined).raise_if_invalid()
-    return MarketModel(refined)
+    return MarketModel(ScenarioModel(model.outcomes, grid, partitions, model.reference,
+                                     config=model.config))
 
 
 def _step_sources(mm: MarketModel, fin_src, int_src):
@@ -250,8 +247,6 @@ def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
     T = _whole_times(fin)
     if _whole_times(inter) != T:
         raise SchemaError("factor models must share the horizon")
-    validate_model(fin).raise_if_invalid()
-    validate_model(inter).raise_if_invalid()
     outcomes = [f"({io},{fo})" for io in inter.outcomes for fo in fin.outcomes]
     reference = np.outer(inter.reference, fin.reference).ravel()
 

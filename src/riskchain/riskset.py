@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     SizeBoundError,
 )
-from .scenario import ScenarioModel, _outcome_vector, condexp
+from .scenario import ScenarioModel, _is_index, _outcome_vector, condexp
 
 
 def _measure_rows(rows, n: int) -> np.ndarray:
@@ -571,11 +571,12 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> np.ndarray:
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("kernel target stage must come after the source stage")
+    atom = model.atom(st_s, atom_id)
     key = (st_s.index, st_t.index, atom_id)
     rows = rs._kernels.get(key)
     if rows is None:
         cols, blocks, masses, starts, _, empty = rs._atom_blocks(st_s.index)
-        if model.atoms(st_s)[atom_id] in empty:
+        if atom in empty:
             raise EmptyKernelError(
                 f"no vertex charges atom {atom_id} at stage {st_s.label}",
                 stage=st_s.label, atom=atom_id)
@@ -604,9 +605,14 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
     with a zero as ``-0.0``.
     """
     idx = list(atom)
+    n = rs.model.n
     if not idx:
         raise OutOfRangeError("empty atom")
-    a = _outcome_vector(numerator, rs.model.n, "numerator")
+    if (not all(_is_index(i) for i in idx) or min(idx) < 0 or max(idx) >= n
+            or len(set(idx)) != len(idx)):
+        raise OutOfRangeError(f"atom {tuple(idx)} must hold distinct outcome "
+                              f"indices below {n}")
+    a = _outcome_vector(numerator, n, "numerator")
     if not rs.has_vertices:
         if len(idx) == 1 and idx[0] in rs._charged:
             return -(0.0 - float(a[idx[0]]))

@@ -48,9 +48,15 @@ def parse_stage_label(label: str) -> tuple[int, bool]:
     return int(m.group(1)), m.group(2) == "+"
 
 
+def _is_index(i) -> bool:
+    """An integer usable as an outcome or atom index (a bool is not one)."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _canonical_atoms(atoms: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """Sort outcomes inside atoms and atoms by smallest member; check that
-    every index is an integer (not a bool) and that the atoms cover."""
+    every index is an integer (not a bool) and that the atoms partition the
+    outcomes."""
     try:
         atoms = [list(atom) for atom in atoms]
     except TypeError as exc:
@@ -59,17 +65,19 @@ def _canonical_atoms(atoms: Sequence[Sequence[int]], n: int) -> list[tuple[int, 
     out = []
     seen: set[int] = set()
     for atom in atoms:
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   for i in atom):
+        if not all(_is_index(i) for i in atom):
             raise SchemaError(f"outcome indices must be integers, got atom {atom!r}")
         tup = tuple(sorted(int(i) for i in atom))
         if not tup:
             raise SchemaError("empty atom in partition")
         if tup[0] < 0 or tup[-1] >= n:
             raise SchemaError(f"outcome index out of range in atom {tup}")
-        if seen.intersection(tup):
-            raise SchemaError(f"overlapping atoms at {tup}")
+        k = len(seen)
         seen.update(tup)
+        if len(seen) != k + len(tup):
+            if len(set(tup)) != len(tup):
+                raise SchemaError(f"repeated outcome index in atom {tup}")
+            raise SchemaError(f"overlapping atoms at {tup}")
         out.append(tup)
     if len(seen) != n:
         raise SchemaError("partition does not cover every outcome")
@@ -84,23 +92,25 @@ def atom_index(partition: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return ids
 
 
-def first_crossing(fine_atoms: Sequence[Sequence[int]],
-                   coarse_ids: np.ndarray) -> Optional[int]:
+def crossing_atom(fine_ids: np.ndarray, coarse_ids: np.ndarray) -> Optional[int]:
     """Id of the first fine atom that meets more than one coarse atom, or
-    None when the fine partition refines the coarse one."""
-    for a, atom in enumerate(fine_atoms):
-        ids = coarse_ids[list(atom)]
-        if np.any(ids != ids[0]):
-            return a
-    return None
+    None when the fine partition refines the coarse one; both partitions are
+    given as atom-id vectors over the outcomes, each id below their length."""
+    rep = np.empty(len(fine_ids), dtype=coarse_ids.dtype)
+    rep[fine_ids] = coarse_ids
+    crossing = fine_ids[rep[fine_ids] != coarse_ids]
+    return int(crossing.min()) if crossing.size else None
 
 
 class ScenarioModel:
     """Outcomes, stage grid, refining partitions and reference measure.
 
-    The constructor enforces structural sanity only (well-formed labels and
-    partitions); the three semantic invariants (trivial root, discrete final
-    stage, refinement, full support) are checked by :func:`validate_model`.
+    The constructor checks well-formed labels and partitions (``SchemaError``)
+    and then that the model is a filtration with a full-support reference
+    (``ModelError``), in this order: a trivial root and a discrete final
+    stage (``BAD_TERMINALS``), each partition refining the one before
+    (``NON_REFINING``), and a strictly positive reference summing to one
+    (``NO_FULL_SUPPORT``).  A built model is valid.
     """
 
     def __init__(self, outcomes, grid, partitions, reference, config: Config = DEFAULT):
@@ -140,6 +150,35 @@ class ScenarioModel:
         # outcome -> atom id, one row per stage
         self._atom_index = np.array([atom_index(p, self.n) for p in self.partitions])
 
+        if len(self.partitions[0]) != 1:
+            raise ModelError("BAD_TERMINALS",
+                             "stage-0 partition must be the single atom of all outcomes",
+                             stage_index=0)
+        if len(self.partitions[-1]) != self.n:
+            raise ModelError("BAD_TERMINALS", "final-stage partition must be discrete",
+                             stage_index=len(self.stages) - 1)
+        # one test for every adjacent pair: stage s's atom ids are offset by
+        # (s - 1) * n, so the first crossing is at the first failing stage
+        ids = self._atom_index
+        crossing = crossing_atom((ids[1:] + self.n * np.arange(len(ids) - 1)[:, None]).ravel(),
+                                 ids[:-1].ravel())
+        if crossing is not None:
+            s, a = divmod(crossing, self.n)
+            raise ModelError(
+                "NON_REFINING",
+                f"stage {self.stages[s + 1].label} atom {a} crosses "
+                f"stage {self.stages[s].label} atoms",
+                stage_index=s + 1, atom_index=a)
+        # written so that NaN weights fail both tests
+        if not (ref > 0).all():
+            bad = int(np.argmin(ref))
+            raise ModelError("NO_FULL_SUPPORT",
+                             f"reference weight of outcome {self.outcomes[bad]!r} "
+                             "is not strictly positive",
+                             atom_index=bad)
+        if not abs(ref.sum() - 1.0) <= 1e-12:
+            raise ModelError("NO_FULL_SUPPORT", "reference weights must sum to one")
+
     # -- lookups ---------------------------------------------------------
 
     def stage(self, key) -> Stage:
@@ -165,7 +204,7 @@ class ScenarioModel:
 
     def atom_of(self, stage, outcome: int) -> int:
         """Id of the unique atom of ``stage`` containing ``outcome``."""
-        if not 0 <= outcome < self.n:
+        if not _is_index(outcome) or not 0 <= outcome < self.n:
             raise OutOfRangeError(f"outcome index {outcome} out of range")
         return int(self._atom_index[self.stage(stage).index, outcome])
 
@@ -173,21 +212,27 @@ class ScenarioModel:
         """Vector mapping every outcome to its atom id at ``stage``."""
         return self._atom_index[self.stage(stage).index]
 
-    def atom_label(self, stage, atom_id: int) -> str:
+    def atom(self, stage, atom_id: int) -> tuple[int, ...]:
+        """Outcomes of atom ``atom_id`` of ``stage``; refuses an id that is
+        not an integer in ``range(len(atoms(stage)))``."""
         atoms = self.atoms(stage)
-        if not 0 <= atom_id < len(atoms):
+        if not _is_index(atom_id) or not 0 <= atom_id < len(atoms):
             raise OutOfRangeError(f"atom id {atom_id} out of range")
-        return "|".join(sorted(self.outcomes[i] for i in atoms[atom_id]))
+        return atoms[atom_id]
+
+    def atom_label(self, stage, atom_id: int) -> str:
+        return "|".join(sorted(self.outcomes[i] for i in self.atom(stage, atom_id)))
 
     def sub_atoms(self, coarse_stage, fine_stage, atom_id: int) -> list[int]:
         """Ids of the ``fine_stage`` atoms contained in a ``coarse_stage`` atom."""
-        atom = self.atoms(coarse_stage)[atom_id]
+        atom = self.atom(coarse_stage, atom_id)
         fine = self.atom_ids(fine_stage)
         return sorted({int(fine[i]) for i in atom})
 
     def is_measurable(self, values, stage) -> bool:
-        """True when ``values`` is constant on every atom of ``stage``."""
-        v = np.asarray(values, dtype=float)
+        """True when ``values``, one per outcome, is constant on every atom
+        of ``stage``."""
+        v = _outcome_vector(values, self.n, "values")
         return all(np.ptp(v[list(atom)]) <= self.config.tol for atom in self.atoms(stage))
 
 
@@ -223,54 +268,6 @@ def claim(model: ScenarioModel, values, stage=None) -> Claim:
         raise NotMeasurableError(
             f"claim is not constant on the atoms of stage {st.label}", stage=st.label)
     return Claim(v, st.index)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_model`; only the first violation is reported."""
-
-    ok: bool
-    code: Optional[str] = None
-    message: Optional[str] = None
-    stage_index: Optional[int] = None
-    atom_index: Optional[int] = None
-
-    def raise_if_invalid(self):
-        if not self.ok:
-            raise ModelError(self.code, self.message,
-                             stage_index=self.stage_index, atom_index=self.atom_index)
-
-
-def validate_model(model: ScenarioModel) -> ValidationReport:
-    """Check trivial root / discrete final stage, refinement and full support."""
-    first = model.partitions[0]
-    if len(first) != 1 or len(first[0]) != model.n:
-        return ValidationReport(False, "BAD_TERMINALS",
-                                "stage-0 partition must be the single atom of all outcomes",
-                                stage_index=0)
-    last = model.partitions[-1]
-    if len(last) != model.n:
-        return ValidationReport(False, "BAD_TERMINALS",
-                                "final-stage partition must be discrete",
-                                stage_index=len(model.stages) - 1)
-    for s in range(len(model.stages) - 1):
-        a = first_crossing(model.partitions[s + 1], model.atom_ids(s))
-        if a is not None:
-            return ValidationReport(
-                False, "NON_REFINING",
-                f"stage {model.stages[s + 1].label} atom {a} crosses "
-                f"stage {model.stages[s].label} atoms",
-                stage_index=s + 1, atom_index=a)
-    if np.any(model.reference <= 0):
-        bad = int(np.argmin(model.reference))
-        return ValidationReport(False, "NO_FULL_SUPPORT",
-                                f"reference weight of outcome {model.outcomes[bad]!r} "
-                                "is not strictly positive",
-                                atom_index=bad)
-    if abs(model.reference.sum() - 1.0) > 1e-12:
-        return ValidationReport(False, "NO_FULL_SUPPORT",
-                                "reference weights must sum to one")
-    return ValidationReport(True)
 
 
 def condexp(measure, claim_like, stage, model: ScenarioModel) -> Claim:

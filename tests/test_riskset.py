@@ -10,6 +10,7 @@ from riskchain import (
     EmptyKernelError,
     EngineError,
     LinearConstraint,
+    OutOfRangeError,
     RiskSet,
     ScenarioModel,
     SchemaError,
@@ -205,6 +206,15 @@ class TestKernelPolytope:
                 kernel_polytope(rs, "0+", "1", 1)
         assert len(kernel_polytope(rs, "0+", "1", 0)) == 1
 
+    @pytest.mark.parametrize("atom_id", [5, 2, -1, True, 0.0])
+    def test_bad_atom_id_is_out_of_range(self, rs, atom_id):
+        # refused before the cache is read or written
+        kernel_polytope(rs, "0+", "1", 1)
+        keys = set(rs._kernels)
+        with pytest.raises(OutOfRangeError):
+            kernel_polytope(rs, "0+", "1", atom_id)
+        assert set(rs._kernels) == keys
+
     def test_repeated_call_returns_equal_kernels(self, rs):
         first = kernel_polytope(rs, "0+", "1", 0)
         assert kernel_polytope(rs, "0+", "1", 0) is first
@@ -316,6 +326,16 @@ class TestMaximizeRatio:
         rs = RiskSet.from_vertices(model, [[0.5, 0.0, 0.5, 0.0]])
         with pytest.raises(EmptyKernelError):
             maximize_ratio(rs, np.ones(4), (1, 3))
+
+    @pytest.mark.parametrize("atom", [(), (0, 9), (0, -1), (4,), (True,), (0.0, 2),
+                                      ("0",), (0, 0), (2, 0, 2)])
+    @pytest.mark.parametrize("route", ["constraints", "vertices"])
+    def test_bad_outcome_indices_are_out_of_range(self, rs, atom, route):
+        if route == "vertices":
+            rs = RiskSet.from_vertices(rs.model, rs.vertices)
+        assert rs.has_vertices == (route == "vertices")
+        with pytest.raises(OutOfRangeError):
+            maximize_ratio(rs, np.arange(4.0), atom)
 
 
 class TestMember:
