@@ -10,18 +10,19 @@ set and keeps it there with its witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import WORK_BOUND
+from .config import DEDUP_TOL, WORK_BOUND
 from .errors import EngineError, SchemaError, SizeBoundError
 from .risk import Chain, eta, rho
 from .riskset import (
     RiskSet,
     _affine_rank,
-    _extreme_rows,
+    _dedup_rows,
     _facets,
     _hull_nnls,
     _sorted_rows,
@@ -39,46 +40,40 @@ def paste_assembly(model, sources) -> RiskSet:
     ``sources[i]`` constrains the kernels of the step ``stages[i] ->
     stages[i+1]``: a RiskSet contributes its extreme node kernels, ``None``
     leaves the step free (every point-mass kernel, i.e. the full simplex).
-    Vertices are telescoping products of one extreme kernel per node.
+    ``WORK_BOUND`` is checked before any row array is built.
 
-    At a node, each kernel's candidate rows are built by a running broadcast
-    over its charged children, ``acc = acc[:, None] + p_i * P_i[None]``, in
-    ``itertools.product`` order with the additions done left to right, so
-    every row is bit-identical to summing ``p_i * cond_i`` per combination.
-    The candidates are then reduced by ``_extreme_rows``.  ``WORK_BOUND`` is
-    checked before any candidate array is built.
+    A node has one row per choice of a kernel ``p`` and one row ``mu_i`` of
+    each charged child: a running broadcast ``acc = acc[:, None] + p_i *
+    P_i[None]`` in ``itertools.product`` order, bit-identical to summing
+    ``p_i * mu_i`` per combination.  Every row is a vertex, so none is
+    reduced away.  The children partition the atom, so a row gives back
+    ``p`` as its block sums and each ``mu_i`` as its block over ``p_i``; two
+    rows that mix to it mix to ``p`` and to every ``mu_i``, which are
+    extreme, so both are the row.  ``_dedup_rows`` at ``DEDUP_TOL`` stays:
+    rows that differ only on a child of tiny mass can fall within it.
     """
     final = model.final_stage.index
     if len(sources) != final:
         raise SchemaError("need one kernel source per adjacent stage pair")
     cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def node_kernels(stage_idx: int, atom_id: int):
-        src = sources[stage_idx]
-        children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
-        if src is None:
-            return children, np.eye(len(children))
-        return children, kernel_polytope(src, stage_idx, stage_idx + 1, atom_id)
-
     def assemble(stage_idx: int, atom_id: int) -> np.ndarray:
         key = (stage_idx, atom_id)
         if key in cache:
             return cache[key]
-        atom = model.atoms(stage_idx)[atom_id]
         if stage_idx == final:
-            mu = np.zeros(model.n)
-            mu[atom[0]] = 1.0
-            cache[key] = mu[None, :]
+            cache[key] = np.eye(1, model.n, model.atoms(final)[atom_id][0])
             return cache[key]
-        children, kernels = node_kernels(stage_idx, atom_id)
+        src = sources[stage_idx]
+        children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
+        kernels = (np.eye(len(children)) if src is None
+                   else kernel_polytope(src, stage_idx, stage_idx + 1, atom_id))
         blocks = []
         total = 0
         for probs in kernels:
             charged = [i for i, p in enumerate(probs) if p > 0]
             parts = [assemble(stage_idx + 1, children[i]) for i in charged]
-            count = 1
-            for p in parts:
-                count *= len(p)
+            count = math.prod(len(p) for p in parts)
             reached = max(count * len(kernels), count + total)
             if reached > WORK_BOUND:
                 raise SizeBoundError(
@@ -89,9 +84,8 @@ def paste_assembly(model, sources) -> RiskSet:
                 acc = (acc[:, None, :] + probs[i] * part[None]).reshape(-1, model.n)
             blocks.append(acc)
             total += count
-        out = _extreme_rows(np.concatenate(blocks))
-        cache[key] = out
-        return out
+        cache[key] = _dedup_rows(np.concatenate(blocks), DEDUP_TOL)
+        return cache[key]
 
     verts = _sorted_rows(assemble(0, 0))
     return RiskSet._of_extreme(model, verts)

@@ -24,6 +24,24 @@ def no_lp(monkeypatch):
 
 
 @pytest.fixture
+def no_nnls(monkeypatch):
+    """Record every ``scipy.optimize.nnls`` call.  The fixture is the list of
+    calls: a test empties it before the code that must solve nothing and
+    checks that it stays empty."""
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.nnls
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", spy)
+    return calls
+
+
+@pytest.fixture
 def no_enumeration(monkeypatch):
     """Make every H→V enumeration (``riskset._enumerate_vertices``) and every
     qhull call (``scipy.spatial.ConvexHull``) fail the test."""

@@ -156,6 +156,19 @@ class TestMstableHull:
                 for s, c in zip(process.stage_indices, process.claims):
                     assert np.allclose(c.values, rho(hull, x, s).values, atol=1e-9)
 
+    def test_second_hull_runs_no_solver(self, no_nnls):
+        """Once the set's vertices and kernels are cached, pasting solves
+        nothing: every pasted row is a vertex."""
+        rng = np.random.default_rng(5)
+        m = random_model(rng)
+        rs = random_riskset(rng, m)
+        first = mstable_hull(rs).vertices
+        assert no_nnls      # the first call reduced the set's kernels
+        no_nnls.clear()
+        again = mstable_hull(rs).vertices
+        assert no_nnls == []
+        assert again.tobytes() == first.tobytes()
+
     def test_work_bound(self):
         n = 16
         m = ScenarioModel(

@@ -154,6 +154,19 @@ class TestParts:
         assert includes(qf(rs, mkt), rs)
         assert includes(qi(rs, mkt), rs)
 
+    def test_repeated_parts_run_no_solver(self, no_nnls):
+        """Once the set's kernels are cached, pasting ``qf`` and ``qi`` again
+        solves nothing."""
+        rng = np.random.default_rng(5)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model)
+        first = [qf(rs, mkt).vertices, qi(rs, mkt).vertices]
+        assert no_nnls      # the first calls reduced the set's kernels
+        no_nnls.clear()
+        again = [qf(rs, mkt).vertices, qi(rs, mkt).vertices]
+        assert no_nnls == []
+        assert [v.tobytes() for v in again] == [v.tobytes() for v in first]
+
     def test_assembly_agrees_with_projection_route(self, mm, rs):
         # two independent constructions of the same parts
         assert set_equal(qf(rs, mm), qf_by_projection(rs, mm))

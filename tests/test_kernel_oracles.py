@@ -13,6 +13,7 @@ must give bit-identical arrays and the same verdicts.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from riskchain import (
     check_strong,
     decompose_acceptance,
     eta,
+    is_mstable,
     mstable_hull,
     paste_assembly,
     rho,
@@ -126,6 +128,33 @@ def paste_ref(model, sources):
         return out
 
     return RiskSet.from_vertices(model, _sorted_rows(assemble(0, 0)))
+
+
+def kernel_choices(model, sources):
+    """The number of ways to choose one extreme kernel per reached node,
+    ``N(node) = sum_k prod_{i: k_i > 0} N(child_i)`` with ``N = 1`` on a final
+    atom, read from ``kernel_polytope``; and the smallest charged kernel
+    mass on the way."""
+    final = model.final_stage.index
+    smallest = 1.0
+
+    @functools.cache
+    def count(stage_idx, atom_id):
+        nonlocal smallest
+        if stage_idx == final:
+            return 1
+        src = sources[stage_idx]
+        children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
+        kernels = (np.eye(len(children)) if src is None
+                   else kernel_polytope(src, stage_idx, stage_idx + 1, atom_id))
+        total = 0
+        for probs in kernels:
+            charged = np.flatnonzero(probs > 0)
+            smallest = min(smallest, probs[charged].min())
+            total += math.prod(count(stage_idx + 1, children[i]) for i in charged)
+        return total
+
+    return count(0, 0), smallest
 
 
 def is_vertex_ref(w, rows, atol):
@@ -510,6 +539,17 @@ class TestExtremeRows:
 
 # -- pasting and the m-stable hull ---------------------------------------------
 
+def near_midpoint_set(rng):
+    """One full-support vertex per outcome, plus a vertex within 1e-10-1e-7
+    (max norm) of the midpoint of the first two."""
+    model = random_model(rng, n_min=4, n_max=5, stages_min=3, stages_max=3)
+    V = rng.dirichlet(np.full(model.n, 2.0), size=model.n)
+    d = rng.normal(size=model.n)
+    d -= d.mean()
+    mid = (V[0] + V[1]) / 2 + 10 ** rng.uniform(-10, -7) * d / np.abs(d).max()
+    return RiskSet.from_vertices(model, np.vstack([V, mid]))
+
+
 class TestPasting:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -522,6 +562,67 @@ class TestPasting:
             sources[0] = None
         assert_identical(paste_assembly(model, sources).vertices,
                          paste_with_ref_kernels(model, sources))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_pasted_rows_are_vertices(self, seed, sparse, free_step):
+        """The full reduction keeps every pasted row, and there is one row
+        per kernel choice unless a tiny charged mass lets the dedup merge
+        products."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=3, n_max=6, stages_min=2, stages_max=4)
+        rs = (sparse_riskset(rng, model) if sparse
+              else random_riskset(rng, model, k_min=1, k_max=3))
+        sources = [rs] * (len(model.stages) - 1)
+        if free_step:
+            sources[-1] = None      # reaches only atoms the set charges
+        out = paste_assembly(model, sources).vertices
+        assert_identical(_extreme_rows(out), out)   # it keeps the row order
+        count, smallest = kernel_choices(model, sources)
+        if smallest > 1e-6:
+            assert len(out) == count
+
+    def test_products_on_a_tiny_mass_child_are_one_vertex(self):
+        """A root kernel that puts 2e-12 on a child makes products that
+        differ only on that child fall within ``DEDUP_TOL``: they are one
+        vertex, so 8 kernel choices give 6 rows."""
+        model = ScenarioModel(["a", "b", "c", "d"], ["0", "1", "2"],
+                              [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                              [0.25] * 4)
+        rs = RiskSet.from_vertices(model, [[0.3, 0.2, 0.3, 0.2],
+                                           [0.2, 0.3, 0.1, 0.4],
+                                           [0.6, 0.4 - 2e-12, 1e-12, 1e-12]])
+        sources = [rs] * (len(model.stages) - 1)
+        out = mstable_hull(rs).vertices
+        assert kernel_choices(model, sources)[0] == 8
+        assert len(out) == 6
+        assert_identical(_extreme_rows(out), out)
+        assert_identical(out, paste_with_ref_kernels(model, sources))
+
+    @pytest.mark.parametrize("seed", [22, 25, 117])
+    def test_near_degenerate_set_keeps_exact_extreme_rows(self, seed):
+        """Near-degenerate kernels give pasted rows that NNLS at
+        ``DEDUP_TOL`` finds in the hull of the others, yet which are exact
+        extreme points.  Pasting keeps them, so the hull has more rows than
+        the reduced reference; it holds every reference row, is the same
+        set, and gives the same verdicts and time-0 prices."""
+        rng = np.random.default_rng(seed)
+        rs = near_midpoint_set(rng)
+        model = rs.model
+        ref = paste_ref(model, [rs] * (len(model.stages) - 1))
+        hull = mstable_hull(rs)
+        assert len(hull.vertices) > len(ref.vertices)
+        kept = {row.tobytes() for row in hull.vertices}
+        assert all(row.tobytes() in kept for row in ref.vertices)
+        assert set_equal(hull, ref)
+        assert consistency._verdict_rows(rs) is None     # decided by the hull
+        assert is_mstable(rs) == set_equal(rs, ref)
+        assert is_mstable(hull) and is_mstable(ref)
+        X = rng.uniform(-1.0, 1.0, (20, model.n))
+        eta0 = eta(Chain.single(rs), Claim(X)).claims[0].values[:, 0]
+        for V in (ref.vertices, hull.vertices):
+            np.testing.assert_allclose(eta0, (V @ X.T).max(axis=0),
+                                       rtol=0.0, atol=model.config.tol)
 
     # seeded ladder: every atom splits at every stage, so hulls reach
     # 8-1024 vertices (1024 at 16 outcomes x 5 stages)
