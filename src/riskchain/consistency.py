@@ -1,7 +1,8 @@
 """m-stable hulls and time-consistency checks.
 
 Pasting assembly recombines per-node kernels along the whole grid into an
-exact vertex set; the m-stable hull is its one-source case.  On top of it sit
+exact vertex set, which is m-stable by construction and keeps that verdict
+and its kernels; the m-stable hull is its one-source case.  On top of it sit
 the strong consistency check and the supermartingale test.  The m-stability
 verdict reads η_0 on the set's rows where it has or cheaply gets them, and
 builds the hull only for the other V-sets; ``_analytic`` decides it once per
@@ -51,11 +52,19 @@ def paste_assembly(model, sources) -> RiskSet:
     rows that mix to it mix to ``p`` and to every ``mu_i``, which are
     extreme, so both are the row.  ``_dedup_rows`` at ``DEDUP_TOL`` stays:
     rows that differ only on a child of tiny mass can fall within it.
+
+    The output keeps what pasting knows.  It is rectangular, so m-stable
+    (Epstein-Schneider 2003, Delbaen 2006), and its verdict is set.  Its
+    one-step kernels at every node it assembled are the ones it pasted, so
+    they are kept under ``kernel_polytope``'s key: the source's own
+    read-only array, or the sorted identity on a free step.  A node that no
+    row charges gets no entry, and ``kernel_polytope`` raises there.
     """
     final = model.final_stage.index
     if len(sources) != final:
         raise SchemaError("need one kernel source per adjacent stage pair")
     cache: dict[tuple[int, int], np.ndarray] = {}
+    used: dict[tuple[int, int, int], np.ndarray] = {}
 
     def assemble(stage_idx: int, atom_id: int) -> np.ndarray:
         key = (stage_idx, atom_id)
@@ -66,8 +75,13 @@ def paste_assembly(model, sources) -> RiskSet:
             return cache[key]
         src = sources[stage_idx]
         children = model.sub_atoms(stage_idx, stage_idx + 1, atom_id)
-        kernels = (np.eye(len(children)) if src is None
-                   else kernel_polytope(src, stage_idx, stage_idx + 1, atom_id))
+        if src is None:
+            kernels = np.eye(len(children))
+            kept = _sorted_rows(kernels)
+            kept.flags.writeable = False
+        else:
+            kernels = kept = kernel_polytope(src, stage_idx, stage_idx + 1, atom_id)
+        used[stage_idx, stage_idx + 1, atom_id] = kept
         blocks = []
         total = 0
         for probs in kernels:
@@ -87,8 +101,13 @@ def paste_assembly(model, sources) -> RiskSet:
         cache[key] = _dedup_rows(np.concatenate(blocks), DEDUP_TOL)
         return cache[key]
 
-    verts = _sorted_rows(assemble(0, 0))
-    return RiskSet._of_extreme(model, verts)
+    try:
+        out = RiskSet._of_extreme(model, assemble(0, 0))
+    finally:
+        del assemble    # it refers to itself; the cycle would hold every row
+    out._verdict = (True, None, 0.0)
+    out._kernels = used
+    return out
 
 
 def mstable_hull(rs: RiskSet) -> RiskSet:
@@ -96,7 +115,8 @@ def mstable_hull(rs: RiskSet) -> RiskSet:
 
     Every vertex is assembled by choosing one extreme kernel at every node of
     the tree and telescoping the products from the root.  Fixed point of
-    itself; contains the input.
+    itself; contains the input; carries its verdict and kernels from
+    ``paste_assembly``.
     """
     model = rs.model
     return paste_assembly(model, [rs] * (len(model.stages) - 1))

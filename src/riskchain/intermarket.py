@@ -116,18 +116,33 @@ def _step_sources(mm: MarketModel, fin_src, int_src):
     return [int_src if st.half else fin_src for st in mm.model.stages[:-1]]
 
 
+def _part(rs: RiskSet, kind: str, model: ScenarioModel, build) -> RiskSet:
+    """``build()``, made once per set, kind and model object and kept on the
+    set, so it lives as long as the set and no longer."""
+    key = (kind, model)
+    part = rs._parts.get(key)
+    if part is None:
+        part = rs._parts[key] = build()
+    return part
+
+
 def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
     """Financial part: all measures whose (t -> t+) kernels the set allows.
 
     Equals the intersection of the per-period projections; assembled directly
-    from the set's financial-step kernels with free intermediate steps.
+    from the set's financial-step kernels with free intermediate steps.  A
+    pasted set, so m-stable and its kernels known; kept on ``rs`` per
+    refined model.
     """
-    return paste_assembly(mm.model, _step_sources(mm, rs, None))
+    return _part(rs, "qf", mm.model,
+                 lambda: paste_assembly(mm.model, _step_sources(mm, rs, None)))
 
 
 def qi(rs: RiskSet, mm: MarketModel) -> RiskSet:
-    """Intermediate part: all measures whose (t+ -> t+1) kernels the set allows."""
-    return paste_assembly(mm.model, _step_sources(mm, None, rs))
+    """Intermediate part: all measures whose (t+ -> t+1) kernels the set
+    allows; pasted and kept on ``rs`` as ``qf`` is."""
+    return _part(rs, "qi", mm.model,
+                 lambda: paste_assembly(mm.model, _step_sources(mm, None, rs)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +153,8 @@ class FiReport:
     the set's kernels on every step of the refined grid, so it is
     ``qf(rs) ∩ qi(rs)`` by rectangularity.  ``mstable`` is the verdict of
     ``is_mstable``, reached by another route where the set has rows.
+    ``qf_mstable`` and ``qi_mstable`` hold by theorem: each part is a
+    pasted, hence rectangular, set, and pasting records its verdict.
     """
 
     mstable: bool
@@ -156,7 +173,9 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
 
     The intersection is taken as the set's pasting hull, so neither part is
     faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
-    is the same set.
+    is the same set.  The parts carry their verdicts and kernels from
+    pasting, so no hull of a part is built and their own parts paste from
+    the kept kernels.
     """
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)
@@ -264,9 +283,11 @@ def product_space(fin: ScenarioModel, inter: ScenarioModel) -> ProductModel:
 
 def extend_pi(pi: RiskSet, pm: ProductModel) -> RiskSet:
     """Extend a financial pricing set by independence: each vertex becomes its
-    product with the intermediate reference."""
-    rows = [np.outer(pm.inter.reference, v).ravel() for v in pi.vertices]
-    return RiskSet.from_vertices(pm.model, rows)
+    product with the intermediate reference.  Made once per product model
+    object and kept on ``pi``, so ``psi_build`` and ``psi_verify`` share it
+    and its parts."""
+    return _part(pi, "extend", pm.model, lambda: RiskSet.from_vertices(
+        pm.model, [np.outer(pm.inter.reference, v).ravel() for v in pi.vertices]))
 
 
 def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
@@ -275,15 +296,13 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
     intermediate part of ``phi``.  Assembled directly by pasting the
     extension's financial-step kernels with ``phi``'s intermediate-step
     kernels, which is the same set.  The construction verifies that both
-    parts are recovered and the result is pasting-stable."""
+    parts are recovered; a pasted set is pasting-stable by construction."""
     hat_pi = extend_pi(pi, pm)
     q = paste_assembly(pm.model, _step_sources(pm.market, hat_pi, phi))
     if not set_equal(qf(q, pm.market), qf(hat_pi, pm.market)):
         raise EngineError("financial part was not recovered")
     if not set_equal(qi(q, pm.market), qi(phi, pm.market)):
         raise EngineError("intermediate part was not recovered")
-    if not is_mstable(q):
-        raise EngineError("constructed set is not pasting-stable")
     return q
 
 

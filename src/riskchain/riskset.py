@@ -422,6 +422,7 @@ class RiskSet:
         self._blocks: dict[int, tuple] = {}
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}  # by kernel_polytope
         self._verdict: Optional[tuple] = None   # set by consistency._analytic
+        self._parts: dict[tuple, "RiskSet"] = {}    # by intermarket, per model object
         self._charged: set[int] = set()         # outcomes the ratio LP found charged
         self._rows_given = constraints is not None      # member reads the rows
         if vertices is not None:
@@ -447,9 +448,10 @@ class RiskSet:
     @classmethod
     def _of_extreme(cls, model, vertices) -> "RiskSet":
         """A V-set whose rows are extreme points by construction, so the
-        reduction of generators is skipped."""
+        reduction of generators is skipped.  The rows are sorted after the
+        constructor divides each by its sum, which can move it by an ulp."""
         rs = cls(model, vertices=vertices)
-        rs._vertices, rs._generators = rs._generators, None
+        rs._vertices, rs._generators = _sorted_rows(rs._generators), None
         return rs
 
     @classmethod

@@ -40,7 +40,6 @@ from riskchain.riskset import (
     _FACET_TOL,
     _affine_rank,
     _dedup_rows,
-    _sorted_rows,
 )
 from riskchain.scenario import Claim
 
@@ -90,8 +89,7 @@ def project(rs: RiskSet, s, t) -> RiskSet:
                 for i, outcome in zip(charged, combo):
                     mu[outcome] = probs[i]
                 rows.append(mu)
-    verts = _sorted_rows(_dedup_rows(np.array(rows), DEDUP_TOL))
-    return RiskSet._of_extreme(model, verts)
+    return RiskSet._of_extreme(model, _dedup_rows(np.array(rows), DEDUP_TOL))
 
 
 def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:

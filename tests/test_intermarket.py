@@ -1,5 +1,7 @@
 """Market decomposition, product spaces and the pricing-class builder."""
 
+import gc
+import weakref
 from dataclasses import astuple
 from functools import reduce
 
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import riskchain.consistency as consistency
+import riskchain.intermarket as intermarket
 from riskchain import (
     Claim,
+    EmptyKernelError,
     InfeasibleError,
     NotCoarserError,
     RiskSet,
@@ -24,6 +29,7 @@ from riskchain import (
     includes,
     intersect,
     is_acceptable,
+    is_mstable,
     is_purely_financial,
     kernel_polytope,
     lift_financial,
@@ -40,6 +46,8 @@ from riskchain import (
     singleton,
     split_reserve,
 )
+from riskchain.config import DEDUP_TOL
+from riskchain.consistency import _verdict_rows
 from riskchain.riskset import _in_hull
 from riskchain.twobytwo import (
     extreme_points,
@@ -373,6 +381,174 @@ class TestPsiBuild:
         q2 = psi_build(pi, phi2, pm)
         assert set_equal(q1, q2)
         assert set_equal(qf(q1, pm.market), qf(extend_pi(pi, pm), pm.market))
+
+
+def random_product(rng):
+    """Product of two random factors of 2-3 outcomes on a common grid."""
+    stages = int(rng.integers(2, 4))
+    fin, inter = (random_model(rng, n_min=2, n_max=3, stages_min=stages,
+                               stages_max=stages) for _ in range(2))
+    return product_space(fin, inter)
+
+
+def drop_atom(rng, rs, stage):
+    """The set with one atom of ``stage`` uncharged by every vertex, or the
+    set itself when the stage has one atom."""
+    atoms = rs.model.atoms(stage)
+    if len(atoms) < 2:
+        return rs
+    V = rs.vertices.copy()
+    V[:, list(atoms[int(rng.integers(len(atoms)))])] = 0.0
+    return RiskSet.from_vertices(rs.model, V / V.sum(axis=1, keepdims=True))
+
+
+def assert_pasting_stable(p):
+    """What pasting recorded on ``p``, checked without it: a copy of ``p``'s
+    vertices, with no verdict and no kernels, gives a hull equal to ``p``;
+    each kept kernel array matches the kernels extracted from the copy, row
+    for row both ways within ``DEDUP_TOL``; and every node with no kept
+    kernels is charged by no vertex, so ``kernel_polytope`` refuses it."""
+    model = p.model
+    fresh = RiskSet._of_extreme(model, p.vertices)
+    assert set_equal(p, mstable_hull(fresh))
+    for s in range(model.final_stage.index):
+        for a in range(len(model.atoms(s))):
+            kept = p._kernels.get((s, s + 1, a))
+            if kept is None:
+                with pytest.raises(EmptyKernelError):
+                    kernel_polytope(p, s, s + 1, a)
+                continue
+            assert not kept.flags.writeable
+            got = kernel_polytope(fresh, s, s + 1, a)
+            near = np.abs(kept[:, None] - got[None]).max(axis=2) <= DEDUP_TOL
+            assert near.any(axis=1).all() and near.any(axis=0).all()
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(name, *modules)`` records every call of the function ``name``
+    made through any of the modules, which all import the same one."""
+    def install(name, *modules):
+        calls = []
+        real = getattr(modules[0], name)
+
+        def record(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, record)
+        return calls
+    return install
+
+
+class TestPastedSets:
+    """A pasted set is rectangular, so m-stable: pasting records that verdict
+    and the kernels it pasted, and ``qf``, ``qi`` and ``extend_pi`` keep
+    their results on their input set."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_market_parts_and_hulls(self, seed, dropped):
+        """``check_fi``'s pasted sets; with an atom of ``0+`` left uncharged,
+        where ``qi`` is undefined, the hull and ``qf``, which reach no node
+        below that atom."""
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model, k_min=1, k_max=3)
+        if dropped:
+            rs = drop_atom(rng, rs, "0+")
+            pasted = [mstable_hull(rs), qf(rs, mkt)]
+        else:
+            qf_set, qi_set = qf(rs, mkt), qi(rs, mkt)
+            pasted = [qf_set, qi_set, mstable_hull(rs), qi(qf_set, mkt), qf(qi_set, mkt)]
+        for p in pasted:
+            assert is_mstable(p)
+            assert_pasting_stable(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_psi_build_output(self, seed):
+        rng = np.random.default_rng(seed)
+        pm = random_product(rng)
+        pi = random_riskset(rng, pm.fin, k_min=1, k_max=2)
+        phi = random_riskset(rng, pm.model, k_min=1, k_max=3)
+        q = psi_build(pi, phi, pm)
+        for p in (q, qf(extend_pi(pi, pm), pm.market), qi(phi, pm.market)):
+            assert is_mstable(p)
+            assert_pasting_stable(p)
+
+    def test_unreached_node_has_no_kernels(self):
+        """The root kernel never charges the second stage-1 atom, so the
+        hull has no kernels there and ``kernel_polytope`` refuses it."""
+        m = ScenarioModel(["a", "b", "c", "d"], ["0", "1", "2"],
+                          [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
+                          [0.25] * 4)
+        hull = mstable_hull(RiskSet.from_vertices(m, [[0.5, 0.5, 0, 0], [0.2, 0.8, 0, 0]]))
+        assert sorted(hull._kernels) == [(0, 1, 0), (1, 2, 0)]
+        with pytest.raises(EmptyKernelError):
+            kernel_polytope(hull, 1, 2, 1)
+        assert_pasting_stable(hull)
+
+    def test_check_fi_builds_only_the_input_sets_hull(self, spy):
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            mkt = random_market(rng)
+            rs = random_riskset(rng, mkt.model)
+            assert _verdict_rows(rs) is not None     # its verdict needs no hull
+            hulls = spy("mstable_hull", consistency, intermarket)
+            check_fi(rs, mkt)
+            assert len(hulls) == 1 and hulls[0][0] is rs
+
+    def test_psi_verify_after_psi_build_pastes_nothing(self, spy, pm):
+        rng = np.random.default_rng(13)
+        pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
+        phi = RiskSet.from_vertices(
+            pm.model, [[0.3, 0.3, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]])
+        q = psi_build(pi, phi, pm)
+        pastes = spy("paste_assembly", consistency, intermarket)
+        report = psi_verify(pi, phi, pm, q, [random_claim(rng, pm.model) for _ in range(5)])
+        assert pastes == []
+        assert report["qf_recovered"] and report["qi_recovered"] and report["mstable"]
+
+    def test_parts_are_kept_per_model_object(self):
+        rng = np.random.default_rng(14)
+        base = random_model(rng, n_min=4, n_max=6, stages_min=2, stages_max=3)
+        fins = {t: base.atoms(str(t)) for t in range(1, len(base.stages))}
+        mkt, twin = build_refined(base, fins), build_refined(base, fins)
+        rs = random_riskset(rng, mkt.model)
+        first = qf(rs, mkt)
+        assert qf(rs, mkt) is first and qi(rs, mkt) is qi(rs, mkt)
+        other = qf(rs, twin)
+        assert other is not first and other.model is twin.model
+        assert qf(rs, mkt) is first and qf(rs, twin) is other
+        assert set_equal(first, RiskSet.from_vertices(mkt.model, other.vertices))
+
+        pm = random_product(rng)
+        pi = random_riskset(rng, pm.fin)
+        assert extend_pi(pi, pm) is extend_pi(pi, pm)
+        pm2 = product_space(pm.fin, pm.inter)
+        assert extend_pi(pi, pm2) is not extend_pi(pi, pm)
+
+    def test_parts_die_with_their_set(self):
+        """Nothing but the set holds its parts, and pasting leaves no
+        reference cycle: with the cyclic collector off, dropping the set
+        frees it and every part ``check_fi`` kept on it."""
+        rng = np.random.default_rng(15)
+        mkt = random_market(rng)
+        gc.collect()
+        gc.disable()
+        try:
+            rs = random_riskset(rng, mkt.model)
+            check_fi(rs, mkt)
+            parts = list(rs._parts.values())
+            refs = [weakref.ref(x) for x in [rs] + parts
+                    + [y for x in parts for y in x._parts.values()]]
+            assert len(refs) == 5
+            del rs, parts
+            assert [r() for r in refs] == [None] * 5
+        finally:
+            gc.enable()
 
 
 class TestOnePeriodPremium:
