@@ -21,7 +21,6 @@ from .scenario import (
     condexp,
 )
 from .riskset import (
-    LinearConstraint,
     RiskSet,
     density,
     includes,

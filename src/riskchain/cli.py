@@ -38,7 +38,7 @@ from .intermarket import (
     split_reserve,
 )
 from .risk import Chain, reserve_plan, rho
-from .riskset import LinearConstraint, RiskSet, intersect, set_equal
+from .riskset import RiskSet, intersect, set_equal
 from .scenario import Claim, ScenarioModel
 
 SPEC_VERSION = "1"
@@ -167,9 +167,9 @@ def _parse_risk_set(fragment: dict, model: ScenarioModel) -> RiskSet:
             _require(b.shape == (), "constraint bound 'b' must be a number")
             op = c.get("op", "<=")
             if op == "<=":
-                cons.append(LinearConstraint(a, float(b)))
+                cons.append(np.r_[a, b])
             elif op == ">=":
-                cons.append(LinearConstraint(-a, -float(b)))
+                cons.append(np.r_[-a, -b])
             else:
                 raise SchemaError(f"unsupported constraint op {op!r}; "
                                   "express equalities as two inequalities")

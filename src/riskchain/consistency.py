@@ -110,16 +110,27 @@ def paste_assembly(model, sources) -> RiskSet:
     return out
 
 
+def _part(rs: RiskSet, kind: str, model, build) -> RiskSet:
+    """``build()``, made once per set, kind and model object and kept on the
+    set, so it lives as long as the set and no longer."""
+    key = (kind, model)
+    part = rs._parts.get(key)
+    if part is None:
+        part = rs._parts[key] = build()
+    return part
+
+
 def mstable_hull(rs: RiskSet) -> RiskSet:
     """Smallest per-node pasting-stable set containing the set.
 
     Every vertex is assembled by choosing one extreme kernel at every node of
     the tree and telescoping the products from the root.  Fixed point of
     itself; contains the input; carries its verdict and kernels from
-    ``paste_assembly``.
+    ``paste_assembly``.  Kept on the set, as ``qf`` and ``qi`` are.
     """
     model = rs.model
-    return paste_assembly(model, [rs] * (len(model.stages) - 1))
+    return _part(rs, "hull", model,
+                 lambda: paste_assembly(model, [rs] * (len(model.stages) - 1)))
 
 
 def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -142,7 +153,7 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return None
     V = rs.vertices
     if rs.has_constraints:
-        return _unit_rows(rs.constraints, model.n)
+        return _unit_rows(rs.constraints)
     # more than n measures are affinely dependent, as they share the plane
     # sum(q) = 1; fewer take one SVD, for the rank test and then the facets
     if len(V) > model.n:
@@ -151,7 +162,7 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     if _affine_rank(svd[1]) < len(V) - 1:
         return None
     try:
-        return _unit_rows(_facets(V, svd), model.n)
+        return _unit_rows(_facets(V, svd))
     except EngineError:
         return None
 

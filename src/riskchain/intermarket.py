@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .consistency import is_mstable, mstable_hull, paste_assembly
+from .consistency import _part, is_mstable, mstable_hull, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, set_equal, simplex_set
@@ -116,16 +116,6 @@ def _step_sources(mm: MarketModel, fin_src, int_src):
     return [int_src if st.half else fin_src for st in mm.model.stages[:-1]]
 
 
-def _part(rs: RiskSet, kind: str, model: ScenarioModel, build) -> RiskSet:
-    """``build()``, made once per set, kind and model object and kept on the
-    set, so it lives as long as the set and no longer."""
-    key = (kind, model)
-    part = rs._parts.get(key)
-    if part is None:
-        part = rs._parts[key] = build()
-    return part
-
-
 def qf(rs: RiskSet, mm: MarketModel) -> RiskSet:
     """Financial part: all measures whose (t -> t+) kernels the set allows.
 
@@ -173,9 +163,10 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
 
     The intersection is taken as the set's pasting hull, so neither part is
     faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
-    is the same set.  The parts carry their verdicts and kernels from
-    pasting, so no hull of a part is built and their own parts paste from
-    the kept kernels.
+    is the same set.  The hull is kept on the set, so a verdict that takes
+    the hull route compares with the same one.  The parts carry their
+    verdicts and kernels from pasting, so no hull of a part is built and
+    their own parts paste from the kept kernels.
     """
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)

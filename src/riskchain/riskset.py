@@ -1,18 +1,18 @@
 """Convex sets of probability measures on a finite scenario model.
 
 A RiskSet is a polytope inside the probability simplex, given either as a
-vertex list (authoritative for evaluation) or as a list of extra linear
-inequalities over the weights (authoritative for intersection).  The other
-representation is derived lazily and cached; an intersection enumerates its
-vertices at once, which is also its emptiness test.  The core primitive is the
-linear-fractional maximization ``sup Q(a;B)/Q(B)``, computed exactly as a
-vertex maximum or as a homogenized LP.
+vertex list (authoritative for evaluation) or as extra linear inequalities
+over the weights (authoritative for intersection): one float array of shape
+``(m, n + 1)`` whose row ``[a | b]`` means ``a . q <= b``, kept as given.
+The other representation is derived lazily and cached; an intersection
+enumerates its vertices at once, which is also its emptiness test.  The core
+primitive is the linear-fractional maximization ``sup Q(a;B)/Q(B)``,
+computed exactly as a vertex maximum or as a homogenized LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -46,16 +46,20 @@ def _measure_rows(rows, n: int) -> np.ndarray:
     return w / total[:, None]
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One inequality ``a . q <= b`` over measure weights."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", float(self.b))
+def _constraint_rows(rows, n: int) -> np.ndarray:
+    """Validate inequality rows ``[a | b]`` (``m x (n + 1)`` finite numbers,
+    ``m`` may be 0) and return them as a read-only float array."""
+    try:
+        H = np.array(rows, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("constraint rows must be numbers, all of one length") from exc
+    H = H.reshape(0, n + 1) if H.shape == (0,) else H
+    if H.ndim != 2 or H.shape[1] != n + 1:
+        raise SchemaError(f"constraint rows [a | b] must have shape (m, {n + 1})")
+    if not np.isfinite(H).all():
+        raise SchemaError("constraint rows must be finite")
+    H.flags.writeable = False
+    return H
 
 
 # elements per block of the row-blocked score and count arrays
@@ -215,30 +219,30 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 # -- H-rep -> V-rep: incremental cutting over the simplex -------------------
 
-def _enumerate_vertices(n: int, constraints: Sequence[LinearConstraint]) -> np.ndarray:
-    """Vertices of the simplex cut by the given inequalities.
+def _enumerate_vertices(n: int, H: np.ndarray) -> np.ndarray:
+    """Vertices of the simplex cut by the inequality rows ``H = [A | b]``.
 
-    Each inequality cuts the current vertex set (``_cut``): surviving
-    vertices stay vertices, and new ones appear on the cutting hyperplane,
-    one per edge from a kept vertex to a dropped one.  A row whose exact
-    negation comes later (an equality given as a pair) takes its partner at
-    its own turn: after the cut, the vertices strictly inside the partner's
-    half-space are dropped, and the partner, whose crossings would lie on
-    vertices already there, is skipped.  A cut that would leave more than
-    ``WORK_BOUND`` vertices raises TOO_LARGE.
+    Each row, scaled to a unit normal on its own, cuts the current vertex
+    set (``_cut``): surviving vertices stay vertices, and new ones appear on
+    the cutting hyperplane, one per edge from a kept vertex to a dropped
+    one.  A row whose exact negation comes later (an equality given as a
+    pair) takes its partner at its own turn: after the cut, the vertices
+    strictly inside the partner's half-space are dropped, and the partner,
+    whose crossings would lie on vertices already there, is skipped.  A cut
+    that would leave more than ``WORK_BOUND`` vertices raises TOO_LARGE.
     """
     if n > MAX_OUTCOMES:
         raise SizeBoundError(f"{n} outcomes exceed the bound of {MAX_OUTCOMES}",
                              bound=MAX_OUTCOMES, reached=n, layer="riskset.vertices")
     atol = DEDUP_TOL
     pending: list[np.ndarray] = []
-    for c in constraints:
-        nrm = float(np.linalg.norm(c.a))
+    for row in H:
+        nrm = float(np.linalg.norm(row[:-1]))
         if nrm <= 1e-15:
-            if c.b < -1e-12:
+            if row[-1] < -1e-12:
                 return np.empty((0, n))
             continue
-        pending.append(np.concatenate([c.a / nrm, [c.b / nrm]]))
+        pending.append(row / nrm)
     rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
     partner = _negation_partners(rows)
 
@@ -337,8 +341,9 @@ def _affine_rank(svals: np.ndarray) -> int:
     return int(np.sum(svals > _FACET_TOL * max(1.0, smax)))
 
 
-def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
-    """Inequalities describing the hull of ``verts`` (equalities as pairs).
+def _facets(verts: np.ndarray, svd=None) -> np.ndarray:
+    """Rows ``[a | b]`` of inequalities describing the hull of ``verts``
+    (equalities as pairs).
 
     ``verts`` are extreme points.  In the coordinates of their affine hull,
     a polygon (rank 2) gets one row per edge, its vertices taken in angular
@@ -360,16 +365,14 @@ def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
     basis = vt[:rank]
     comp = vt[rank:]
 
-    cons: list[LinearConstraint] = []
-    for w in comp:
-        c = float(w @ v0)
-        cons.append(LinearConstraint(w, c))
-        cons.append(LinearConstraint(-w, -c))
+    # one dot per row: ``comp @ v0`` rounds differently in the last bit
+    eq = np.column_stack([comp, [w @ v0 for w in comp]])
+    rows = [np.stack([eq, -eq], axis=1).reshape(-1, eq.shape[1])]   # each row, then its negation
     if rank == 1:
         x = diffs @ basis[0]
-        base = float(basis[0] @ v0)
-        cons.append(LinearConstraint(basis[0], base + float(x.max())))
-        cons.append(LinearConstraint(-basis[0], -(base + float(x.min()))))
+        base = basis[0] @ v0
+        rows.append(np.array([np.append(basis[0], base + x.max()),
+                              np.append(-basis[0], -(base + x.min()))]))
     elif rank >= 2:
         coords = diffs @ basis.T
         if rank == 2:
@@ -398,9 +401,8 @@ def _facets(verts: np.ndarray, svd=None) -> list[LinearConstraint]:
         if worst > 10 * tol:
             raise EngineError("facet enumeration lost precision")
         # qhull's triangulated facets repeat the same hyperplane once per simplex
-        rows = _dedup_rows(np.column_stack([A, b]), tol)
-        cons.extend(LinearConstraint(r[:-1], r[-1]) for r in rows)
-    return cons
+        rows.append(_dedup_rows(np.column_stack([A, b]), tol))
+    return np.vstack(rows)
 
 
 class RiskSet:
@@ -418,11 +420,11 @@ class RiskSet:
         self.model = model
         self._generators: Optional[np.ndarray] = None
         self._vertices: Optional[np.ndarray] = None
-        self._constraints: Optional[tuple[LinearConstraint, ...]] = None
+        self._constraints: Optional[np.ndarray] = None
         self._blocks: dict[int, tuple] = {}
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}  # by kernel_polytope
         self._verdict: Optional[tuple] = None   # set by consistency._analytic
-        self._parts: dict[tuple, "RiskSet"] = {}    # by intermarket, per model object
+        self._parts: dict[tuple, "RiskSet"] = {}    # by consistency._part, per model object
         self._charged: set[int] = set()         # outcomes the ratio LP found charged
         self._rows_given = constraints is not None      # member reads the rows
         if vertices is not None:
@@ -433,13 +435,7 @@ class RiskSet:
             except ValueError as exc:
                 raise SchemaError("vertex rows must be numbers, all of one length") from exc
         if constraints is not None:
-            cons = []
-            for c in constraints:
-                c = c if isinstance(c, LinearConstraint) else LinearConstraint(*c)
-                if c.a.shape != (model.n,):
-                    raise SchemaError("constraint row length does not match outcomes")
-                cons.append(c)
-            self._constraints = tuple(cons)
+            self._constraints = _constraint_rows(constraints, model.n)
 
     @classmethod
     def from_vertices(cls, model, vertices) -> "RiskSet":
@@ -456,6 +452,8 @@ class RiskSet:
 
     @classmethod
     def from_constraints(cls, model, constraints) -> "RiskSet":
+        """The measures with ``a . q <= b`` for every row ``[a | b]`` of an
+        ``(m, n + 1)`` array of finite numbers (``m`` may be 0), kept as given."""
         return cls(model, constraints=constraints)
 
     @property
@@ -481,9 +479,11 @@ class RiskSet:
         return self._vertices
 
     @property
-    def constraints(self) -> tuple[LinearConstraint, ...]:
+    def constraints(self) -> np.ndarray:
+        """Read-only rows ``[a | b]``: as given, or the vertices' facets."""
         if self._constraints is None:
-            self._constraints = tuple(_facets(self.vertices))
+            self._constraints = _facets(self.vertices)
+            self._constraints.flags.writeable = False
         return self._constraints
 
     def _atom_blocks(self, stage: int) -> tuple:
@@ -641,15 +641,15 @@ def _maximize_ratio_lp(rs: RiskSet, a: np.ndarray, idx: list[int]) -> float:
     from scipy.optimize import linprog
 
     n = rs.model.n
-    cons = rs.constraints
+    H = rs.constraints
     scale = 2.0 ** -max(0, np.frexp(np.abs(a[idx]).max())[1])
     c = np.zeros(n + 1)
     c[idx] = -a[idx] * scale
     A_ub = None
     b_ub = None
-    if cons:
-        A_ub = np.array([np.concatenate([co.a, [-co.b]]) for co in cons])
-        b_ub = np.zeros(len(cons))
+    if len(H):
+        A_ub = np.column_stack([H[:, :-1], -H[:, -1]])
+        b_ub = np.zeros(len(H))
     mass_row = np.zeros(n + 1)
     mass_row[idx] = 1.0
     sum_row = np.concatenate([np.ones(n), [-1.0]])
@@ -682,7 +682,7 @@ def member(rs: RiskSet, q) -> bool:
     if not (w.min() >= -tol and abs(w.sum() - 1.0) <= tol):
         return False
     if rs._rows_given:
-        A, b = _unit_rows(rs.constraints, rs.model.n)
+        A, b = _unit_rows(rs.constraints)
         return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
     V = rs.vertices
     if _near_vertex(V, w, tol):
@@ -690,11 +690,10 @@ def member(rs: RiskSet, q) -> bool:
     return not _separated(V, w, tol) and _in_hull(V, w, tol)
 
 
-def _unit_rows(cons: Sequence[LinearConstraint], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Constraint rows ``(A, b)`` scaled to unit normals; rows with a zero
-    normal are left as they are."""
-    A = np.array([c.a for c in cons]).reshape(len(cons), n)
-    b = np.array([c.b for c in cons])
+def _unit_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``[A | b]`` as ``(A, b)`` scaled to unit normals; rows with a
+    zero normal are left as they are."""
+    A, b = H[:, :-1], H[:, -1]
     nrm = np.linalg.norm(A, axis=1)
     nrm[nrm <= 1e-15] = 1.0
     return A / nrm[:, None], b / nrm
@@ -718,7 +717,7 @@ def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
     probability measure satisfies both.
     """
     _check_same_model(rs1, rs2)
-    rs = RiskSet.from_constraints(rs1.model, rs1.constraints + rs2.constraints)
+    rs = RiskSet.from_constraints(rs1.model, np.vstack([rs1.constraints, rs2.constraints]))
     rs.vertices     # raises EmptyIntersectionError on an empty system
     return rs
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .intermarket import MarketModel, build_refined
-from .riskset import LinearConstraint, RiskSet
-from .scenario import Claim, ScenarioModel
+from .riskset import RiskSet
+from .scenario import ScenarioModel
 
 OUTCOMES = ["if", "if'", "i'f", "i'f'"]
 COLUMNS = {"f": [0, 2], "f'": [1, 3]}
@@ -42,20 +42,16 @@ def market_model() -> MarketModel:
     return build_refined(base, {1: [[0, 2], [1, 3]]})
 
 
-def pricing_constraints(epsilon: float) -> list[LinearConstraint]:
-    """H-representation: weight caps at (1+eps)/4 and pinned column sums."""
+def pricing_constraints(epsilon: float) -> np.ndarray:
+    """H-representation rows ``[a | b]`` of ``a . q <= b``: weight caps at
+    (1+eps)/4, then each column sum pinned to one half by a pair of rows."""
     cap = (1.0 + epsilon) / 4.0
-    cons = []
-    for k in range(4):
-        a = np.zeros(4)
-        a[k] = 1.0
-        cons.append(LinearConstraint(a, cap))
+    rows = [np.r_[np.eye(4)[k], cap] for k in range(4)]
     for col in COLUMNS.values():
         a = np.zeros(4)
         a[col] = 1.0
-        cons.append(LinearConstraint(a, 0.5))
-        cons.append(LinearConstraint(-a, -0.5))
-    return cons
+        rows += [np.r_[a, 0.5], np.r_[-a, -0.5]]
+    return np.array(rows)
 
 
 def pricing_set(model: ScenarioModel, epsilon: float) -> RiskSet:

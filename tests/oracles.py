@@ -27,7 +27,6 @@ from scipy.spatial import ConvexHull
 from riskchain import (
     EngineError,
     InfeasibleError,
-    LinearConstraint,
     OutOfRangeError,
     RiskSet,
     SchemaError,
@@ -190,15 +189,13 @@ def int_band_constraints(epsilon: float, model: ScenarioModel) -> RiskSet:
     """The same intermediate part as inequalities ``q_top <= d q_bottom`` and
     ``q_bottom <= d q_top`` per column, with ``d = (1+eps)/(1-eps)``."""
     d = (1.0 + epsilon) / (1.0 - epsilon)
-    cons = []
+    rows = []
     for top, bottom in ([0, 2], [1, 3]):
-        a = np.zeros(4)
-        a[top], a[bottom] = 1.0, -d
-        cons.append(LinearConstraint(a, 0.0))
-        a = np.zeros(4)
-        a[bottom], a[top] = 1.0, -d
-        cons.append(LinearConstraint(a, 0.0))
-    return RiskSet.from_constraints(model, cons)
+        for hi, lo in ((top, bottom), (bottom, top)):
+            row = np.zeros(5)
+            row[hi], row[lo] = 1.0, -d
+            rows.append(row)
+    return RiskSet.from_constraints(model, rows)
 
 
 def qhull_facets(verts: np.ndarray) -> np.ndarray:

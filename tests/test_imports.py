@@ -1,0 +1,40 @@
+"""Every module of the package uses each name it imports.
+
+The check reads the source with ``ast``: a name bound by an import must be
+read somewhere in the module, as a name or as the base of an attribute.
+The package ``__init__`` only re-exports, so it is left out.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "riskchain"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # ``import a.b`` binds ``a``
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_package_is_found():
+    assert SRC / "riskset.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(imported_names(tree) - read_names(tree)) == []

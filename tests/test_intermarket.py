@@ -500,6 +500,18 @@ class TestPastedSets:
             check_fi(rs, mkt)
             assert len(hulls) == 1 and hulls[0][0] is rs
 
+    def test_check_fi_pastes_a_hull_route_sets_hull_once(self, spy):
+        """Six vertices on four outcomes take the hull route: the verdict and
+        ``equals_intersection`` share one hull, kept on the set."""
+        rng = np.random.default_rng(3)
+        mkt = random_market(rng, n_max=4)
+        rs = random_riskset(rng, mkt.model, k_min=6, k_max=6)
+        assert len(rs.vertices) > mkt.model.n and _verdict_rows(rs) is None
+        pastes = spy("paste_assembly", consistency, intermarket)
+        report = check_fi(rs, mkt)
+        assert sum(all(src is rs for src in p[1]) for p in pastes) == 1
+        assert report.parts_agree and mstable_hull(rs) is mstable_hull(rs)
+
     def test_psi_verify_after_psi_build_pastes_nothing(self, spy, pm):
         rng = np.random.default_rng(13)
         pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
@@ -544,9 +556,9 @@ class TestPastedSets:
             parts = list(rs._parts.values())
             refs = [weakref.ref(x) for x in [rs] + parts
                     + [y for x in parts for y in x._parts.values()]]
-            assert len(refs) == 5
+            assert len(refs) == 6       # rs, its hull, qf, qi, qi(qf), qf(qi)
             del rs, parts
-            assert [r() for r in refs] == [None] * 5
+            assert [r() for r in refs] == [None] * 6
         finally:
             gc.enable()
 

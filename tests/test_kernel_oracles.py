@@ -44,7 +44,6 @@ from riskchain import (
 )
 from riskchain.consistency import StrongReport
 from riskchain.riskset import (
-    LinearConstraint,
     _dedup_rows,
     _enumerate_vertices,
     _extreme_rows,
@@ -176,16 +175,16 @@ def is_vertex_ref(w, rows, atol):
     return np.linalg.matrix_rank(np.array(normals), tol=1e-8) == n
 
 
-def enumerate_ref(n, constraints):
+def enumerate_ref(n, H):
     atol = DEDUP_TOL
     rows, pending = [], []
-    for c in constraints:
-        nrm = float(np.linalg.norm(c.a))
+    for row in H:
+        nrm = float(np.linalg.norm(row[:-1]))
         if nrm <= 1e-15:
-            if c.b < -1e-12:
+            if row[-1] < -1e-12:
                 return np.empty((0, n))
             continue
-        pending.append((c.a / nrm, c.b / nrm))
+        pending.append((row[:-1] / nrm, row[-1] / nrm))
     if pending:
         stacked = dedup_ref(np.array([np.concatenate([a, [b]]) for a, b in pending]), 1e-12)
         pending = [(r[:-1], float(r[-1])) for r in stacked]
@@ -217,20 +216,20 @@ def enumerate_ref(n, constraints):
     return _sorted_rows(verts)
 
 
-def enumerate_cut_ref(n, constraints):
+def enumerate_cut_ref(n, H):
     """``_enumerate_vertices`` with one cut per row, both rows of an
     equality pair included: ``enumerate_ref`` with array crossings, the same
     bytes and the same all-crossings-then-rank filter, fast enough to draw
     facet H-reps up to n = 8."""
     atol = DEDUP_TOL
     pending = []
-    for c in constraints:
-        nrm = float(np.linalg.norm(c.a))
+    for row in H:
+        nrm = float(np.linalg.norm(row[:-1]))
         if nrm <= 1e-15:
-            if c.b < -1e-12:
+            if row[-1] < -1e-12:
                 return np.empty((0, n))
             continue
-        pending.append(np.concatenate([c.a / nrm, [c.b / nrm]]))
+        pending.append(row / nrm)
     rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
     verts = np.eye(n)
     for t, row in enumerate(rows):
@@ -661,6 +660,11 @@ class TestPasting:
 
 # -- H -> V cut ----------------------------------------------------------------
 
+def random_rows(rng, n, m):
+    """``m`` rows ``[a | b]``, each a normal ``a`` then ``b`` in [-0.3, 0.5]."""
+    return np.array([np.r_[rng.normal(size=n), rng.uniform(-0.3, 0.5)] for _ in range(m)])
+
+
 class TestEnumeration:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 4))
@@ -674,8 +678,7 @@ class TestEnumeration:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 6))
     def test_random_cuts(self, seed, n, m):
         rng = np.random.default_rng(seed)
-        cons = [LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
-                for _ in range(m)]
+        cons = random_rows(rng, n, m)
         assert_identical(_enumerate_vertices(n, cons), enumerate_ref(n, cons))
 
 
@@ -692,8 +695,9 @@ class TestEnumeration:
         else:
             cons = []
             for _ in range(k + 1):
-                c = LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
-                cons += [c, LinearConstraint(-c.a, -c.b)] if rng.random() < 0.6 else [c]
+                c = random_rows(rng, n, 1)[0]
+                cons += [c, -c] if rng.random() < 0.6 else [c]
+            cons = np.array(cons)
         assert_identical(_enumerate_vertices(n, cons), enumerate_cut_ref(n, cons))
 
     @settings(max_examples=60, deadline=None)
@@ -703,10 +707,9 @@ class TestEnumeration:
         the two made, so those vertices come from other crossings: the same
         vertices, not the same last bits."""
         rng = np.random.default_rng(seed)
-        cons = [LinearConstraint(rng.normal(size=n), rng.uniform(-0.3, 0.5))
-                for _ in range(k + 1)]
-        cons += [LinearConstraint(-c.a, -c.b) for c in cons if rng.random() < 0.6]
-        cons = [cons[i] for i in rng.permutation(len(cons))]
+        cons = list(random_rows(rng, n, k + 1))
+        cons += [-c for c in cons if rng.random() < 0.6]
+        cons = np.array(cons)[rng.permutation(len(cons))]
         got, want = _enumerate_vertices(n, cons), enumerate_cut_ref(n, cons)
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
@@ -995,8 +998,7 @@ def box_set(rng, model, uncharged=None):
     u = rng.uniform(1.5 / n, 1.0, n)
     if uncharged is not None:
         u[uncharged] = 0.0
-    return RiskSet.from_constraints(model, [LinearConstraint(np.eye(n)[w], u[w])
-                                            for w in range(n)])
+    return RiskSet.from_constraints(model, np.column_stack([np.eye(n), u]))
 
 
 class TestRhoLP:

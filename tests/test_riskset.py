@@ -9,7 +9,6 @@ from riskchain import (
     EmptyIntersectionError,
     EmptyKernelError,
     EngineError,
-    LinearConstraint,
     OutOfRangeError,
     RiskSet,
     ScenarioModel,
@@ -126,11 +125,67 @@ class TestRepresentation:
         m = two_outcome_model()
         with pytest.raises(SchemaError):
             RiskSet(m, vertices=[[0.9, 0.1], [0.1, 0.9]],
-                    constraints=[LinearConstraint([1.0, 0.0], 0.5)])
+                    constraints=[[1.0, 0.0, 0.5]])
 
     def test_neither_rejected(self):
         with pytest.raises(SchemaError):
             RiskSet(two_outcome_model())
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0]],                       # no bound
+        [[1.0, 0.0, 0.5, 0.1]],             # one number too many
+        [1.0, 0.0, 0.5],                    # a row, not a list of rows
+        [[[1.0, 0.0, 0.5]]],
+        [[1.0, 0.0, 0.5], [1.0, 0.5]],      # ragged
+        [([1.0, 0.0], 0.5)],                # an (a, b) pair
+        [[1.0, "x", 0.5]],
+        [[1.0, None, 0.5]],
+        [[np.nan, 0.0, 0.5]],
+        [[1.0, 0.0, np.inf]],
+        [[-np.inf, 0.0, 0.5]],
+        0.5,
+    ])
+    def test_bad_constraint_rows_are_schema_errors(self, rows):
+        with pytest.raises(SchemaError):
+            RiskSet.from_constraints(two_outcome_model(), rows)
+
+    def test_constraint_rows_are_read_only(self):
+        m = two_outcome_model()
+        given = np.array([[1.0, 0.0, 0.5]])
+        rs = RiskSet.from_constraints(m, given)
+        given[0, 0] = 10.0                  # the set keeps a copy
+        assert member(rs, [0.4, 0.6])
+        with pytest.raises(ValueError):
+            rs.constraints[0, 0] = 10.0
+        assert member(rs, [0.4, 0.6])
+        assert RiskSet.from_constraints(m, []).constraints.shape == (0, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_constraint_rows_round_trip(self, seed):
+        """A V-set's facet rows come back as given, enumerate to the same
+        set, and stack in order under ``intersect``; neither array can be
+        written."""
+        rng = np.random.default_rng(seed)
+        m = random_model(rng)
+        vset = random_riskset(rng, m, k_min=2, k_max=5)
+        H = vset.constraints
+        assert H.dtype == float and H.ndim == 2 and H.shape[1] == m.n + 1
+        hset = RiskSet.from_constraints(m, H)
+        assert hset.constraints.shape == H.shape
+        assert hset.constraints.tobytes() == H.tobytes()
+        assert set_equal(hset, vset)
+        # random half-spaces that hold the set, so the intersection is the set
+        D = rng.normal(size=(int(rng.integers(1, 4)), m.n))
+        loose = RiskSet.from_constraints(
+            m, np.column_stack([D, (vset.vertices @ D.T).max(axis=0) + 0.01]))
+        for first, second in ((vset, loose), (loose, hset)):
+            both = intersect(first, second).constraints
+            want = np.vstack([first.constraints, second.constraints])
+            assert both.shape == want.shape and both.tobytes() == want.tobytes()
+        for rs in (vset, hset, loose):
+            with pytest.raises(ValueError):
+                rs.constraints[0, 0] = 10.0
 
 
 class TestDensity:
@@ -298,7 +353,7 @@ class TestMaximizeRatio:
             cons = []
             for _ in range(int(rng.integers(1, 6))):
                 a = rng.normal(size=model.n)
-                cons.append(LinearConstraint(a, a @ model.reference + rng.uniform(0.01, 0.3)))
+                cons.append(np.r_[a, a @ model.reference + rng.uniform(0.01, 0.3)])
             rs = RiskSet.from_constraints(model, cons)
             atoms = [a for s in model.stages[:-1] for a in model.atoms(s)]
         enum = RiskSet.from_vertices(model, rs.vertices)
@@ -356,7 +411,7 @@ class TestMember:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6])
     def test_verdict_independent_of_row_scale(self, scale):
         m = two_outcome_model()
-        rs = RiskSet.from_constraints(m, [LinearConstraint([scale, 0.0], 0.5 * scale)])
+        rs = RiskSet.from_constraints(m, [[scale, 0.0, 0.5 * scale]])
         assert member(rs, [0.5 + 1.2e-9, 0.5 - 1.2e-9])
         assert not member(rs, [0.5 + 1e-6, 0.5 - 1e-6])
 
@@ -402,8 +457,7 @@ def box_of_sixteen(cap: float) -> RiskSet:
     m = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
                       [[list(range(n))], [[w] for w in range(n)]],
                       [1 / n] * n)
-    return RiskSet.from_constraints(
-        m, [LinearConstraint(np.eye(n)[i], cap) for i in range(n)])
+    return RiskSet.from_constraints(m, np.column_stack([np.eye(n), np.full(n, cap)]))
 
 
 class TestVertexEnumeration:
@@ -423,7 +477,7 @@ class TestVertexEnumeration:
 
     def test_one_dimensional_cut(self):
         m = two_outcome_model()
-        rs = RiskSet.from_constraints(m, [LinearConstraint([1.0, 0.0], 0.6)])
+        rs = RiskSet.from_constraints(m, [[1.0, 0.0, 0.6]])
         got = rs.vertices
         want = np.array([[0.0, 1.0], [0.6, 0.4]])
         assert got.shape == (2, 2)
@@ -492,13 +546,9 @@ class TestVertexEnumeration:
 
     def test_infeasible_system_reports_empty(self):
         m = two_outcome_model()
-        rs = RiskSet.from_constraints(m, [LinearConstraint([1.0, 1.0], -1.0)])
+        rs = RiskSet.from_constraints(m, [[1.0, 1.0, -1.0]])
         with pytest.raises(EmptyIntersectionError):
             _ = rs.vertices
-
-
-def facet_rows(verts: np.ndarray) -> np.ndarray:
-    return np.array([np.r_[c.a, c.b] for c in _facets(verts)])
 
 
 def same_rows(R1: np.ndarray, R2: np.ndarray, tol: float) -> bool:
@@ -540,12 +590,12 @@ class TestFacets:
     @settings(max_examples=60, deadline=None)
     @given(simplices())
     def test_simplex_rows_match_qhull(self, verts):
-        assert same_rows(facet_rows(verts), qhull_facets(verts), 1e-12)
+        assert same_rows(_facets(verts), qhull_facets(verts), 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(polygons())
     def test_polygon_rows_match_qhull(self, verts):
-        assert same_rows(facet_rows(verts), qhull_facets(verts), 1e-12)
+        assert same_rows(_facets(verts), qhull_facets(verts), 1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -599,8 +649,8 @@ class TestIntersect:
 
     def test_disjoint_intervals_are_empty(self):
         m = two_outcome_model()
-        left = RiskSet.from_constraints(m, [LinearConstraint([1.0, 0.0], 0.3)])
-        right = RiskSet.from_constraints(m, [LinearConstraint([-1.0, 0.0], -0.7)])
+        left = RiskSet.from_constraints(m, [[1.0, 0.0, 0.3]])
+        right = RiskSet.from_constraints(m, [[-1.0, 0.0, -0.7]])
         with pytest.raises(EmptyIntersectionError):
             intersect(left, right)
 
