@@ -190,17 +190,19 @@ def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
     return False, Claim(x), float(eta0[worst] - (V @ x).max())
 
 
-def _analytic(rs: RiskSet) -> tuple[bool, Optional[Claim], float]:
+def _analytic(rs: RiskSet, equal: Optional[bool] = None
+              ) -> tuple[bool, Optional[Claim], float]:
     """The m-stability verdict with its witness and gap: η_0 on the set's
     rows (``_verdict_rows``), else the hull comparison and ``find_witness``.
-    Decided once per set and kept on it."""
+    Decided once per set and kept on it.  ``equal`` is the hull comparison
+    ``set_equal(rs, mstable_hull(rs))`` when the caller has made it."""
     if rs._verdict is None:
         rows = _verdict_rows(rs)
         if rows is not None:
             rs._verdict = _row_verdict(rs, *rows)
         else:
             hull = mstable_hull(rs)
-            if set_equal(rs, hull):
+            if set_equal(rs, hull) if equal is None else equal:
                 rs._verdict = (True, None, 0.0)
             else:
                 rs._verdict = (False, *find_witness(rs, hull))
@@ -236,9 +238,12 @@ def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
     """A claim with positive time-0 domination gap, from the NNLS residual of
     the first hull vertex that ``member`` rejects.
 
-    For that vertex ``h``, NNLS fits ``[h; 1]`` by ``A = [V^T; 1]`` and leaves
-    the residual ``r = b - A w``.  Its KKT conditions (``A^T r <= 0``,
-    ``(A w).r = 0``) give ``x.h - max_v x.v >= |r|^2`` for ``x = r[:n]``, so
+    For that vertex ``h``, NNLS fits ``b = [h; 1]`` by ``A = [V^T; 1]`` and
+    leaves the residual ``r = b - A w``.  The fit is a Lawson-Hanson optimum
+    (Lawson & Hanson 1974, ch. 23; ``riskset._nnls``), which stops only at
+    a point of the KKT conditions ``A^T r <= 0`` and ``(A w).r = 0``.  Each
+    column gives ``x.v + r[n] <= 0`` for ``x = r[:n]``, and the second gives
+    ``x.h + r[n] = b.r = |r|^2``, so ``x.h - max_v x.v >= |r|^2`` and
     ``x / max|x|`` has a gap of at least ``|r|``, which is above the
     membership threshold.  Returns ``(None, 0.0)`` when no hull vertex
     outside the set leaves a residual.

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .consistency import _part, is_mstable, mstable_hull, paste_assembly
+from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, set_equal, simplex_set
@@ -163,15 +163,15 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
 
     The intersection is taken as the set's pasting hull, so neither part is
     faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
-    is the same set.  The hull is kept on the set, so a verdict that takes
-    the hull route compares with the same one.  The parts carry their
-    verdicts and kernels from pasting, so no hull of a part is built and
-    their own parts paste from the kept kernels.
+    is the same set.  A verdict that takes the hull route is that same
+    comparison, made once.  The parts carry their verdicts and kernels from
+    pasting, so no hull of a part is built and their own parts paste from
+    the kept kernels.
     """
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)
     eq = set_equal(rs, mstable_hull(rs))
-    mst = is_mstable(rs)
+    mst = _analytic(rs, eq)[0]
     full = simplex_set(mm.model)
     return FiReport(
         mstable=mst,

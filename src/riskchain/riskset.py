@@ -12,6 +12,7 @@ computed exactly as a vertex maximum or as a homogenized LP.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
@@ -92,16 +93,129 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
     return rows[keep]
 
 
+_EPS = np.finfo(float).eps
+
+
+def _entering(A: np.ndarray, b: np.ndarray, r: np.ndarray, B: np.ndarray,
+              P: list[int], noise: float):
+    """The column that enters ``_nnls``'s passive set next, with its new row
+    of ``Q^T`` and column of ``R``, or None at a KKT point.
+
+    Columns are tried by their dual ``g = A^T r``, largest first, while it is
+    positive.  A column is refused when its part outside the span of the
+    rows ``B`` is within rounding of zero (a duplicated or collinear point),
+    or when ``b``'s component along that part, which gives the column's new
+    weight its sign, is not above ``noise``.  That part is Gram-Schmidt's,
+    taken twice.
+    """
+    g = A.T @ r
+    if P:
+        g[P] = -np.inf
+    while True:
+        j = int(g.argmax())
+        if not g[j] > 0:
+            return None
+        a = A[:, j]
+        if len(B):
+            h = B @ a
+            e = a - h @ B
+            h2 = B @ e
+            e -= h2 @ B
+            h += h2
+        else:
+            h, e = np.zeros(0), a.copy()
+        sigma = math.sqrt(e @ e)
+        if sigma > 100 * _EPS * math.sqrt(a @ a):
+            e /= sigma
+            t = float(e @ b)
+            if t > noise:
+                return j, e, t, h, sigma
+        g[j] = -np.inf
+
+
+def _nnls(A: np.ndarray, b: np.ndarray, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """``argmin |A w - b|`` over ``w >= 0`` by the Lawson-Hanson active-set
+    method (Lawson & Hanson 1974, *Solving Least Squares Problems*, ch. 23);
+    returns ``w`` and the residual ``r = b - A w``.
+
+    The passive columns ``P`` (the positive weights) are kept as a QR,
+    ``A_P = Q R`` with ``Qb = Q^T b``, the rows of ``Q^T`` in ``Qt``, and
+    ``S = R^{-1}`` beside it: a column enters as one more row
+    (``_entering``), and when columns leave, what is left of ``R`` is
+    triangularized again.  The residual of the fit on ``P`` is ``b`` less
+    its projection on ``Qt``, projected out twice, so it carries no rounding
+    along the span of ``A_P`` and its duals are those of the columns' parts
+    outside it.  The method stops only at a KKT point: ``A_P^T r = 0``, and
+    ``A^T r <= 0`` up to columns ``_entering`` refuses, or every column
+    passive, or ``r`` within rounding of zero.  More than ``max_steps``
+    entering columns raise EngineError.
+    """
+    m, k = A.shape
+    noise = m * _EPS * max(1.0, math.sqrt(b @ b))
+    Qt, R, S, Qb = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m)), np.zeros(m)
+    W = np.zeros(m)     # the weights on P, in the order of P
+    P: list[int] = []
+    r = b
+    steps = 0
+    while len(P) < k and r @ r > noise * noise:
+        p = len(P)
+        entry = _entering(A, b, r, Qt[:p], P, noise)
+        if entry is None:
+            break
+        steps += 1
+        if steps > max_steps:
+            raise EngineError(f"NNLS did not converge in {max_steps} steps",
+                              layer="riskset.nnls")
+        j, Qt[p], Qb[p], h, sigma = entry
+        R[:p, p], R[p, p] = h, sigma
+        S[:p, p], S[p, p] = (S[:p, :p] @ h) / -sigma, 1.0 / sigma
+        P.append(j)
+        p += 1
+        z = S[:p, :p] @ Qb[:p]
+        while p and z.min() <= 0:
+            # step from W towards z until the first weight reaches zero
+            wp = W[:p]
+            neg = z <= 0
+            ratio = wp[neg] / (wp[neg] - z[neg])
+            i = int(ratio.argmin())
+            wp += ratio[i] * (z - wp)
+            wp[np.flatnonzero(neg)[i]] = 0.0
+            keep = wp > 0
+            P = [c for c, kept in zip(P, keep) if kept]
+            q = len(P)
+            W[:q], W[q:p] = wp[keep], 0.0
+            # triangularize what is left of R again
+            G, T = np.linalg.qr(R[:p, :p][:, keep], mode="complete")
+            Qt[:p], Qb[:p] = G.T @ Qt[:p], G.T @ Qb[:p]
+            R[:p, :p] = S[:p, :p] = Qt[q:p] = Qb[q:p] = 0.0
+            R[:q, :q] = T[:q]
+            S[:q, :q] = np.linalg.inv(T[:q])
+            p = q
+            z = S[:p, :p] @ Qb[:p]
+        W[:p] = z
+        B = Qt[:p]
+        r = b - Qb[:p] @ B
+        r -= (B @ r) @ B
+    w = np.zeros(k)
+    w[P] = W[:len(P)]
+    return w, r
+
+
 def _hull_nnls(points: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
     """NNLS fit of ``x`` by a convex combination of ``points``: the residual
-    ``b - A w`` of ``A = [points^T; 1]``, ``b = [x; 1]``, and nnls's own
-    residual norm."""
-    from scipy.optimize import nnls
+    ``r = b - A w`` of ``A = [points^T; 1]``, ``b = [x; 1]``, and its norm.
 
-    A = np.vstack([points.T, np.ones(len(points))])
-    b = np.concatenate([x, [1.0]])
-    w, resid = nnls(A, b)
-    return b - A @ w, resid
+    ``w`` is a Lawson-Hanson optimum (``_nnls``), so the KKT conditions hold
+    up to rounding: ``A^T r <= 0`` and ``(A w) . r = 0``; ``find_witness``
+    builds its gap on them.  Non-finite input raises EngineError.
+    """
+    k = len(points)
+    Ab = np.ones((len(x) + 1, k + 1))     # [A | b]
+    Ab[:-1, :k], Ab[:-1, k] = points.T, x
+    if not np.isfinite(Ab).all():
+        raise EngineError("NNLS input is not finite", layer="riskset.nnls")
+    r = _nnls(Ab[:, :k], Ab[:, k], 3 * k)[1]
+    return r, math.sqrt(r @ r)
 
 
 def _nnls_threshold(x: np.ndarray, tol: float):
@@ -166,7 +280,7 @@ def _certified_extreme(rows: np.ndarray) -> np.ndarray:
     that bound is ten times the ``_in_hull`` threshold.  The first direction
     is ``r_i`` minus the centroid of the other rows, which points the same
     way as ``r_i`` minus the centroid.  From 64 rows on, where one NNLS call
-    costs more than a round of scores, rows still uncertified get up to 15
+    costs more than a round of scores, rows still uncertified get up to 63
     more rounds, each after a Frank-Wolfe step of that centroid towards the
     nearest point of the other rows' hull.
     """
@@ -175,7 +289,7 @@ def _certified_extreme(rows: np.ndarray) -> np.ndarray:
     certified = np.zeros(k, dtype=bool)
     todo = np.arange(k)
     base = (rows.sum(axis=0) - rows) / (k - 1)
-    rounds = 16 if k >= 64 else 1
+    rounds = 64 if k >= 64 else 1
     for r in range(rounds):
         c = rows[todo] - base
         top, best = _top_scores(c, rows, todo)

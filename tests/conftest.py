@@ -25,19 +25,19 @@ def no_lp(monkeypatch):
 
 @pytest.fixture
 def no_nnls(monkeypatch):
-    """Record every ``scipy.optimize.nnls`` call.  The fixture is the list of
-    calls: a test empties it before the code that must solve nothing and
+    """Record every NNLS solve (``riskset._nnls``).  The fixture is the list
+    of calls: a test empties it before the code that must solve nothing and
     checks that it stays empty."""
-    import scipy.optimize
+    import riskchain.riskset
 
     calls = []
-    real = scipy.optimize.nnls
+    real = riskchain.riskset._nnls
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "nnls", spy)
+    monkeypatch.setattr(riskchain.riskset, "_nnls", spy)
     return calls
 
 

@@ -13,7 +13,8 @@ vertices' kernels by the per-child formula, the oracle of its rows before
 reduction.  ``int_band_constraints`` is the intermediate part
 of the worked 2x2 market as inequalities.  ``qhull_facets`` takes every
 facet from qhull, the oracle of ``_facets``' closed forms for polygons and
-simplices.
+simplices.  ``hull_nnls`` is scipy's NNLS fit of a point by a convex
+combination of points, the oracle of ``riskset._hull_nnls``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull
 
 from riskchain import (
@@ -213,3 +214,10 @@ def qhull_facets(verts: np.ndarray) -> np.ndarray:
     b = -eqs[:, -1] + A @ v0
     pairs = [row for w in vt[rank:] for row in (np.r_[w, w @ v0], -np.r_[w, w @ v0])]
     return np.vstack(pairs + [_dedup_rows(np.column_stack([A, b]), _FACET_TOL)])
+
+
+def hull_nnls(points: np.ndarray, x: np.ndarray) -> float:
+    """The residual norm of scipy's NNLS fit of ``[x; 1]`` by
+    ``[points^T; 1]``."""
+    A = np.vstack([points.T, np.ones(len(points))])
+    return float(nnls(A, np.append(x, 1.0))[1])

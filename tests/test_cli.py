@@ -238,20 +238,47 @@ MAIN_THEN_SCIPY_MODULES = (
     "sys.exit(code)\n")
 
 
+# six extreme points on four outcomes, not m-stable: the verdict compares the
+# set with its pasting hull, and the witness is an NNLS residual
+HULL_ROUTE_VERTICES = [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4], [0.4, 0.4, 0.1, 0.1],
+                       [0.1, 0.1, 0.4, 0.4], [0.55, 0.15, 0.15, 0.15],
+                       [0.15, 0.15, 0.15, 0.55]]
+
+
+def fresh_run(*args):
+    """``python *args`` from ROOT in a fresh interpreter, with ``src`` on the
+    path."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                           if p)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
 class TestStartsWithoutScipy:
     """Commands that solve nothing with scipy never import it; each runs in a
-    fresh interpreter, as a user's call does."""
+    fresh interpreter, as a user's call does.  NNLS is the package's own, so
+    membership, hull and witness work needs no scipy either."""
 
     @pytest.mark.parametrize("label", SCIPY_FREE)
     def test_golden_bytes_without_scipy(self, label):
-        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-                               if p)
-        run = subprocess.run([sys.executable, "-c", MAIN_THEN_SCIPY_MODULES,
-                              *BENCH_ARGVS[label]], cwd=ROOT, capture_output=True,
-                             env=dict(os.environ, PYTHONPATH=path))
+        run = fresh_run("-c", MAIN_THEN_SCIPY_MODULES, *BENCH_ARGVS[label])
         assert run.returncode == 0, run.stderr.decode()
         assert run.stdout == (BENCH_DIR / "golden" / f"{label}.json").read_bytes()
         assert run.stderr.decode().strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["check", "hull"])
+    def test_hull_route_set_without_scipy(self, tmp_path, command):
+        spec = make_spec(tmp_path, risk_sets={"Q": {"vertices": HULL_ROUTE_VERTICES}})
+        run = fresh_run("-c", MAIN_THEN_SCIPY_MODULES, command, "--spec", spec)
+        assert run.returncode == 0, run.stderr.decode()
+        doc = json.loads(run.stdout)
+        assert not doc["mstable" if command == "check" else "is_fixed_point"]
+        assert run.stderr.decode().strip() == "[]"
+
+    def test_library_membership_path_without_scipy(self):
+        run = fresh_run(str(Path(__file__).resolve().parent / "library_without_scipy.py"))
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout.decode().splitlines()[-1] == "[]"
 
 
 class TestCheck:

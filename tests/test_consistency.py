@@ -461,7 +461,7 @@ class TestVerdictsWithoutConstructions:
         def refuse(*args, **kwargs):
             raise AssertionError("a construction ran on the verdict path")
         monkeypatch.setattr(consistency, "paste_assembly", refuse)
-        monkeypatch.setattr(scipy.optimize, "nnls", refuse)
+        monkeypatch.setattr(riskset, "_nnls", refuse)
 
     @pytest.mark.usefixtures("no_constructions")
     def test_simplex_v_sets(self):

@@ -502,15 +502,18 @@ class TestPastedSets:
 
     def test_check_fi_pastes_a_hull_route_sets_hull_once(self, spy):
         """Six vertices on four outcomes take the hull route: the verdict and
-        ``equals_intersection`` share one hull, kept on the set."""
+        ``equals_intersection`` share one hull, kept on the set, and one
+        ``set_equal(rs, hull)``."""
         rng = np.random.default_rng(3)
         mkt = random_market(rng, n_max=4)
         rs = random_riskset(rng, mkt.model, k_min=6, k_max=6)
         assert len(rs.vertices) > mkt.model.n and _verdict_rows(rs) is None
         pastes = spy("paste_assembly", consistency, intermarket)
+        compared = spy("set_equal", consistency, intermarket)
         report = check_fi(rs, mkt)
         assert sum(all(src is rs for src in p[1]) for p in pastes) == 1
         assert report.parts_agree and mstable_hull(rs) is mstable_hull(rs)
+        assert [args for args in compared if args[0] is rs] == [(rs, mstable_hull(rs))]
 
     def test_psi_verify_after_psi_build_pastes_nothing(self, spy, pm):
         rng = np.random.default_rng(13)

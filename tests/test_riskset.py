@@ -28,10 +28,17 @@ from riskchain import (
 )
 from riskchain.config import WORK_BOUND
 from riskchain.consistency import _row_verdict, _verdict_rows
-from riskchain.riskset import _facets, _in_hull, _maximize_ratio_lp
+from riskchain.riskset import (
+    _facets,
+    _hull_nnls,
+    _in_hull,
+    _maximize_ratio_lp,
+    _nnls,
+    _nnls_threshold,
+)
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
-from oracles import node_kernel, qhull_facets
+from oracles import hull_nnls, node_kernel, qhull_facets
 from randmodels import random_claim, random_model, random_riskset
 
 EPS = 0.2
@@ -449,6 +456,73 @@ class TestMember:
         for _ in range(50):
             q = rng.dirichlet(np.ones(m.n))
             assert member(rs, q) == member(by_cons, q)
+
+
+@st.composite
+def hull_fits(draw):
+    """``(points, x)``: 1-40 points on 4-16 outcomes, drawn at random, with
+    duplicates, or on one segment; ``x`` a mixture of them, one of them, a
+    mixture moved off by 1e-12-1e-6, a point of the simplex, or far outside."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(4, 16)), draw(st.integers(1, 40))
+    points = rng.dirichlet(np.full(n, draw(st.sampled_from([0.2, 1.0, 5.0]))), size=k)
+    shape = draw(st.sampled_from(["random", "duplicated", "segment"]))
+    if shape == "duplicated":
+        points = points[rng.integers(0, max(1, k // 3), size=k)]
+    elif shape == "segment":
+        points = points[0] + rng.uniform(0.0, 1.0, (k, 1)) * (points[-1] - points[0])
+    target = draw(st.sampled_from(["mixture", "point", "near", "simplex", "far"]))
+    if target == "point":
+        return points, points[rng.integers(k)].copy()
+    if target == "simplex":
+        return points, rng.dirichlet(np.ones(n))
+    if target == "far":
+        return points, rng.normal(size=n) * 10.0 ** rng.uniform(1, 6)
+    x = rng.dirichlet(np.ones(k)) @ points
+    if target == "near":
+        x = x + rng.normal(size=n) * 10.0 ** rng.uniform(-12, -6)
+    return points, x
+
+
+class TestHullNnls:
+    """The Lawson-Hanson fit against scipy's NNLS (``oracles.hull_nnls``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hull_fits())
+    def test_matches_scipy_at_a_kkt_point(self, fit):
+        points, x = fit
+        r, norm = _hull_nnls(points, x)
+        A = np.vstack([points.T, np.ones(len(points))])
+        b = np.append(x, 1.0)
+        scale = np.linalg.norm(b)
+        want = hull_nnls(points, x)
+        assert norm == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=1e-300)
+        assert abs(norm - want) <= 1e-10 * scale
+        w, r_w = _nnls(A, b, 3 * len(points))
+        assert w.min() >= 0
+        assert np.abs(b - A @ w - r_w).max() <= 1e-12 * scale
+        # KKT, with A w = b - r: A^T r <= 0 and (A w) . r = 0
+        assert (A.T @ r).max() <= 1e-12 * scale
+        assert abs((b - r) @ r) <= 1e-12 * scale ** 2
+        limit = _nnls_threshold(x, 1e-9)
+        if abs(want - limit) > 1e-10 * scale:
+            assert _in_hull(points, x, 1e-9) == (want <= limit)
+
+    def test_step_cap_raises(self):
+        """The centre of a triangle needs all three points to enter."""
+        A = np.vstack([np.eye(3), np.ones(3)])
+        b = np.append(np.full(3, 1 / 3), 1.0)
+        assert np.linalg.norm(_nnls(A, b, 3)[1]) < 1e-15
+        with pytest.raises(EngineError, match="did not converge in 2 steps"):
+            _nnls(A, b, 2)
+
+    @pytest.mark.parametrize("bad", ["points", "x"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad, value):
+        points, x = np.eye(3), np.full(3, 1 / 3)
+        (points if bad == "points" else x)[1] = value
+        with pytest.raises(EngineError, match="not finite"):
+            _hull_nnls(points, x)
 
 
 def box_of_sixteen(cap: float) -> RiskSet:
