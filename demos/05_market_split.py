@@ -7,7 +7,8 @@
 
 import numpy as np
 
-from riskchain import Claim, check_fi, qf, qi, split_reserve
+from riskchain import (Claim, check_fi, is_mstable, qf, qi, set_equal, simplex_set,
+                       split_reserve)
 from riskchain.riskset import RiskSet
 from riskchain.twobytwo import market_model, pricing_constraints
 
@@ -27,9 +28,10 @@ print(qi_set.vertices)
 report = check_fi(rs, mm)
 print("set = financial part ∩ intermediate part:", report.equals_intersection)
 print("pasting-stable:", report.mstable, "| verdicts agree:", report.parts_agree)
-print("parts are stable themselves:", report.qf_mstable, report.qi_mstable)
+print("parts are stable themselves:", is_mstable(qf_set), is_mstable(qi_set))
+full = simplex_set(mm.model)
 print("each part densifies the other to the whole simplex:",
-      report.qi_of_qf_is_simplex, report.qf_of_qi_is_simplex)
+      set_equal(qi(qf_set, mm), full), set_equal(qf(qi_set, mm), full))
 
 x = Claim(np.array([1.0, 0.0, -1.0, 0.0]))
 plan = split_reserve(rs, mm, x)

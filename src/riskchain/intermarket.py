@@ -19,7 +19,7 @@ import numpy as np
 from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
 from .errors import EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
-from .riskset import RiskSet, set_equal, simplex_set
+from .riskset import RiskSet, set_equal
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        crossing_atom, parse_stage_label)
 
@@ -144,7 +144,9 @@ class FiReport:
     ``qf(rs) ∩ qi(rs)`` by rectangularity.  ``mstable`` is the verdict of
     ``is_mstable``, reached by another route where the set has rows.
     ``qf_mstable`` and ``qi_mstable`` hold by theorem: each part is a
-    pasted, hence rectangular, set, and pasting records its verdict.
+    pasted, hence rectangular, set, and pasting records its verdict.  That
+    each part's complementary part is the whole simplex holds for every set
+    (``qi(qf(rs))`` pastes only free steps), so the tests check it.
     """
 
     mstable: bool
@@ -152,35 +154,29 @@ class FiReport:
     parts_agree: bool          # the two verdicts above match, as they must
     qf_mstable: bool
     qi_mstable: bool
-    qi_of_qf_is_simplex: bool
-    qf_of_qi_is_simplex: bool
 
 
 def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
-    """The paper's decomposition checks: the set is m-stable iff it equals the
-    intersection of its financial and intermediate parts, each part is
-    m-stable, and each part's complementary part is the whole simplex.
+    """The paper's decomposition check: the set is m-stable iff it equals the
+    intersection of its financial and intermediate parts.
 
     The intersection is taken as the set's pasting hull, so neither part is
     faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
     is the same set.  A verdict that takes the hull route is that same
-    comparison, made once.  The parts carry their verdicts and kernels from
-    pasting, so no hull of a part is built and their own parts paste from
-    the kept kernels.
+    comparison, made once.  Building the parts refuses a set whose parts are
+    undefined (an atom no vertex charges); they carry their verdicts from
+    pasting, so no hull of a part is built.
     """
     qf_set = qf(rs, mm)
     qi_set = qi(rs, mm)
     eq = set_equal(rs, mstable_hull(rs))
     mst = _analytic(rs, eq)[0]
-    full = simplex_set(mm.model)
     return FiReport(
         mstable=mst,
         equals_intersection=eq,
         parts_agree=(eq == mst),
         qf_mstable=is_mstable(qf_set),
         qi_mstable=is_mstable(qi_set),
-        qi_of_qf_is_simplex=set_equal(qi(qf_set, mm), full),
-        qf_of_qi_is_simplex=set_equal(qf(qi_set, mm), full),
     )
 
 
@@ -286,15 +282,10 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
     residual risk: the financial part of the extension intersected with the
     intermediate part of ``phi``.  Assembled directly by pasting the
     extension's financial-step kernels with ``phi``'s intermediate-step
-    kernels, which is the same set.  The construction verifies that both
-    parts are recovered; a pasted set is pasting-stable by construction."""
+    kernels, which is the same set; a pasted set is pasting-stable and has
+    those two parts by construction, which ``psi_verify`` reports."""
     hat_pi = extend_pi(pi, pm)
-    q = paste_assembly(pm.model, _step_sources(pm.market, hat_pi, phi))
-    if not set_equal(qf(q, pm.market), qf(hat_pi, pm.market)):
-        raise EngineError("financial part was not recovered")
-    if not set_equal(qi(q, pm.market), qi(phi, pm.market)):
-        raise EngineError("intermediate part was not recovered")
-    return q
+    return paste_assembly(pm.model, _step_sources(pm.market, hat_pi, phi))
 
 
 def is_purely_financial(pm: ProductModel, claim: Claim) -> bool:
@@ -325,11 +316,11 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     # one row per claim; a row's deviation is NaN when any outcome's is, and
     # the maxima over rows and dates skip NaN
     X = Claim(np.array([x.values for x in claims]).reshape(-1, pm.model.n))
-    prices = [rho(q, X, str(t)).values for t in range(pm.market.horizon)]
+    # q's prices at every date, the horizon's being the claims themselves
+    prices = [rho(q, X, str(t)).values for t in range(pm.market.horizon + 1)]
     comp_dev = 0.0
     for t in range(pm.market.horizon):
-        inner = rho(q, X, str(t + 1))
-        mid = rho(qi_part, inner, pm.market.half(t))
+        mid = rho(qi_part, Claim(prices[t + 1]), pm.market.half(t))
         lhs = rho(qf_part, mid, str(t)).values
         comp_dev = float(np.fmax.reduce(np.max(np.abs(lhs - prices[t]), axis=1),
                                         initial=comp_dev))

@@ -45,7 +45,6 @@ from riskchain.twobytwo import (
 
 from oracles import dual_cone_member, int_band_constraints, project
 from randmodels import (
-    hulled_set,
     nonstable_set,
     random_claim,
     random_market,

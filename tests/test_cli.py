@@ -351,6 +351,22 @@ class TestPsi:
         assert got == {(0.2, 0.2, 0.3, 0.3), (0.2, 0.3, 0.3, 0.2),
                        (0.3, 0.2, 0.2, 0.3), (0.3, 0.3, 0.2, 0.2)}
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_uncharged_financial_outcome_is_4(self, capsys, tmp_path, horizon):
+        """A ``Pi`` that never charges outcome ``f'`` pastes, but the
+        product's parts are undefined there, so ``psi_verify`` refuses."""
+        doc = json.loads(Path(PRODUCT).read_text(encoding="utf-8"))
+        doc["risk_sets"]["Pi"] = {"vertices": [[1.0, 0.0]]}
+        if horizon == 2:    # financial news at time 1, intermediate at time 2
+            for key, mid in (("financial_factor", [[0], [1]]),
+                             ("intermediate_factor", [[0, 1]])):
+                doc[key].update(grid=["0", "1", "2"], partitions={
+                    "0": [[0, 1]], "1": mid, "2": [[0], [1]]})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, ["psi", "--spec", str(spec)])
+        assert (code, json.loads(out)["error"]["code"]) == (4, "EMPTY_KERNEL")
+
     @pytest.mark.parametrize("edit", [
         {"version": "2"},
         {"claims": {"short": [1.0, 2.0]}},

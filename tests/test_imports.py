@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, every test module and every demo uses each
+name it imports.
 
 The check reads the source with ``ast``: a name bound by an import must be
 read somewhere in the module, as a name or as the base of an attribute.
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "riskchain"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riskchain"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -34,7 +37,11 @@ def test_the_package_is_found():
     assert SRC / "riskset.py" in MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def module_id(path: Path) -> str:
+    return path.stem if path.parent == SRC else f"{path.parent.name}/{path.stem}"
+
+
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []

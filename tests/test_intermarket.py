@@ -192,7 +192,6 @@ class TestCheckFi:
         report = check_fi(rs, mm)
         assert report.mstable and report.equals_intersection and report.parts_agree
         assert report.qf_mstable and report.qi_mstable
-        assert report.qi_of_qf_is_simplex and report.qf_of_qi_is_simplex
 
     def test_full_simplex(self, mm):
         report = check_fi(simplex_set(mm.model), mm)
@@ -222,12 +221,12 @@ class TestCheckFi:
             if k % 2:
                 rand = mstable_hull(rand)
             stable = bool(k % 2)
-            assert astuple(check_fi(rand, mkt)) == (stable, stable) + (True,) * 5
+            assert astuple(check_fi(rand, mkt)) == (stable, stable) + (True,) * 3
 
     def test_no_lp_runs(self, no_lp, mm, rs):
         """check_fi solves no LP: the worked set, random sets and their hulls
         get their known reports without one."""
-        assert astuple(check_fi(rs, mm)) == (True,) * 7
+        assert astuple(check_fi(rs, mm)) == (True,) * 5
         self._check_random_reports(np.random.default_rng(7), n_max=5)
 
     def test_no_vertex_enumeration(self, no_enumeration, mm):
@@ -235,7 +234,7 @@ class TestCheckFi:
         intersection is the pasting hull.  The worked set is given by its
         closed-form extreme points."""
         worked = RiskSet.from_vertices(mm.model, extreme_points(EPS))
-        assert astuple(check_fi(worked, mm)) == (True,) * 7
+        assert astuple(check_fi(worked, mm)) == (True,) * 5
         self._check_random_reports(np.random.default_rng(8))
 
     @settings(max_examples=25, deadline=None)
@@ -370,6 +369,28 @@ class TestPsiBuild:
         assert report["pi_time_consistent"]
         assert report["financial_agreement_ok"]
 
+    def test_horizon_two_composition_deviation(self):
+        """``psi_verify`` prices ``q`` once per date and reuses the next
+        date's prices; its deviation is bit-equal to pricing ``q`` again at
+        each step, for the built set and for a set that does not compose."""
+        rng = np.random.default_rng(86)
+        fin, inter = (random_model(rng, n_min=2, n_max=3, stages_min=3, stages_max=3)
+                      for _ in range(2))
+        pm = product_space(fin, inter)
+        pi = random_riskset(rng, pm.fin, k_min=1, k_max=2)
+        phi = random_riskset(rng, pm.model, k_min=2, k_max=3)
+        claims = [random_claim(rng, pm.model) for _ in range(6)]
+        X = Claim(np.array([x.values for x in claims]))
+        qf_part, qi_part = qf(extend_pi(pi, pm), pm.market), qi(phi, pm.market)
+        for q in (psi_build(pi, phi, pm), phi):
+            dev = 0.0
+            for t in range(2):
+                mid = rho(qi_part, rho(q, X, str(t + 1)), pm.market.half(t))
+                lhs = rho(qf_part, mid, str(t)).values
+                dev = max(dev, float(np.abs(lhs - rho(q, X, str(t)).values).max()))
+            assert psi_verify(pi, phi, pm, q, claims)["composition_max_dev"] == dev
+        assert dev > 1e-3      # phi itself does not compose
+
     def test_phi_with_same_intermediate_part_gives_same_set(self, pm):
         # the construction only sees the intermediate part of phi
         pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
@@ -450,7 +471,8 @@ class TestPastedSets:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_market_parts_and_hulls(self, seed, dropped):
-        """``check_fi``'s pasted sets; with an atom of ``0+`` left uncharged,
+        """``check_fi``'s pasted sets, and each part's complementary part,
+        which is the whole simplex; with an atom of ``0+`` left uncharged,
         where ``qi`` is undefined, the hull and ``qf``, which reach no node
         below that atom."""
         rng = np.random.default_rng(seed)
@@ -462,6 +484,8 @@ class TestPastedSets:
         else:
             qf_set, qi_set = qf(rs, mkt), qi(rs, mkt)
             pasted = [qf_set, qi_set, mstable_hull(rs), qi(qf_set, mkt), qf(qi_set, mkt)]
+            full = simplex_set(mkt.model)
+            assert set_equal(qi(qf_set, mkt), full) and set_equal(qf(qi_set, mkt), full)
         for p in pasted:
             assert is_mstable(p)
             assert_pasting_stable(p)
@@ -474,6 +498,8 @@ class TestPastedSets:
         pi = random_riskset(rng, pm.fin, k_min=1, k_max=2)
         phi = random_riskset(rng, pm.model, k_min=1, k_max=3)
         q = psi_build(pi, phi, pm)
+        assert set_equal(qf(q, pm.market), qf(extend_pi(pi, pm), pm.market))
+        assert set_equal(qi(q, pm.market), qi(phi, pm.market))
         for p in (q, qf(extend_pi(pi, pm), pm.market), qi(phi, pm.market)):
             assert is_mstable(p)
             assert_pasting_stable(p)
@@ -515,15 +541,18 @@ class TestPastedSets:
         assert report.parts_agree and mstable_hull(rs) is mstable_hull(rs)
         assert [args for args in compared if args[0] is rs] == [(rs, mstable_hull(rs))]
 
-    def test_psi_verify_after_psi_build_pastes_nothing(self, spy, pm):
+    def test_psi_build_pastes_once(self, spy, pm):
+        """``psi_build`` is one paste; ``psi_verify`` pastes the four parts
+        it compares, so the pair pastes five times, each part once."""
         rng = np.random.default_rng(13)
         pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
         phi = RiskSet.from_vertices(
             pm.model, [[0.3, 0.3, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]])
-        q = psi_build(pi, phi, pm)
         pastes = spy("paste_assembly", consistency, intermarket)
+        q = psi_build(pi, phi, pm)
+        assert len(pastes) == 1
         report = psi_verify(pi, phi, pm, q, [random_claim(rng, pm.model) for _ in range(5)])
-        assert pastes == []
+        assert len(pastes) == 5
         assert report["qf_recovered"] and report["qi_recovered"] and report["mstable"]
 
     def test_parts_are_kept_per_model_object(self):
@@ -559,9 +588,9 @@ class TestPastedSets:
             parts = list(rs._parts.values())
             refs = [weakref.ref(x) for x in [rs] + parts
                     + [y for x in parts for y in x._parts.values()]]
-            assert len(refs) == 6       # rs, its hull, qf, qi, qi(qf), qf(qi)
+            assert len(refs) == 4       # rs, its hull, qf, qi
             del rs, parts
-            assert [r() for r in refs] == [None] * 6
+            assert [r() for r in refs] == [None] * 4
         finally:
             gc.enable()
 

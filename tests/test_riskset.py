@@ -39,7 +39,7 @@ from riskchain.riskset import (
 from riskchain.twobytwo import build_model, extreme_points, pricing_set
 
 from oracles import hull_nnls, node_kernel, qhull_facets
-from randmodels import random_claim, random_model, random_riskset
+from randmodels import random_model, random_riskset
 
 EPS = 0.2
 
