@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
-from .errors import EngineError, NotCoarserError, SchemaError
+from .errors import EmptyKernelError, EngineError, NotCoarserError, SchemaError
 from .risk import Chain, cone_member, reserve_plan, rho
 from .riskset import RiskSet, set_equal
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
@@ -142,42 +142,39 @@ class FiReport:
     ``equals_intersection`` is ``rs == mstable_hull(rs)``: the hull pastes
     the set's kernels on every step of the refined grid, so it is
     ``qf(rs) ∩ qi(rs)`` by rectangularity.  ``mstable`` is the verdict of
-    ``is_mstable``, reached by another route where the set has rows.
-    ``qf_mstable`` and ``qi_mstable`` hold by theorem: each part is a
-    pasted, hence rectangular, set, and pasting records its verdict.  That
-    each part's complementary part is the whole simplex holds for every set
-    (``qi(qf(rs))`` pastes only free steps), so the tests check it.
+    ``is_mstable``, reached by another route where the set has rows.  That
+    each part is m-stable, and that each part's complementary part is the
+    whole simplex, holds for every set by construction (pasting), so the
+    tests check it.
     """
 
     mstable: bool
     equals_intersection: bool
     parts_agree: bool          # the two verdicts above match, as they must
-    qf_mstable: bool
-    qi_mstable: bool
 
 
 def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
     """The paper's decomposition check: the set is m-stable iff it equals the
     intersection of its financial and intermediate parts.
 
-    The intersection is taken as the set's pasting hull, so neither part is
-    faceted and no joined system is enumerated; ``intersect(qf(rs), qi(rs))``
-    is the same set.  A verdict that takes the hull route is that same
-    comparison, made once.  Building the parts refuses a set whose parts are
-    undefined (an atom no vertex charges); they carry their verdicts from
-    pasting, so no hull of a part is built.
+    The intersection is taken as the set's pasting hull, the only set pasted
+    here, so neither part is built; ``intersect(qf(rs), qi(rs))`` is the same
+    set.  A verdict that takes the hull route is that same comparison, made
+    once.  The parts are undefined where no vertex charges an atom of a
+    non-final stage, so such a set is refused before the hull: EMPTY_KERNEL
+    names the first such atom in stage order, with ``kernel_polytope``'s
+    message and details.
     """
-    qf_set = qf(rs, mm)
-    qi_set = qi(rs, mm)
+    model = rs.model
+    for s in range(model.final_stage.index):
+        *_, ids, empty = rs._atom_blocks(s)
+        if empty:
+            label, atom = model.stages[s].label, int(ids[empty[0][0]])
+            raise EmptyKernelError(f"no vertex charges atom {atom} at stage {label}",
+                                   stage=label, atom=atom)
     eq = set_equal(rs, mstable_hull(rs))
     mst = _analytic(rs, eq)[0]
-    return FiReport(
-        mstable=mst,
-        equals_intersection=eq,
-        parts_agree=(eq == mst),
-        qf_mstable=is_mstable(qf_set),
-        qi_mstable=is_mstable(qi_set),
-    )
+    return FiReport(mstable=mst, equals_intersection=eq, parts_agree=(eq == mst))
 
 
 @dataclass(frozen=True, slots=True)

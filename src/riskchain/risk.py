@@ -59,7 +59,8 @@ def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
     if rs.has_vertices:
         cols, blocks, masses, starts, ids, empty = rs._atom_blocks(st.index)
         if empty and not fill:
-            raise EmptyKernelError(f"no vertex charges atom {empty[0]}")
+            raise EmptyKernelError(f"no vertex charges atom {empty[0]}",
+                                   stage=st.label, atom=int(ids[empty[0][0]]))
         Xc = X.take(cols, axis=1)[:, :, None]
         vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
         out = np.maximum.reduceat(vals[..., 0] / masses, starts, axis=1).take(ids, axis=1)

@@ -15,6 +15,8 @@ of the worked 2x2 market as inequalities.  ``qhull_facets`` takes every
 facet from qhull, the oracle of ``_facets``' closed forms for polygons and
 simplices.  ``hull_nnls`` is scipy's NNLS fit of a point by a convex
 combination of points, the oracle of ``riskset._hull_nnls``.
+``check_fi_by_parts`` is the decomposition check by way of both parts, the
+oracle of ``check_fi``, which pastes only the hull.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ from riskchain import (
     SchemaError,
     ScenarioModel,
     SizeBoundError,
+    is_mstable,
     kernel_polytope,
+    mstable_hull,
+    qf,
+    qi,
+    set_equal,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.riskset import (
@@ -221,3 +228,15 @@ def hull_nnls(points: np.ndarray, x: np.ndarray) -> float:
     ``[points^T; 1]``."""
     A = np.vstack([points.T, np.ones(len(points))])
     return float(nnls(A, np.append(x, 1.0))[1])
+
+
+def check_fi_by_parts(rs: RiskSet, mm) -> dict:
+    """``check_fi`` by way of both parts: paste ``qf`` and ``qi``, which
+    refuses a set that leaves an atom of a non-final stage uncharged (the
+    first one met depth-first, in ``qf`` and then in ``qi``), read their
+    verdicts, then compare the set with its hull."""
+    qf_set, qi_set = qf(rs, mm), qi(rs, mm)
+    eq = set_equal(rs, mstable_hull(rs))
+    mst = is_mstable(rs)
+    return {"mstable": mst, "equals_intersection": eq, "parts_agree": eq == mst,
+            "qf_mstable": is_mstable(qf_set), "qi_mstable": is_mstable(qi_set)}

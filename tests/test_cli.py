@@ -354,7 +354,8 @@ class TestPsi:
     @pytest.mark.parametrize("horizon", [1, 2])
     def test_uncharged_financial_outcome_is_4(self, capsys, tmp_path, horizon):
         """A ``Pi`` that never charges outcome ``f'`` pastes, but the
-        product's parts are undefined there, so ``psi_verify`` refuses."""
+        product's parts are undefined there, so ``psi_verify`` refuses and
+        names the atom: ``qi`` meets it at ``0+``, ``rho`` at time 1."""
         doc = json.loads(Path(PRODUCT).read_text(encoding="utf-8"))
         doc["risk_sets"]["Pi"] = {"vertices": [[1.0, 0.0]]}
         if horizon == 2:    # financial news at time 1, intermediate at time 2
@@ -365,7 +366,9 @@ class TestPsi:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc), encoding="utf-8")
         code, out = run(capsys, ["psi", "--spec", str(spec)])
-        assert (code, json.loads(out)["error"]["code"]) == (4, "EMPTY_KERNEL")
+        error = json.loads(out)["error"]
+        assert (code, error["code"]) == (4, "EMPTY_KERNEL")
+        assert error["details"] == {"stage": "0+" if horizon == 1 else "1", "atom": 1}
 
     @pytest.mark.parametrize("edit", [
         {"version": "2"},

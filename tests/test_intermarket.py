@@ -21,6 +21,7 @@ from riskchain import (
     RiskSet,
     ScenarioModel,
     SchemaError,
+    SizeBoundError,
     build_refined,
     check_fi,
     decompose_acceptance,
@@ -57,7 +58,7 @@ from riskchain.twobytwo import (
     pricing_constraints,
 )
 
-from oracles import project
+from oracles import check_fi_by_parts, project
 from randmodels import random_claim, random_market, random_model, random_riskset
 
 EPS = 0.2
@@ -191,7 +192,6 @@ class TestCheckFi:
     def test_worked_set(self, mm, rs):
         report = check_fi(rs, mm)
         assert report.mstable and report.equals_intersection and report.parts_agree
-        assert report.qf_mstable and report.qi_mstable
 
     def test_full_simplex(self, mm):
         report = check_fi(simplex_set(mm.model), mm)
@@ -221,12 +221,12 @@ class TestCheckFi:
             if k % 2:
                 rand = mstable_hull(rand)
             stable = bool(k % 2)
-            assert astuple(check_fi(rand, mkt)) == (stable, stable) + (True,) * 3
+            assert astuple(check_fi(rand, mkt)) == (stable, stable, True)
 
     def test_no_lp_runs(self, no_lp, mm, rs):
         """check_fi solves no LP: the worked set, random sets and their hulls
         get their known reports without one."""
-        assert astuple(check_fi(rs, mm)) == (True,) * 5
+        assert astuple(check_fi(rs, mm)) == (True,) * 3
         self._check_random_reports(np.random.default_rng(7), n_max=5)
 
     def test_no_vertex_enumeration(self, no_enumeration, mm):
@@ -234,7 +234,7 @@ class TestCheckFi:
         intersection is the pasting hull.  The worked set is given by its
         closed-form extreme points."""
         worked = RiskSet.from_vertices(mm.model, extreme_points(EPS))
-        assert astuple(check_fi(worked, mm)) == (True,) * 5
+        assert astuple(check_fi(worked, mm)) == (True,) * 3
         self._check_random_reports(np.random.default_rng(8))
 
     @settings(max_examples=25, deadline=None)
@@ -251,6 +251,80 @@ class TestCheckFi:
         joined = intersect(qf(rs, mkt), qi(rs, mkt))
         assert set_equal(joined, mstable_hull(rs))
         assert check_fi(rs, mkt).equals_intersection == set_equal(rs, joined)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, "whole", "half"]),
+           st.booleans())
+    def test_agrees_with_the_route_by_parts(self, seed, dropped, hulled):
+        """``check_fi`` against ``check_fi_by_parts`` on a twin of the set
+        (no cache shared), with no atom dropped, or one atom of a whole stage
+        (the final one included) or of a half stage left uncharged: the same
+        three verdicts, and EMPTY_KERNEL exactly where the parts refuse.  One
+        atom is dropped, so one stage holds the first uncharged atom either
+        route meets, and the two refusals are the same."""
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model)
+        if hulled:
+            rs = mstable_hull(rs)
+        if dropped == "whole":
+            rs = drop_atom(rng, rs, str(int(rng.integers(1, mkt.horizon + 1))))
+        elif dropped == "half":
+            rs = drop_atom(rng, rs, f"{int(rng.integers(mkt.horizon))}+")
+        twin = RiskSet.from_vertices(mkt.model, rs.vertices)
+        try:
+            want = check_fi_by_parts(twin, mkt)
+        except EmptyKernelError as exc:
+            with pytest.raises(EmptyKernelError) as got:
+                check_fi(rs, mkt)
+            assert (str(got.value), got.value.details) == (str(exc), exc.details)
+            return
+        assert want["qf_mstable"] and want["qi_mstable"]
+        assert astuple(check_fi(rs, mkt)) == (
+            want["mstable"], want["equals_intersection"], want["parts_agree"])
+
+    def test_refusal_names_the_first_uncharged_atom_in_stage_order(self):
+        """Uncharged atoms at two stages: the atom ``{2, 3}`` of stage 1,
+        inside a charged atom of ``0+``, and the atom ``{4, 5}`` of ``0+``.
+        ``check_fi`` names the earlier stage's; the route by parts names the
+        atom ``qf`` meets first depth-first."""
+        base = ScenarioModel([f"w{i}" for i in range(6)], ["0", "1", "2"],
+                             [[list(range(6))], [[0, 1], [2, 3], [4, 5]],
+                              [[w] for w in range(6)]], [1 / 6] * 6)
+        mkt = build_refined(base, {1: [[0, 1, 2, 3], [4, 5]], 2: [[w] for w in range(6)]})
+        verts = [[0.5, 0.5, 0, 0, 0, 0], [0.3, 0.7, 0, 0, 0, 0]]
+        with pytest.raises(EmptyKernelError) as got:
+            check_fi(RiskSet.from_vertices(mkt.model, verts), mkt)
+        assert (str(got.value), got.value.details) == (
+            "no vertex charges atom 1 at stage 0+", {"stage": "0+", "atom": 1})
+        with pytest.raises(EmptyKernelError, match="atom 1 at stage 1$"):
+            check_fi_by_parts(RiskSet.from_vertices(mkt.model, verts), mkt)
+
+    def test_hull_that_fits_decides_where_a_part_would_not(self):
+        """Sixteen outcomes, one period, ``0+`` atoms of sizes 3, 3, 3, 3, 4,
+        and thirteen vertices with distinct extreme root kernels but one
+        kernel below ``0+``: the hull has 13 vertices, while ``qf`` pastes
+        every root kernel with the free step, 13 x 324 rows past
+        ``WORK_BOUND``.  ``check_fi`` pastes only the hull, so it decides."""
+        n = 16
+        base = ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
+                             [[list(range(n))], [[w] for w in range(n)]],
+                             [1 / n] * n)
+        owner = np.repeat(np.arange(5), [3, 3, 3, 3, 4])
+        mkt = build_refined(base, {1: [np.flatnonzero(owner == a).tolist()
+                                       for a in range(5)]})
+        # root kernels on a sphere about the centre, so each one is extreme
+        dirs = np.random.default_rng(28).normal(size=(13, 5))
+        dirs -= dirs.mean(axis=1, keepdims=True)
+        kernels = 0.2 + 0.1 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        within = np.linspace(1.0, 2.0, n)
+        verts = kernels[:, owner] * within / np.bincount(owner, within)[owner]
+        rs = RiskSet.from_vertices(mkt.model, verts)
+        assert len(rs.vertices) == 13
+        assert astuple(check_fi(rs, mkt)) == (True,) * 3
+        assert len(mstable_hull(rs).vertices) == 13
+        with pytest.raises(SizeBoundError):
+            qf(rs, mkt)
 
 
 class TestSplitReserve:
@@ -471,10 +545,10 @@ class TestPastedSets:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_market_parts_and_hulls(self, seed, dropped):
-        """``check_fi``'s pasted sets, and each part's complementary part,
-        which is the whole simplex; with an atom of ``0+`` left uncharged,
-        where ``qi`` is undefined, the hull and ``qf``, which reach no node
-        below that atom."""
+        """The parts ``qf`` and ``qi``, the hull, and each part's
+        complementary part, which is the whole simplex; with an atom of
+        ``0+`` left uncharged, where ``qi`` is undefined, the hull and
+        ``qf``, which reach no node below that atom."""
         rng = np.random.default_rng(seed)
         mkt = random_market(rng)
         rs = random_riskset(rng, mkt.model, k_min=1, k_max=3)
@@ -517,14 +591,25 @@ class TestPastedSets:
         assert_pasting_stable(hull)
 
     def test_check_fi_builds_only_the_input_sets_hull(self, spy):
+        """One paste per call, the input set's hull, and no part: four sets
+        whose verdicts take the row route, then one that takes the hull
+        route and reads the same hull again."""
         rng = np.random.default_rng(11)
-        for _ in range(4):
-            mkt = random_market(rng)
-            rs = random_riskset(rng, mkt.model)
-            assert _verdict_rows(rs) is not None     # its verdict needs no hull
-            hulls = spy("mstable_hull", consistency, intermarket)
+        cases = [(mkt, random_riskset(rng, mkt.model))
+                 for mkt in (random_market(rng) for _ in range(4))]
+        rng = np.random.default_rng(3)
+        mkt = random_market(rng, n_max=4)
+        cases.append((mkt, random_riskset(rng, mkt.model, k_min=6, k_max=6)))
+        routes = [_verdict_rows(rs) is not None for _, rs in cases]
+        assert routes == [True] * 4 + [False]
+        hulls = spy("mstable_hull", consistency, intermarket)
+        pastes = spy("paste_assembly", consistency, intermarket)
+        for (mkt, rs), row_route in zip(cases, routes):
+            del hulls[:], pastes[:]
             check_fi(rs, mkt)
-            assert len(hulls) == 1 and hulls[0][0] is rs
+            assert len(hulls) == (1 if row_route else 2)
+            assert all(args[0] is rs for args in hulls)
+            assert len(pastes) == 1 and all(src is rs for src in pastes[0][1])
 
     def test_check_fi_pastes_a_hull_route_sets_hull_once(self, spy):
         """Six vertices on four outcomes take the hull route: the verdict and
@@ -588,9 +673,9 @@ class TestPastedSets:
             parts = list(rs._parts.values())
             refs = [weakref.ref(x) for x in [rs] + parts
                     + [y for x in parts for y in x._parts.values()]]
-            assert len(refs) == 4       # rs, its hull, qf, qi
+            assert len(refs) == 2       # rs and its hull
             del rs, parts
-            assert [r() for r in refs] == [None] * 4
+            assert [r() for r in refs] == [None] * 2
         finally:
             gc.enable()
 
