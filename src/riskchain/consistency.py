@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEDUP_TOL, WORK_BOUND
 from .errors import EngineError, SchemaError, SizeBoundError
-from .risk import Chain, eta, rho
+from .risk import Chain, _within_tol, eta, rho
 from .riskset import (
     RiskSet,
     _affine_rank,
@@ -270,7 +270,8 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     rows, and the worst row is the witness.  Any other V-set is compared with
     its hull; when it differs, the witness is the NNLS residual of a hull
     vertex outside the set (``find_witness``), whose gap is proven; the
-    sampled witness stands in only when that finds none.
+    sampled witness stands in only when that finds none.  Each sampled gap
+    is compared at its claim's scale (``_within_tol``); ``max_sampled_gap`` is raw.
     """
     tol = rs.model.config.tol
     analytic, witness, witness_gap = _analytic(rs)
@@ -278,6 +279,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     chain = Chain.single(rs)
     max_gap = 0.0
     sampled_witness = None
+    sampled = True
     if len(sample):
         # one row per claim; a claim's gap is its largest over outcomes (NaN
         # when any is NaN) and dates (NaN skipped), and the witness is the
@@ -291,7 +293,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
         if top[best] > 0.0:
             max_gap = float(top[best])
             sampled_witness = sample[best]
-    sampled = max_gap <= tol
+        sampled = bool(np.all(_within_tol(top, X.values, tol)))
 
     if analytic and not sampled:
         raise EngineError(

@@ -119,6 +119,12 @@ def _increments(process: AdaptedProcess) -> list[Claim]:
     return [Claim(c[p + 1].values - c[p].values, dates[p + 1]) for p in range(len(c) - 1)]
 
 
+def _within_tol(gap: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """True where a claim's gap is at most ``tol (1 + max|x|)``, the tolerance
+    at its own scale; one claim per row of ``x``, NaN left out of the scale."""
+    return gap <= tol * (1.0 + np.fmax.reduce(np.abs(x), axis=-1, initial=0.0))
+
+
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
     """True when the time-0 price of the claim is at most zero (one-sided)."""
     _outcome_vector(claim.values, rs.model.n, "claim")

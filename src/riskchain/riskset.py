@@ -815,7 +815,7 @@ def _unit_rows(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def includes(rs1: RiskSet, rs2: RiskSet) -> bool:
     """Every vertex of ``rs2`` is a member of ``rs1``."""
-    _check_same_model(rs1, rs2)
+    _check_same_model(rs1.model, rs2.model)
     return all(member(rs1, v) for v in rs2.vertices)
 
 
@@ -830,17 +830,17 @@ def intersect(rs1: RiskSet, rs2: RiskSet) -> RiskSet:
     their vertices, enumerated at once.  Raises EMPTY_INTERSECTION when no
     probability measure satisfies both.
     """
-    _check_same_model(rs1, rs2)
+    _check_same_model(rs1.model, rs2.model)
     rs = RiskSet.from_constraints(rs1.model, np.vstack([rs1.constraints, rs2.constraints]))
     rs.vertices     # raises EmptyIntersectionError on an empty system
     return rs
 
 
-def _check_same_model(rs1: RiskSet, rs2: RiskSet):
-    m1, m2 = rs1.model, rs2.model
+def _check_same_model(m1: ScenarioModel, m2: ScenarioModel):
+    """Refuse models that differ in outcomes, stage labels or partitions."""
     if m1 is m2:
         return
     if (m1.outcomes != m2.outcomes or len(m1.stages) != len(m2.stages)
             or any(a.label != b.label for a, b in zip(m1.stages, m2.stages))
             or m1.partitions != m2.partitions):
-        raise SchemaError("risk sets live on different models")
+        raise SchemaError("inputs live on different models")

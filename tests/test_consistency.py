@@ -215,6 +215,23 @@ class TestCheckStrong:
         brute = max(hull.vertices @ x) - max(rs.vertices @ x)
         assert brute == pytest.approx(report.witness_gap, abs=1e-9)
 
+    def test_large_claims_compare_at_their_own_scale(self, model):
+        """Example 6 at eps = 0.3 is m-stable.  At claim scale 1e8 its
+        backward recursion and one-shot price round apart by far more than
+        ``tol``, but each claim's gap is within ``tol (1 + max|x|)``, so both
+        verdicts pass and the report stays raw; the derived set still fails
+        at that scale."""
+        rs = pricing_set(model, 0.3)
+        rng = np.random.default_rng(29)
+        sample = [random_claim(rng, model, lo=-1e8, hi=1e8) for _ in range(20)]
+        report = check_strong(rs, sample)
+        assert report.passed and report.analytic and report.sampled
+        assert report.max_sampled_gap > model.config.tol
+        assert consistency_report(rs, sample).strong
+        _, derived = derived_pair()
+        big = [Claim(1e8 * x.values) for x in sample]
+        assert not check_strong(derived, big).sampled
+
     def test_witness_search_is_deterministic(self):
         m, rs = derived_pair()
         hull = mstable_hull(rs)

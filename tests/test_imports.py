@@ -1,9 +1,12 @@
 """Every module of the package, every test module and every demo uses each
-name it imports.
+name it imports, and every function of the package reads each of its
+parameters.
 
-The check reads the source with ``ast``: a name bound by an import must be
-read somewhere in the module, as a name or as the base of an attribute.
-The package ``__init__`` only re-exports, so it is left out.
+The checks read the source with ``ast``: a name bound by an import must be
+read somewhere in the module, as a name or as the base of an attribute, and
+a parameter somewhere in its function's body (``self`` and ``cls`` are
+exempt).  The package ``__init__`` only re-exports, so it is left out of the
+import check.
 """
 
 import ast
@@ -45,3 +48,25 @@ def module_id(path: Path) -> str:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - read_names(tree)) == []
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``function.parameter`` for each parameter that its function's body
+    never reads; a read in a nested function or lambda counts."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set().union(*(read_names(stmt) for stmt in body))
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}.{p.arg}" for p in params
+                if p.arg not in ("self", "cls") and p.arg not in read]
+    return out
+
+
+def test_no_unread_parameters():
+    assert [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+            for name in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))] == []

@@ -92,6 +92,12 @@ def two_state_factor(labels, weights=(0.5, 0.5)):
                          [[[0, 1]], [[0], [1]]], list(weights))
 
 
+def scaled_tol(model, x):
+    """The tolerance at a claim's own scale, ``tol (1 + max|x|)``: two routes
+    to a price of ``x`` round apart in proportion to ``x``."""
+    return model.config.tol * (1.0 + np.abs(x).max())
+
+
 @pytest.fixture
 def pm():
     return product_space(two_state_factor(["f", "f'"]),
@@ -377,6 +383,54 @@ class TestSplitReserve:
             + sum(u.values for u in plan.int_increments)
         assert np.allclose(total, x.values, atol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.booleans())
+    def test_increments_lie_in_their_cones_at_every_scale(self, seed, k, hulled):
+        """The oracle for the cone checks the split does not make: at claim
+        scale 10^k, time-consistent set or not, each increment is measurable
+        at its date and prices to at most ``tol (1 + max|x|)`` on every atom
+        of its cone's first date, and the plan telescopes."""
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        rs = random_riskset(rng, mkt.model)
+        if hulled:
+            rs = mstable_hull(rs)
+        x = random_claim(rng, mkt.model, lo=-10.0 ** k, hi=10.0 ** k)
+        plan = split_reserve(rs, mkt, x)
+        bound = scaled_tol(mkt.model, x.values)
+        for t, (uf, ui) in enumerate(zip(plan.fin_increments, plan.int_increments)):
+            for u, s, s_next in ((uf, mkt.whole(t), mkt.half(t)),
+                                 (ui, mkt.half(t), mkt.whole(t + 1))):
+                assert u.stage == s_next.index
+                assert mkt.model.is_measurable(u.values, s_next)
+                assert np.all(rho(rs, u, s).values <= bound)
+        assert np.all(np.abs(plan.total(mkt.model) - x.values) <= bound)
+
+
+class TestModelMismatch:
+    ENTRIES = [qf, qi, check_fi,
+               lambda rs, mkt: split_reserve(rs, mkt, Claim(np.zeros(rs.model.n)))]
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["qf", "qi", "check_fi", "split_reserve"])
+    @pytest.mark.parametrize("other", ["plain", "other_market"])
+    def test_set_on_another_model_is_schema_error(self, entry, other):
+        """A set on the market's plain model, or on another market's refined
+        one with other half steps, is refused; a set on an equal model built
+        again is not."""
+        base = ScenarioModel(["a", "b", "c", "d"], ["0", "1", "2"],
+                             [[[0, 1, 2, 3]], [[0, 1], [2, 3]],
+                              [[0], [1], [2], [3]]], [0.25] * 4)
+        fins = {1: [[0, 1, 2, 3]], 2: [[0, 1], [2, 3]]}
+        mkt = build_refined(base, fins)
+        verts = [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4]]
+        entry(RiskSet.from_vertices(build_refined(base, fins).model, verts), mkt)
+        if other == "plain":
+            model = base
+        else:
+            model = build_refined(base, {1: [[0, 1], [2, 3]], 2: [[0], [1], [2], [3]]}).model
+        with pytest.raises(SchemaError, match="different models"):
+            entry(RiskSet.from_vertices(model, verts), mkt)
+
 
 class TestProductSpace:
     def test_worked_shape(self, pm):
@@ -442,6 +496,24 @@ class TestPsiBuild:
         assert report["composition_ok"]
         assert report["pi_time_consistent"]
         assert report["financial_agreement_ok"]
+
+    def test_large_claims_compare_at_their_own_scale(self, pm):
+        """At claim scale 1e8 the composition and the financial prices of a
+        correctly built ``q`` round apart by far more than ``tol``, but each
+        claim's deviation is within ``tol (1 + max|x|)``; a set that does not
+        compose still fails at that scale."""
+        rng = np.random.default_rng(29)
+        pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
+        phi = RiskSet.from_vertices(
+            pm.model, [[0.3, 0.3, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]])
+        claims = [random_claim(rng, pm.model, lo=-1e8, hi=1e8) for _ in range(20)]
+        claims += [Claim(lift_financial(pm, rng.uniform(-1e8, 1e8, 2))) for _ in range(5)]
+        tol = pm.model.config.tol
+        report = psi_verify(pi, phi, pm, psi_build(pi, phi, pm), claims)
+        assert report["composition_ok"] and report["financial_agreement_ok"]
+        assert report["composition_max_dev"] > tol
+        assert report["financial_agreement_max_dev"] > tol
+        assert not psi_verify(pi, phi, pm, phi, claims)["composition_ok"]
 
     def test_horizon_two_composition_deviation(self):
         """``psi_verify`` prices ``q`` once per date and reuses the next
@@ -727,6 +799,28 @@ class TestOnePeriodPremium:
         pi = singleton(pm.fin, [0.5, 0.5])
         res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
         assert res.premium == pytest.approx(1.25, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10))
+    def test_increments_are_acceptable_at_every_scale(self, seed, k):
+        """The oracle for the acceptability checks the premium does not
+        make: at claim scale 10^k, the financial increment prices to at most
+        ``tol (1 + max|x|)`` under the financial set and the intermediate
+        one, per financial outcome, under the intermediate set; premium and
+        increments telescope to the claim."""
+        rng = np.random.default_rng(seed)
+        fin, inter = (random_model(rng, n_min=2, n_max=3, stages_min=2, stages_max=2)
+                      for _ in range(2))
+        pm = product_space(fin, inter)
+        p_fin, p_int = random_riskset(rng, fin), random_riskset(rng, inter)
+        h = random_claim(rng, pm.model, lo=-10.0 ** k, hi=10.0 ** k)
+        res = one_period_premium(p_fin, p_int, h, pm)
+        bound = scaled_tol(pm.model, h.values)
+        assert rho(p_fin, fin_restriction(pm, res.fin_increment), 0).values[0] <= bound
+        per_fin = rho(p_int, Claim(pm.grid(res.int_increment.values).T), 0).values
+        assert np.all(per_fin <= bound)
+        total = res.premium + res.fin_increment.values + res.int_increment.values
+        assert np.all(np.abs(total - h.values) <= bound)
 
 
 def financial_cone_feasible(rs, mkt, x_values):
