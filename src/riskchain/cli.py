@@ -42,6 +42,9 @@ from .riskset import RiskSet, intersect, set_equal
 from .scenario import Claim, ScenarioModel
 
 SPEC_VERSION = "1"
+# the exit code of an engine error: that of the first class here it belongs to
+_EXIT_CODES = ((SchemaError, 2), ((ModelError, NotCoarserError), 3), (SizeBoundError, 5),
+               (EngineError, 4))
 
 
 def _fmt(obj):
@@ -75,10 +78,6 @@ def _write(text: str, out: Optional[str]):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _emit(payload: dict, out: Optional[str]):
-    _write(_render(payload), out)
 
 
 def _require(cond, message):
@@ -479,20 +478,11 @@ def main(argv=None) -> int:
         code = payload.pop("_exit", 0)
         text = _render(payload)
     except (json.JSONDecodeError, OSError) as exc:
-        _emit({"error": {"code": "SCHEMA", "message": str(exc), "details": {}}}, out)
+        _write(_render({"error": {"code": "SCHEMA", "message": str(exc), "details": {}}}), out)
         return 2
-    except SchemaError as exc:
-        _emit({"error": exc.to_dict()}, out)
-        return 2
-    except (ModelError, NotCoarserError) as exc:
-        _emit({"error": exc.to_dict()}, out)
-        return 3
-    except SizeBoundError as exc:
-        _emit({"error": exc.to_dict()}, out)
-        return 5
     except EngineError as exc:
-        _emit({"error": exc.to_dict()}, out)
-        return 4
+        _write(_render({"error": exc.to_dict()}), out)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
     _write(text, out)
     return code
 

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import DEDUP_TOL, WORK_BOUND
-from .errors import EngineError, SchemaError, SizeBoundError
-from .risk import Chain, _within_tol, eta, rho
+from .errors import EmptyKernelError, EngineError, SchemaError, SizeBoundError
+from .risk import Chain, eta, rho
 from .riskset import (
     RiskSet,
     _affine_rank,
@@ -147,9 +147,10 @@ def _verdict_rows(rs: RiskSet) -> Optional[tuple[np.ndarray, np.ndarray]]:
     undefined.
     """
     model = rs.model
-    # the blocks read the vertices first, so later prices take the vertex
-    # route; their last entry lists the atoms that no vertex charges
-    if any(rs._atom_blocks(s)[-1] for s in range(model.final_stage.index)):
+    # the blocks read the vertices first, so later prices take the vertex route
+    try:
+        rs._refuse_uncharged(range(model.final_stage.index))
+    except EmptyKernelError:
         return None
     V = rs.vertices
     if rs.has_constraints:
@@ -172,17 +173,16 @@ def _row_verdict(rs: RiskSet, A: np.ndarray, b: np.ndarray
     """m-stability from η_0 on the rows of an H-representation of the set.
 
     η_0 of ``Chain.single(rs)`` is the support function of the m-stable hull,
-    which contains the set, so the set is m-stable iff
-    ``η_0(a) <= b + tol (1 + |b|)`` on every row.  The row with the largest
-    excess is the witness; its gap is ``η_0(a) - max_v v.a``.
+    which contains the set, so the set is m-stable iff ``η_0(a) <= b`` on
+    every row, at the row's scale ``|b|`` (``Config.tol_at``).  The row with
+    the largest excess is the witness; its gap is ``η_0(a) - max_v v.a``.
     """
     V = rs.vertices
     if len(A) == 0:
         return True, None, 0.0
     chain = Chain.single(rs)
-    tol = rs.model.config.tol
     eta0 = eta(chain, Claim(A)).claims[0].values[:, 0]
-    excess = eta0 - b - tol * (1.0 + np.abs(b))
+    excess = eta0 - b - rs.model.config.tol_at(b[:, None])
     worst = int(excess.argmax())
     if excess[worst] <= 0:
         return True, None, 0.0
@@ -271,9 +271,8 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     its hull; when it differs, the witness is the NNLS residual of a hull
     vertex outside the set (``find_witness``), whose gap is proven; the
     sampled witness stands in only when that finds none.  Each sampled gap
-    is compared at its claim's scale (``_within_tol``); ``max_sampled_gap`` is raw.
+    is compared at its claim's scale (``Config.tol_at``); ``max_sampled_gap`` is raw.
     """
-    tol = rs.model.config.tol
     analytic, witness, witness_gap = _analytic(rs)
 
     chain = Chain.single(rs)
@@ -293,7 +292,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
         if top[best] > 0.0:
             max_gap = float(top[best])
             sampled_witness = sample[best]
-        sampled = bool(np.all(_within_tol(top, X.values, tol)))
+        sampled = bool(np.all(top <= rs.model.config.tol_at(X.values)))
 
     if analytic and not sampled:
         raise EngineError(
@@ -319,9 +318,9 @@ class CheckReport:
 
 def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
     """Vertex one-step conditional expectations of the price process never
-    rise, checked on every atom the vertex charges."""
+    rise, at the claim's scale, checked on every atom the vertex charges."""
     model = rs.model
-    tol = model.config.tol
+    band = model.config.tol_at(claim.values)
     prices = {s: rho(rs, claim, s) for s in range(len(model.stages))}
     for s in range(len(model.stages) - 1):
         nxt = prices[s + 1]
@@ -332,7 +331,7 @@ def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
                 idx = list(atom)
                 if v[idx].sum() <= 0:
                     continue
-                if ce[idx[0]] > cap[idx[0]] + tol:
+                if ce[idx[0]] > cap[idx[0]] + band:
                     return CheckReport(False, witness={
                         "vertex_index": vi,
                         "stage": model.stages[s].label,

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
-from .errors import EmptyKernelError, NotCoarserError, SchemaError
-from .risk import Chain, _within_tol, reserve_plan, rho
+from .errors import NotCoarserError, SchemaError
+from .risk import Chain, reserve_plan, rho
 from .riskset import RiskSet, _check_same_model, set_equal
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        crossing_atom, parse_stage_label)
@@ -167,14 +167,8 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
     names the first such atom in stage order, with ``kernel_polytope``'s
     message and details.  A set on another model is a SCHEMA error.
     """
-    model = rs.model
-    _check_same_model(model, mm.model)
-    for s in range(model.final_stage.index):
-        *_, ids, empty = rs._atom_blocks(s)
-        if empty:
-            label, atom = model.stages[s].label, int(ids[empty[0][0]])
-            raise EmptyKernelError(f"no vertex charges atom {atom} at stage {label}",
-                                   stage=label, atom=atom)
+    _check_same_model(rs.model, mm.model)
+    rs._refuse_uncharged(range(rs.model.final_stage.index))
     eq = set_equal(rs, mstable_hull(rs))
     mst = _analytic(rs, eq)[0]
     return FiReport(mstable=mst, equals_intersection=eq, parts_agree=(eq == mst))
@@ -286,8 +280,9 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
 
 def is_purely_financial(pm: ProductModel, claim: Claim) -> bool:
     """Structural test: constant across the intermediate factor per financial
-    outcome."""
-    return not np.any(np.ptp(pm.grid(claim.values), axis=0) > pm.model.config.tol)
+    outcome, at the claim's scale."""
+    return not np.any(np.ptp(pm.grid(claim.values), axis=0)
+                      > pm.model.config.tol_at(claim.values))
 
 
 def fin_restriction(pm: ProductModel, claim: Claim) -> Claim:
@@ -305,11 +300,10 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     """Report the construction identities on sampled claims: the backward
     composition through both parts, and financial agreement when the
     financial pricing is itself time-consistent.  An ``_ok`` flag compares
-    each claim at its own scale (``_within_tol``); a ``_max_dev`` is raw."""
+    each claim at its own scale (``Config.tol_at``); a ``_max_dev`` is raw."""
     hat_pi = extend_pi(pi, pm)
     qf_part = qf(hat_pi, pm.market)
     qi_part = qi(phi, pm.market)
-    tol = pm.model.config.tol
     # one row per claim; a row's deviation is NaN when any outcome's is, and
     # the maxima over rows and dates skip NaN
     X = Claim(np.array([x.values for x in claims]).reshape(-1, pm.model.n))
@@ -333,10 +327,11 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
         "qi_recovered": set_equal(qi(q, pm.market), qi_part),
         "mstable": is_mstable(q),
         "composition_max_dev": float(np.max(comp_dev, initial=0.0)),
-        "composition_ok": bool(np.all(_within_tol(comp_dev, X.values, tol))),
+        "composition_ok": bool(np.all(comp_dev <= pm.model.config.tol_at(X.values))),
         "pi_time_consistent": pi_consistent,
         "financial_agreement_max_dev": float(np.max(fin_dev, initial=0.0)),
-        "financial_agreement_ok": bool(np.all(_within_tol(fin_dev, X.values[fin], tol))),
+        "financial_agreement_ok": bool(np.all(
+            fin_dev <= pm.model.config.tol_at(X.values[fin]))),
     }
 
 

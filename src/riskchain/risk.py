@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyKernelError, InfeasibleError, NotMeasurableError, SchemaError
+from .errors import InfeasibleError, NotMeasurableError, SchemaError
 from .riskset import RiskSet, maximize_ratio
 from .scenario import Claim, ScenarioModel, _outcome_vector
 
@@ -57,10 +57,9 @@ def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
         return Claim(x.copy(), st.index)
     X = x.reshape(-1, model.n)
     if rs.has_vertices:
-        cols, blocks, masses, starts, ids, empty = rs._atom_blocks(st.index)
-        if empty and not fill:
-            raise EmptyKernelError(f"no vertex charges atom {empty[0]}",
-                                   stage=st.label, atom=int(ids[empty[0][0]]))
+        if not fill:
+            rs._refuse_uncharged([st.index])
+        cols, blocks, masses, starts, ids, _ = rs._atom_blocks(st.index)
         Xc = X.take(cols, axis=1)[:, :, None]
         vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
         out = np.maximum.reduceat(vals[..., 0] / masses, starts, axis=1).take(ids, axis=1)
@@ -119,16 +118,10 @@ def _increments(process: AdaptedProcess) -> list[Claim]:
     return [Claim(c[p + 1].values - c[p].values, dates[p + 1]) for p in range(len(c) - 1)]
 
 
-def _within_tol(gap: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """True where a claim's gap is at most ``tol (1 + max|x|)``, the tolerance
-    at its own scale; one claim per row of ``x``, NaN left out of the scale."""
-    return gap <= tol * (1.0 + np.fmax.reduce(np.abs(x), axis=-1, initial=0.0))
-
-
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
-    """True when the time-0 price of the claim is at most zero (one-sided)."""
-    _outcome_vector(claim.values, rs.model.n, "claim")
-    return float(rho(rs, claim, 0).values[0]) <= rs.model.config.tol
+    """True when the claim's time-0 price is at most zero (one-sided) at its scale."""
+    x = _outcome_vector(claim.values, rs.model.n, "claim")
+    return bool(float(rho(rs, claim, 0).values[0]) <= rs.model.config.tol_at(x))
 
 
 def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
@@ -136,7 +129,7 @@ def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
 
     Requires one claim ``(n,)``, measurable at ``s_next`` (violations raise
     NOT_MEASURABLE, distinct from a mere risk violation), and nonpositive
-    stage-``s`` price on every atom.
+    stage-``s`` price on every atom, at the claim's scale.
     """
     model = rs.model
     st_s, st_n = model.stage(s), model.stage(s_next)
@@ -146,7 +139,7 @@ def cone_member(rs: RiskSet, claim: Claim, s, s_next) -> bool:
     if not model.is_measurable(x, st_n):
         raise NotMeasurableError(
             f"claim is not measurable at stage {st_n.label}", stage=st_n.label)
-    return bool(np.all(rho(rs, claim, st_s).values <= model.config.tol))
+    return bool(np.all(rho(rs, claim, st_s).values <= model.config.tol_at(x)))
 
 
 def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
@@ -157,20 +150,21 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     Each ``u_s`` is measurable at stage ``s+1``, and on every stage-``s``
     atom every vertex expectation of it is at most 0 (at most ``eta_0`` for
     ``u_0``).  Any split with nonpositive prices forces ``eta_0 <= 0`` by
-    subadditivity and monotonicity, so a claim with ``eta_0 > tol`` raises
-    INFEASIBLE; with an acceptable input that is the witness that the chain
-    is not time-consistent.  Atoms that no vertex charges carry no condition
-    and price to zero here, where ``eta`` raises EMPTY_KERNEL.  A claim
-    other than one ``(n,)`` vector of finite values is a SCHEMA error.
+    subadditivity and monotonicity, so ``eta_0 > 0`` at the claim's scale
+    raises INFEASIBLE; with an acceptable input that is the witness that the
+    chain is not time-consistent.  Atoms that no vertex charges carry no
+    condition and price to zero here, where ``eta`` raises EMPTY_KERNEL.  A
+    claim other than one ``(n,)`` vector of finite values is a SCHEMA error.
     """
     model = rs.model
     rs.vertices     # read first, so an H-set prices by its vertices
     if len(model.stages) < 2:
         raise SchemaError("need at least two stages to decompose")
-    if not np.isfinite(_outcome_vector(claim.values, model.n, "claim")).all():
+    x = _outcome_vector(claim.values, model.n, "claim")
+    if not np.isfinite(x).all():
         raise SchemaError("claim values must be finite")
     process = _eta(rs, claim, partial(_rho, fill=True))
-    if process.claims[0].values[0] > model.config.tol:
+    if process.claims[0].values[0] > model.config.tol_at(x):
         raise InfeasibleError("claim admits no acceptance decomposition")
     parts = _increments(process)
     parts[0] = process.claims[1]

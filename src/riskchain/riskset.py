@@ -612,22 +612,22 @@ class RiskSet:
         vertices' rows on it ``V[charged][:, idx]``; ``masses`` holds those
         vertices' masses on their atom, atom after atom, and ``starts`` where
         each atom's run begins; ``ids`` maps every outcome to its atom;
-        ``empty`` lists the atoms no vertex charges.  Such an atom gets one
-        zero row of mass 1, so it prices to zero where the caller allows it.
+        ``empty`` lists the ids of atoms no vertex charges.  Such an atom gets
+        one zero row of mass 1, so it prices to zero where the caller allows it.
         """
         cached = self._blocks.get(stage)
         if cached is None:
             V = self.vertices
             cols, blocks, masses, empty = [], [], [], []
             a = 0
-            for atom in self.model.atoms(stage):
+            for atom_id, atom in enumerate(self.model.atoms(stage)):
                 idx = np.array(atom, dtype=np.intp)
                 mass = V[:, idx].sum(axis=1)
                 charged = mass > 0
                 if charged.any():
                     block, mass = V[charged][:, idx], mass[charged]
                 else:
-                    empty.append(atom)
+                    empty.append(atom_id)
                     block, mass = np.zeros((1, len(idx))), np.ones(1)
                 cols.append(idx)
                 blocks.append((a, a + len(idx), block))
@@ -638,6 +638,16 @@ class RiskSet:
                       self.model.atom_ids(stage), tuple(empty))
             self._blocks[stage] = cached
         return cached
+
+    def _refuse_uncharged(self, stages, atom_id=None):
+        """Raise EMPTY_KERNEL for the first atom, in stage order over ``stages``,
+        that no vertex charges (only atom ``atom_id`` when given)."""
+        for s in stages:
+            for a in self._atom_blocks(s)[-1]:
+                if atom_id in (None, a):
+                    label = self.model.stages[s].label
+                    raise EmptyKernelError(f"no vertex charges atom {a} at stage {label}",
+                                           stage=label, atom=a)
 
     def __repr__(self):
         rep = []
@@ -687,15 +697,12 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> np.ndarray:
     st_s, st_t = model.stage(s), model.stage(t)
     if st_t.index <= st_s.index:
         raise OutOfRangeError("kernel target stage must come after the source stage")
-    atom = model.atom(st_s, atom_id)
+    model.atom(st_s, atom_id)      # refuses an id out of range
     key = (st_s.index, st_t.index, atom_id)
     rows = rs._kernels.get(key)
     if rows is None:
-        cols, blocks, masses, starts, _, empty = rs._atom_blocks(st_s.index)
-        if atom in empty:
-            raise EmptyKernelError(
-                f"no vertex charges atom {atom_id} at stage {st_s.label}",
-                stage=st_s.label, atom=atom_id)
+        rs._refuse_uncharged([st_s.index], atom_id)
+        cols, blocks, masses, starts, _, _ = rs._atom_blocks(st_s.index)
         a, e, block = blocks[atom_id]
         fine = model.atom_ids(st_t)[cols[a:e]]
         rows = np.stack([block[:, fine == c].sum(axis=1)
@@ -797,7 +804,7 @@ def member(rs: RiskSet, q) -> bool:
         return False
     if rs._rows_given:
         A, b = _unit_rows(rs.constraints)
-        return bool(np.all(A @ w <= b + tol * (1 + np.abs(b))))
+        return bool(np.all(A @ w <= b + rs.model.config.tol_at(b[:, None])))
     V = rs.vertices
     if _near_vertex(V, w, tol):
         return True

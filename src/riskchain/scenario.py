@@ -231,9 +231,10 @@ class ScenarioModel:
 
     def is_measurable(self, values, stage) -> bool:
         """True when ``values``, one per outcome, is constant on every atom
-        of ``stage``."""
+        of ``stage``, at their scale."""
         v = _outcome_vector(values, self.n, "values")
-        return all(np.ptp(v[list(atom)]) <= self.config.tol for atom in self.atoms(stage))
+        band = self.config.tol_at(v)
+        return all(np.ptp(v[list(atom)]) <= band for atom in self.atoms(stage))
 
 
 @dataclass(frozen=True, slots=True)

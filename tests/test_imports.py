@@ -1,6 +1,6 @@
 """Every module of the package, every test module and every demo uses each
-name it imports, and every function of the package reads each of its
-parameters.
+name it imports, every function of the package reads each of its
+parameters, and only ``config`` and the measure side read ``Config.tol``.
 
 The checks read the source with ``ast``: a name bound by an import must be
 read somewhere in the module, as a name or as the base of an attribute, and
@@ -70,3 +70,38 @@ def unread_parameters(tree: ast.Module) -> list[str]:
 def test_no_unread_parameters():
     assert [f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
             for name in unread_parameters(ast.parse(path.read_text(encoding="utf-8")))] == []
+
+
+# Functions outside ``config`` that may read ``.tol``: the measure side, whose
+# comparisons keep their own rules.  Every other verdict compares with
+# ``Config.tol_at``, the tolerance at its input's scale.
+TOL_READERS = {
+    "riskset.member": "the probability pre-check compares a measure's entries "
+                      "and sum, and the NNLS threshold scales tol by its own rule",
+    "cli.cmd_example6": "the golden diffs hold the engine to closed forms at tol itself",
+}
+
+
+def tol_reads(path: Path) -> list[str]:
+    """``module.function`` once per read of an attribute ``tol``, named by the
+    innermost function or class around it."""
+    out = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr == "tol":
+                out.append(where)
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def test_only_config_and_the_measure_side_read_tol():
+    reads = [r for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+             for r in tol_reads(path)]
+    assert [r for r in reads if r not in TOL_READERS] == []
+    assert sorted(set(reads)) == sorted(TOL_READERS)    # no stale exemption

@@ -292,17 +292,22 @@ class TestCheckFi:
     def test_refusal_names_the_first_uncharged_atom_in_stage_order(self):
         """Uncharged atoms at two stages: the atom ``{2, 3}`` of stage 1,
         inside a charged atom of ``0+``, and the atom ``{4, 5}`` of ``0+``.
-        ``check_fi`` names the earlier stage's; the route by parts names the
-        atom ``qf`` meets first depth-first."""
+        ``check_fi`` names the earlier stage's, and ``rho`` and
+        ``kernel_polytope`` at that stage name it alike; the route by parts
+        names the atom ``qf`` meets first depth-first."""
         base = ScenarioModel([f"w{i}" for i in range(6)], ["0", "1", "2"],
                              [[list(range(6))], [[0, 1], [2, 3], [4, 5]],
                               [[w] for w in range(6)]], [1 / 6] * 6)
         mkt = build_refined(base, {1: [[0, 1, 2, 3], [4, 5]], 2: [[w] for w in range(6)]})
         verts = [[0.5, 0.5, 0, 0, 0, 0], [0.3, 0.7, 0, 0, 0, 0]]
-        with pytest.raises(EmptyKernelError) as got:
-            check_fi(RiskSet.from_vertices(mkt.model, verts), mkt)
-        assert (str(got.value), got.value.details) == (
-            "no vertex charges atom 1 at stage 0+", {"stage": "0+", "atom": 1})
+        rs = RiskSet.from_vertices(mkt.model, verts)
+        for refuse in (lambda: check_fi(rs, mkt),
+                       lambda: rho(rs, Claim(np.ones(6)), "0+"),
+                       lambda: kernel_polytope(rs, "0+", "1", 1)):
+            with pytest.raises(EmptyKernelError) as got:
+                refuse()
+            assert (str(got.value), got.value.details) == (
+                "no vertex charges atom 1 at stage 0+", {"stage": "0+", "atom": 1})
         with pytest.raises(EmptyKernelError, match="atom 1 at stage 1$"):
             check_fi_by_parts(RiskSet.from_vertices(mkt.model, verts), mkt)
 

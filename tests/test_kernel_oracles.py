@@ -320,14 +320,22 @@ def dual_cone_lp_ref(model, V, x, s, t):
 
 
 def rho_ref(rs, x, s):
-    """``rho`` as the per-atom ``maximize_ratio`` loop."""
+    """``rho`` as the per-atom ``maximize_ratio`` loop.  ``rho`` names an
+    atom that no vertex charges by its id and stage, where
+    ``maximize_ratio`` names it by its outcomes."""
     model = rs.model
     st_ = model.stage(s)
     if st_.index == model.final_stage.index:
         return x.copy()
     out = np.empty(model.n)
-    for atom in model.atoms(st_):
-        out[list(atom)] = maximize_ratio(rs, x, atom)
+    for atom_id, atom in enumerate(model.atoms(st_)):
+        try:
+            out[list(atom)] = maximize_ratio(rs, x, atom)
+        except EmptyKernelError:
+            if not rs.has_vertices:
+                raise
+            raise EmptyKernelError(
+                f"no vertex charges atom {atom_id} at stage {st_.label}") from None
     return out
 
 
