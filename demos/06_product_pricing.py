@@ -11,7 +11,7 @@ from riskchain import (
     Claim,
     RiskSet,
     ScenarioModel,
-    one_period_premium,
+    product_reserve,
     product_space,
     psi_build,
     psi_verify,
@@ -39,11 +39,12 @@ h = Claim(np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel())
 print("contract payoff:", h.values)
 
 # route 1: price the mortality risk per financial state, then the market
-res = one_period_premium(pi, band, h, pm)
+res = product_reserve(pi, band, h, pm)
 print("two-stage premium:", res.premium)
-print("  worst-case value per financial state:", res.fin_values)
-print("  hedgeable part:", res.fin_increment.values)
-print("  residual part: ", res.int_increment.values)
+print("  worst-case value per financial state:",
+      rho(band, Claim(pm.grid(h.values).T), 0).values[:, 0])
+print("  hedgeable part:", res.fin_increments[0].values)
+print("  residual part: ", res.int_increments[0].values)
 
 # route 2: build the global pricing set and price in one shot
 phi = RiskSet.from_vertices(

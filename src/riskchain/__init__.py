@@ -57,7 +57,6 @@ from .consistency import (
 from .intermarket import (
     FiReport,
     MarketModel,
-    OnePeriodPremium,
     ProductModel,
     SplitReservePlan,
     build_refined,
@@ -66,7 +65,7 @@ from .intermarket import (
     fin_restriction,
     is_purely_financial,
     lift_financial,
-    one_period_premium,
+    product_reserve,
     product_space,
     psi_build,
     psi_verify,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
 from .errors import NotCoarserError, SchemaError
-from .risk import Chain, reserve_plan, rho
+from .risk import Chain, _finite_claim, reserve_plan, rho
 from .riskset import RiskSet, _check_same_model, set_equal
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        crossing_atom, parse_stage_label)
@@ -186,9 +186,7 @@ class SplitReservePlan:
 
     def total(self, model: ScenarioModel) -> np.ndarray:
         out = np.full(model.n, self.premium)
-        for inc in self.fin_increments:
-            out = out + inc.values
-        for inc in self.int_increments:
+        for inc in self.fin_increments + self.int_increments:
             out = out + inc.values
         return out
 
@@ -335,31 +333,22 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     }
 
 
-@dataclass(frozen=True)
-class OnePeriodPremium:
-    premium: float
-    fin_values: np.ndarray        # worst-case value per financial outcome
-    fin_increment: Claim          # hedgeable part, financial-only payoff
-    int_increment: Claim          # residual part
-
-
-def one_period_premium(p_fin: RiskSet, p_int: RiskSet, h: Claim,
-                       pm: ProductModel) -> OnePeriodPremium:
-    """Two-stage premium of a one-period product claim.
-
-    First the intermediate pricing is applied per financial outcome, turning
-    the claim into a purely financial one; then the financial pricing prices
-    that.  Each increment of the resulting split is the claim less the price
-    its own pricing set gives it, so it is acceptable against that set by
-    cash invariance.
-    """
-    if pm.market.horizon != 1:
-        raise SchemaError("one-period premium needs a horizon-1 product model")
-    v = np.asarray(h.values, dtype=float)
-    # one intermediate claim per financial outcome, one per row
-    fin_vals = rho(p_int, Claim(pm.grid(v).T), 0).values[:, 0].copy()
-    premium = float(rho(p_fin, Claim(fin_vals), 0).values[0])
-
-    uf = Claim(lift_financial(pm, fin_vals - premium), pm.market.half(0).index)
-    ui = Claim(v - lift_financial(pm, fin_vals), pm.model.final_stage.index)
-    return OnePeriodPremium(premium, fin_vals, uf, ui)
+def product_reserve(p_fin: RiskSet, p_int: RiskSet, claim: Claim,
+                    pm: ProductModel) -> SplitReservePlan:
+    """``split_reserve`` on ``psi_build``'s set from ``p_fin`` and ``p_int``
+    extended by independence, without building it: backward over the
+    periods, ``p_int`` prices the value once per financial outcome, then
+    ``p_fin`` that once per intermediate outcome.  Pasting makes the set
+    m-stable, so the plan is time-consistent.  A factor set on another model
+    than ``pm``'s factor, or a claim not one finite ``(n,)`` vector, is SCHEMA."""
+    _check_same_model(p_fin.model, pm.fin)
+    _check_same_model(p_int.model, pm.inter)
+    v = pm.grid(_finite_claim(claim, pm.model.n))
+    fin_incs, int_incs = [], []
+    for t in range(pm.market.horizon - 1, -1, -1):
+        half = rho(p_int, Claim(v.T), t).values.T
+        price = rho(p_fin, Claim(half), t).values
+        fin_incs.insert(0, Claim((half - price).ravel(), pm.market.half(t).index))
+        int_incs.insert(0, Claim((v - half).ravel(), pm.market.whole(t + 1).index))
+        v = price
+    return SplitReservePlan(float(v[0, 0]), tuple(fin_incs), tuple(int_incs), True)

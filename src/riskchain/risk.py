@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleError, NotMeasurableError, SchemaError
-from .riskset import RiskSet, maximize_ratio
+from .errors import EmptyKernelError, InfeasibleError, NotMeasurableError, SchemaError
+from .riskset import RiskSet, _uncharged, maximize_ratio
 from .scenario import Claim, ScenarioModel, _outcome_vector
 
 
@@ -33,7 +33,7 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     constraint-only set takes the LP route, row by row, which needs no
     solver call on a one-outcome atom once the set is known to charge it
     (``maximize_ratio``).  An atom that no measure of the set charges raises
-    EMPTY_KERNEL.
+    EMPTY_KERNEL, named by its id and stage on either route.
     """
     return _rho(rs, claim, stage, fill=False)
 
@@ -44,6 +44,14 @@ def _claim_values(claim: Claim, n: int) -> np.ndarray:
     x = np.asarray(claim.values, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise SchemaError(f"claim values have shape {x.shape}, expected ({n},) or (m, {n})")
+    return x
+
+
+def _finite_claim(claim: Claim, n: int) -> np.ndarray:
+    """One ``(n,)`` claim of finite values as floats, else a SCHEMA error."""
+    x = _outcome_vector(claim.values, n, "claim")
+    if not np.isfinite(x).all():
+        raise SchemaError("claim values must be finite")
     return x
 
 
@@ -66,8 +74,11 @@ def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
     else:
         out = np.empty(X.shape)
         for row, xr in zip(out, X):
-            for atom in model.atoms(st):
-                row[list(atom)] = maximize_ratio(rs, xr, atom)
+            for a, atom in enumerate(model.atoms(st)):
+                try:
+                    row[list(atom)] = maximize_ratio(rs, xr, atom)
+                except EmptyKernelError:
+                    raise _uncharged(st.label, a) from None
     return Claim(out.reshape(x.shape), st.index)
 
 
@@ -160,9 +171,7 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
     rs.vertices     # read first, so an H-set prices by its vertices
     if len(model.stages) < 2:
         raise SchemaError("need at least two stages to decompose")
-    x = _outcome_vector(claim.values, model.n, "claim")
-    if not np.isfinite(x).all():
-        raise SchemaError("claim values must be finite")
+    x = _finite_claim(claim, model.n)
     process = _eta(rs, claim, partial(_rho, fill=True))
     if process.claims[0].values[0] > model.config.tol_at(x):
         raise InfeasibleError("claim admits no acceptance decomposition")
@@ -196,11 +205,11 @@ def reserve_plan(chain: Chain, claim: Claim) -> ReservePlan:
     zero at its own date.  For chains that are not time-consistent the eta
     prices dominate the chain's own, and a warning records that the plan is
     the conservative repair.  ``time_consistent`` is ``is_mstable`` of the
-    chain's set.
+    chain's set.  The claim is one finite ``(n,)`` vector, else SCHEMA.
     """
     from .consistency import is_mstable
 
-    _outcome_vector(claim.values, chain.rs.model.n, "claim")
+    _finite_claim(claim, chain.rs.model.n)
     time_consistent = is_mstable(chain.rs)
     process = eta(chain, claim)
     premium = float(process.claims[0].values[0])

@@ -645,9 +645,7 @@ class RiskSet:
         for s in stages:
             for a in self._atom_blocks(s)[-1]:
                 if atom_id in (None, a):
-                    label = self.model.stages[s].label
-                    raise EmptyKernelError(f"no vertex charges atom {a} at stage {label}",
-                                           stage=label, atom=a)
+                    raise _uncharged(self.model.stages[s].label, a)
 
     def __repr__(self):
         rep = []
@@ -657,6 +655,11 @@ class RiskSet:
         if self._constraints is not None:
             rep.append(f"{len(self._constraints)} constraints")
         return f"RiskSet({', '.join(rep)}, n={self.model.n})"
+
+
+def _uncharged(label: str, a: int) -> EmptyKernelError:
+    """EMPTY_KERNEL for atom ``a`` of stage ``label``, named one way on every route."""
+    return EmptyKernelError(f"no vertex charges atom {a} at stage {label}", stage=label, atom=a)
 
 
 def simplex_set(model: ScenarioModel) -> RiskSet:

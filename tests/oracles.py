@@ -16,12 +16,15 @@ facet from qhull, the oracle of ``_facets``' closed forms for polygons and
 simplices.  ``hull_nnls`` is scipy's NNLS fit of a point by a convex
 combination of points, the oracle of ``riskset._hull_nnls``.
 ``check_fi_by_parts`` is the decomposition check by way of both parts, the
-oracle of ``check_fi``, which pastes only the hull.
+oracle of ``check_fi``, which pastes only the hull.  ``one_period_premium``
+is the former horizon-1 two-stage premium, the oracle of ``product_reserve``
+at horizon 1.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -37,9 +40,11 @@ from riskchain import (
     SizeBoundError,
     is_mstable,
     kernel_polytope,
+    lift_financial,
     mstable_hull,
     qf,
     qi,
+    rho,
     set_equal,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
@@ -240,3 +245,31 @@ def check_fi_by_parts(rs: RiskSet, mm) -> dict:
     mst = is_mstable(rs)
     return {"mstable": mst, "equals_intersection": eq, "parts_agree": eq == mst,
             "qf_mstable": is_mstable(qf_set), "qi_mstable": is_mstable(qi_set)}
+
+
+@dataclass(frozen=True)
+class OnePeriodPremium:
+    premium: float
+    fin_values: np.ndarray        # worst-case value per financial outcome
+    fin_increment: Claim          # hedgeable part, financial-only payoff
+    int_increment: Claim          # residual part
+
+
+def one_period_premium(p_fin: RiskSet, p_int: RiskSet, h: Claim, pm) -> OnePeriodPremium:
+    """Two-stage premium of a one-period product claim.
+
+    First the intermediate pricing is applied per financial outcome, turning
+    the claim into a purely financial one; then the financial pricing prices
+    that.  The hedgeable increment is the financial values less the premium,
+    the residual one the claim less the financial values.
+    """
+    if pm.market.horizon != 1:
+        raise SchemaError("one-period premium needs a horizon-1 product model")
+    v = np.asarray(h.values, dtype=float)
+    # one intermediate claim per financial outcome, one per row
+    fin_vals = rho(p_int, Claim(pm.grid(v).T), 0).values[:, 0].copy()
+    premium = float(rho(p_fin, Claim(fin_vals), 0).values[0])
+
+    uf = Claim(lift_financial(pm, fin_vals - premium), pm.market.half(0).index)
+    ui = Claim(v - lift_financial(pm, fin_vals), pm.model.final_stage.index)
+    return OnePeriodPremium(premium, fin_vals, uf, ui)

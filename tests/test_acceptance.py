@@ -22,7 +22,7 @@ from riskchain import (
     is_mstable,
     lift_financial,
     mstable_hull,
-    one_period_premium,
+    product_reserve,
     product_space,
     psi_build,
     qf,
@@ -43,7 +43,7 @@ from riskchain.twobytwo import (
     pricing_set,
 )
 
-from oracles import dual_cone_member, int_band_constraints, project
+from oracles import dual_cone_member, int_band_constraints, one_period_premium, project
 from randmodels import (
     nonstable_set,
     random_claim,
@@ -339,9 +339,11 @@ class TestCriterion8:
             max(k @ np.array([s_values[f], 0.0]) for k in kernels) for f in (0, 1)])
         oracle = float(np.array([0.5, 0.5]) @ oracle_hf)
 
-        res = one_period_premium(pi, band, Claim(h), pm)
+        res = product_reserve(pi, band, Claim(h), pm)
         d1 = abs(res.premium - oracle)
         report("C8.oracle", d1 <= TOL, f"diff {d1:.2e}")
+        d3 = abs(res.premium - one_period_premium(pi, band, Claim(h), pm).premium)
+        report("C8.horizon1_oracle", d3 == 0.0, f"diff {d3:.2e}")
 
         phi = RiskSet.from_constraints(pm.model, pricing_constraints(eps))
         q = psi_build(pi, RiskSet.from_vertices(pm.model, phi.vertices), pm)

@@ -35,7 +35,7 @@ from riskchain import (
     kernel_polytope,
     lift_financial,
     mstable_hull,
-    one_period_premium,
+    product_reserve,
     product_space,
     psi_build,
     psi_verify,
@@ -58,7 +58,7 @@ from riskchain.twobytwo import (
     pricing_constraints,
 )
 
-from oracles import check_fi_by_parts, project
+from oracles import check_fi_by_parts, one_period_premium, project
 from randmodels import random_claim, random_market, random_model, random_riskset
 
 EPS = 0.2
@@ -373,6 +373,11 @@ class TestSplitReserve:
         plan = split_reserve(rs, mkt, x)
         assert plan.time_consistent
         assert np.allclose(plan.total(mkt.model), x.values, atol=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_claim_is_a_schema_error(self, mm, rs, bad):
+        with pytest.raises(SchemaError, match="claim values must be finite"):
+            split_reserve(rs, mm, Claim(np.array([1.0, bad, -1.0, 0.0])))
 
 
     @settings(max_examples=30, deadline=None)
@@ -757,9 +762,34 @@ class TestPastedSets:
             gc.enable()
 
 
+def lift(p_int, pm):
+    """``p_int`` extended to the product by independence: each vertex times
+    the financial reference."""
+    return RiskSet.from_vertices(
+        pm.model, [np.outer(v, pm.fin.reference).ravel() for v in p_int.vertices])
+
+
+def random_factors(rng, horizon, n_max=3):
+    fin, inter = (random_model(rng, n_min=2, n_max=n_max, stages_min=horizon + 1,
+                               stages_max=horizon + 1) for _ in range(2))
+    pm = product_space(fin, inter)
+    return pm, random_riskset(rng, fin, k_max=3), random_riskset(rng, inter, k_max=3)
+
+
+def cond_max(V, x, model, t, w):
+    """``max_q E_q[x | A]`` over the rows of ``V`` for the stage-``t`` atom
+    ``A`` of outcome ``w``, which every row charges."""
+    idx = list(model.atom(t, model.atom_ids(t)[w]))
+    return max(float(q[idx] @ x[idx]) / float(q[idx].sum()) for q in V)
+
+
+def band(inter):
+    return RiskSet.from_vertices(inter, [[0.6, 0.4], [0.4, 0.6]])
+
+
 class TestOnePeriodPremium:
-    def band(self, inter):
-        return RiskSet.from_vertices(inter, [[0.6, 0.4], [0.4, 0.6]])
+    """The two-stage premium of a one-period claim, ``product_reserve`` at
+    horizon 1."""
 
     def test_stock_if_alive_contract(self, pm):
         # oracle: per financial state, maximize over the two band kernels,
@@ -773,18 +803,19 @@ class TestOnePeriodPremium:
         assert oracle_premium == pytest.approx(0.75, abs=1e-12)
 
         pi = singleton(pm.fin, [0.5, 0.5])
-        res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
+        res = product_reserve(pi, band(pm.inter), Claim(h), pm)
         assert res.premium == pytest.approx(oracle_premium, abs=1e-9)
-        assert np.allclose(res.fin_values, oracle_hf, atol=1e-9)
-        total = res.premium + res.fin_increment.values + res.int_increment.values
-        assert np.allclose(total, h, atol=1e-9)
+        fin_values = res.premium + fin_restriction(pm, res.fin_increments[0]).values
+        assert np.allclose(fin_values, oracle_hf, atol=1e-9)
+        assert np.allclose(res.total(pm.model), h, atol=1e-9)
+        assert res.time_consistent and res.warning is None
 
     def test_agrees_with_psi_route(self, pm, rs):
         s_values = {0: 2.0, 1: 0.5}
         # outcomes are intermediate-major: the alive row pays the share
         h = np.array([[s_values[0], s_values[1]], [0.0, 0.0]]).ravel()
         pi = singleton(pm.fin, [0.5, 0.5])
-        res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
+        res = product_reserve(pi, band(pm.inter), Claim(h), pm)
         phi = RiskSet.from_vertices(pm.model, rs.vertices)  # its qi is the band
         q = psi_build(pi, phi, pm)
         assert float(rho(q, Claim(h), "0").values[0]) == pytest.approx(
@@ -793,8 +824,8 @@ class TestOnePeriodPremium:
     def test_intermediate_independent_claim(self, pm):
         h = lift_financial(pm, np.array([1.5, -0.5]))
         pi = RiskSet.from_vertices(pm.fin, [[0.5, 0.5], [0.2, 0.8]])
-        res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
-        assert np.allclose(res.int_increment.values, 0.0, atol=1e-9)
+        res = product_reserve(pi, band(pm.inter), Claim(h), pm)
+        assert np.allclose(res.int_increments[0].values, 0.0, atol=1e-9)
         want = float(rho(pi, Claim(np.array([1.5, -0.5])), 0).values[0])
         assert res.premium == pytest.approx(want, abs=1e-9)
 
@@ -802,30 +833,157 @@ class TestOnePeriodPremium:
         s = np.array([2.0, 0.5])
         h = lift_financial(pm, s)
         pi = singleton(pm.fin, [0.5, 0.5])
-        res = one_period_premium(pi, self.band(pm.inter), Claim(h), pm)
+        res = product_reserve(pi, band(pm.inter), Claim(h), pm)
         assert res.premium == pytest.approx(1.25, abs=1e-9)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 10))
-    def test_increments_are_acceptable_at_every_scale(self, seed, k):
-        """The oracle for the acceptability checks the premium does not
-        make: at claim scale 10^k, the financial increment prices to at most
-        ``tol (1 + max|x|)`` under the financial set and the intermediate
-        one, per financial outcome, under the intermediate set; premium and
-        increments telescope to the claim."""
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.integers(1, 3))
+    def test_increments_are_acceptable_at_every_scale(self, seed, k, horizon):
+        """The oracle for the acceptability checks the plan does not make: at
+        claim scale 10^k and horizons 1-3, each period's financial increment
+        prices to at most ``tol (1 + max|x|)`` under the financial set per
+        intermediate outcome, and the intermediate one under the
+        intermediate set per financial outcome; premium and increments
+        telescope to the claim."""
         rng = np.random.default_rng(seed)
-        fin, inter = (random_model(rng, n_min=2, n_max=3, stages_min=2, stages_max=2)
-                      for _ in range(2))
-        pm = product_space(fin, inter)
-        p_fin, p_int = random_riskset(rng, fin), random_riskset(rng, inter)
+        pm, p_fin, p_int = random_factors(rng, horizon)
         h = random_claim(rng, pm.model, lo=-10.0 ** k, hi=10.0 ** k)
-        res = one_period_premium(p_fin, p_int, h, pm)
+        res = product_reserve(p_fin, p_int, h, pm)
         bound = scaled_tol(pm.model, h.values)
-        assert rho(p_fin, fin_restriction(pm, res.fin_increment), 0).values[0] <= bound
-        per_fin = rho(p_int, Claim(pm.grid(res.int_increment.values).T), 0).values
-        assert np.all(per_fin <= bound)
-        total = res.premium + res.fin_increment.values + res.int_increment.values
-        assert np.all(np.abs(total - h.values) <= bound)
+        for t, (uf, ui) in enumerate(zip(res.fin_increments, res.int_increments)):
+            assert np.all(rho(p_fin, Claim(pm.grid(uf.values)), t).values <= bound)
+            assert np.all(rho(p_int, Claim(pm.grid(ui.values).T), t).values <= bound)
+        assert np.all(np.abs(res.total(pm.model) - h.values) <= bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8))
+    def test_horizon_one_is_the_former_premium_bit_for_bit(self, seed, k):
+        """At horizon 1 the plan is the former two-stage premium's
+        arithmetic: the premium and both increments, values and dates, are
+        bit-identical to the oracle's."""
+        rng = np.random.default_rng(seed)
+        pm, p_fin, p_int = random_factors(rng, 1, n_max=4)
+        h = random_claim(rng, pm.model, lo=-10.0 ** k, hi=10.0 ** k)
+        got = product_reserve(p_fin, p_int, h, pm)
+        want = one_period_premium(p_fin, p_int, h, pm)
+        assert got.premium == want.premium
+        for inc, ref in ((got.fin_increments, want.fin_increment),
+                         (got.int_increments, want.int_increment)):
+            assert len(inc) == 1 and inc[0].stage == ref.stage
+            assert inc[0].values.tobytes() == ref.values.tobytes()
+
+
+
+class TestProductReserve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(1, 3))
+    def test_is_split_reserve_on_the_pasted_set(self, seed, k, horizon):
+        """The paste route is the oracle: ``split_reserve`` on the set
+        ``psi_build`` pastes from ``p_fin`` and ``p_int`` extended by
+        independence gives the same plan, field by field, within
+        ``tol_at``."""
+        rng = np.random.default_rng(seed)
+        pm, p_fin, p_int = random_factors(rng, horizon)
+        h = random_claim(rng, pm.model, lo=-10.0 ** k, hi=10.0 ** k)
+        got = product_reserve(p_fin, p_int, h, pm)
+        want = split_reserve(psi_build(p_fin, lift(p_int, pm), pm), pm.market, h)
+        bound = pm.model.config.tol_at(h.values)
+        assert abs(got.premium - want.premium) <= bound
+        assert (got.time_consistent, got.warning) == (want.time_consistent, want.warning)
+        for inc, ref in ((got.fin_increments, want.fin_increments),
+                         (got.int_increments, want.int_increments)):
+            assert [u.stage for u in inc] == [u.stage for u in ref]
+            for u, r in zip(inc, ref):
+                assert np.all(np.abs(u.values - r.values) <= bound)
+
+    def test_horizon_two_composes_both_factors_per_period(self):
+        """Two binary trees of depth two: each period prices the intermediate
+        factor per financial outcome and then the financial factor per
+        intermediate outcome, by hand over the factor sets' vertices."""
+        tree = [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]]
+        fin = ScenarioModel(["uu", "ud", "du", "dd"], ["0", "1", "2"], tree,
+                            [0.2, 0.3, 0.1, 0.4])
+        inter = ScenarioModel(["aa", "ad", "da", "dd"], ["0", "1", "2"], tree,
+                              [0.25, 0.25, 0.3, 0.2])
+        pm = product_space(fin, inter)
+        p_fin = RiskSet.from_vertices(fin, [[0.1, 0.4, 0.3, 0.2], [0.3, 0.2, 0.1, 0.4]])
+        p_int = RiskSet.from_vertices(inter, [[0.4, 0.1, 0.2, 0.3], [0.2, 0.3, 0.4, 0.1],
+                                              [0.25, 0.25, 0.25, 0.25]])
+        h = np.random.default_rng(32).uniform(-5.0, 5.0, pm.model.n)
+        res = product_reserve(p_fin, p_int, Claim(h), pm)
+
+        v = h.reshape(4, 4)         # row i, column f
+        for t in (1, 0):
+            half = np.array([[cond_max(p_int.vertices, v[:, f], inter, t, i) for f in range(4)]
+                             for i in range(4)])
+            price = np.array([[cond_max(p_fin.vertices, half[i], fin, t, f) for f in range(4)]
+                              for i in range(4)])
+            assert np.allclose(res.fin_increments[t].values, (half - price).ravel(), atol=1e-12)
+            assert np.allclose(res.int_increments[t].values, (v - half).ravel(), atol=1e-12)
+            assert res.fin_increments[t].stage == pm.market.half(t).index
+            assert res.int_increments[t].stage == pm.market.whole(t + 1).index
+            v = price
+        assert np.ptp(v) == 0.0
+        assert res.premium == pytest.approx(v[0, 0], abs=1e-12)
+
+    def test_answers_where_the_pasted_set_is_too_large(self):
+        """Two four-outcome factors, one period, seven intermediate kernels:
+        the pasted set would have 2 * 7^4 = 4,802 vertices, past
+        ``WORK_BOUND``, so the paste route refuses; the factor route prices
+        it as the horizon-1 oracle does."""
+        def factor(n):
+            return ScenarioModel([f"w{i}" for i in range(n)], ["0", "1"],
+                                 [[list(range(n))], [[w] for w in range(n)]], [1 / n] * n)
+        fin, inter = factor(4), factor(4)
+        pm = product_space(fin, inter)
+        p_fin = RiskSet.from_vertices(fin, [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
+        p_int = RiskSet.from_vertices(inter, np.vstack([
+            0.55 * np.eye(4) + 0.45 / 4,
+            [[0.4, 0.4, 0.1, 0.1], [0.1, 0.4, 0.4, 0.1], [0.1, 0.1, 0.4, 0.4]]]))
+        h = Claim(np.arange(16.0) - 7.5)
+        with pytest.raises(SizeBoundError) as got:
+            psi_build(p_fin, lift(p_int, pm), pm)
+        assert got.value.details["reached"] == 4802
+        res = product_reserve(p_fin, p_int, h, pm)
+        assert res.premium == one_period_premium(p_fin, p_int, h, pm).premium
+        assert np.allclose(res.total(pm.model), h.values, atol=1e-12)
+
+    @pytest.mark.parametrize("which", ["fin", "int"])
+    def test_factor_set_on_another_model_is_schema_error(self, which):
+        """At horizon 2, a set on a factor-sized model with other partitions
+        would price without error; it is refused, and a set on an equal
+        model built again is not."""
+        rng = np.random.default_rng(33)
+        pm, p_fin, p_int = random_factors(rng, 2)
+        h = random_claim(rng, pm.model)
+        sets = {"fin": p_fin, "int": p_int}
+        model = sets[which].model
+        again = ScenarioModel(model.outcomes, [st_.label for st_ in model.stages],
+                              [model.atoms(st_) for st_ in model.stages], model.reference)
+        other = ScenarioModel(model.outcomes, [st_.label for st_ in model.stages],
+                              [[list(range(model.n))]] * (len(model.stages) - 1)
+                              + [[[w] for w in range(model.n)]], model.reference)
+        for m, refused in ((again, False), (other, True)):
+            sets[which] = RiskSet.from_vertices(m, sets[which].vertices)
+            if refused:
+                with pytest.raises(SchemaError, match="different models"):
+                    product_reserve(sets["fin"], sets["int"], h, pm)
+            else:
+                product_reserve(sets["fin"], sets["int"], h, pm)
+
+    def test_financial_set_on_the_intermediate_factor_is_schema_error(self, pm):
+        with pytest.raises(SchemaError, match="different models"):
+            product_reserve(band(pm.inter), band(pm.inter),
+                            Claim(np.ones(4)), pm)
+
+    @pytest.mark.parametrize("values", [np.ones(3), np.ones((2, 4)),
+                                        [0.0, np.nan, 1.0, 2.0],
+                                        [0.0, np.inf, 1.0, 2.0], [-np.inf, 0.0, 1.0, 2.0]],
+                             ids=["short", "stack", "nan", "inf", "-inf"])
+    def test_claim_other_than_one_finite_vector_is_schema_error(self, pm, values):
+        pi = singleton(pm.fin, [0.5, 0.5])
+        with pytest.raises(SchemaError):
+            product_reserve(pi, band(pm.inter), Claim(np.asarray(values)), pm)
 
 
 def financial_cone_feasible(rs, mkt, x_values):

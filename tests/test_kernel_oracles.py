@@ -319,10 +319,16 @@ def dual_cone_lp_ref(model, V, x, s, t):
     return np.array(rows), np.array(rhs)
 
 
+def uncharged_ref(st_, atom_id):
+    """``rho``'s refusal of an atom that no measure of the set charges, on
+    either route: by its id and stage, where ``maximize_ratio`` names it by
+    its outcomes."""
+    return EmptyKernelError(f"no vertex charges atom {atom_id} at stage {st_.label}",
+                            stage=st_.label, atom=atom_id)
+
+
 def rho_ref(rs, x, s):
-    """``rho`` as the per-atom ``maximize_ratio`` loop.  ``rho`` names an
-    atom that no vertex charges by its id and stage, where
-    ``maximize_ratio`` names it by its outcomes."""
+    """``rho`` as the per-atom ``maximize_ratio`` loop."""
     model = rs.model
     st_ = model.stage(s)
     if st_.index == model.final_stage.index:
@@ -332,10 +338,7 @@ def rho_ref(rs, x, s):
         try:
             out[list(atom)] = maximize_ratio(rs, x, atom)
         except EmptyKernelError:
-            if not rs.has_vertices:
-                raise
-            raise EmptyKernelError(
-                f"no vertex charges atom {atom_id} at stage {st_.label}") from None
+            raise uncharged_ref(st_, atom_id) from None
     return out
 
 
@@ -348,8 +351,11 @@ def rho_lp_ref(rs, X, s):
         return X.copy()
     out = np.empty(X.shape)
     for row, x in zip(out.reshape(-1, model.n), X.reshape(-1, model.n)):
-        for atom in model.atoms(st_):
-            row[list(atom)] = _maximize_ratio_lp(rs, x, list(atom))
+        for atom_id, atom in enumerate(model.atoms(st_)):
+            try:
+                row[list(atom)] = _maximize_ratio_lp(rs, x, list(atom))
+            except EmptyKernelError:
+                raise uncharged_ref(st_, atom_id) from None
     return out
 
 
@@ -910,7 +916,7 @@ class TestRho:
                 except EmptyKernelError as exc:
                     with pytest.raises(EmptyKernelError) as got:
                         rho(rs, Claim(x), s)
-                    assert str(got.value) == str(exc)
+                    assert got.value.to_dict() == exc.to_dict()
                     continue
                 assert_identical(rho(rs, Claim(x), s).values, want)
 
@@ -935,7 +941,7 @@ class TestRho:
             except EmptyKernelError as exc:
                 with pytest.raises(EmptyKernelError) as got:
                     rho(rs, Claim(X), s)
-                assert str(got.value) == str(exc)
+                assert got.value.to_dict() == exc.to_dict()
                 continue
             got = rho(rs, Claim(X), s)
             assert got.values.shape == X.shape and got.stage == s
@@ -1032,9 +1038,38 @@ class TestRhoLP:
                 except EmptyKernelError as exc:
                     with pytest.raises(EmptyKernelError) as got:
                         rho(rs, Claim(X), s)
-                    assert str(got.value) == str(exc)
+                    assert got.value.to_dict() == exc.to_dict()
                     continue
                 assert_identical(rho(rs, Claim(X), s).values, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_uncharged_atom_is_refused_as_the_vertex_twin_refuses_it(self, seed):
+        """An H-set that leaves an outcome uncharged and its V-twin name the
+        same atom, by id and stage, with the same details; ``maximize_ratio``
+        on the atom still names it by its outcomes."""
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n_min=3, n_max=7, stages_min=3, stages_max=4)
+        lone = lone_outcomes(model)
+        omega = int(rng.choice(lone)) if lone else 0
+        hset = box_set(rng, model, uncharged=omega)
+        # from a copy: reading an H-set's vertices sends it by the vertex route
+        twin = RiskSet.from_vertices(
+            model, RiskSet.from_constraints(model, hset.constraints).vertices)
+        x = Claim(rng.uniform(-1.0, 1.0, (2, model.n)))
+        refused = 0
+        for s in range(model.final_stage.index):
+            try:
+                rho(twin, x, s)
+            except EmptyKernelError as want:
+                with pytest.raises(EmptyKernelError) as got:
+                    rho(hset, x, s)
+                assert got.value.to_dict() == want.to_dict()
+                refused += 1
+        assert not hset.has_vertices and (refused > 0) == bool(lone)
+        with pytest.raises(EmptyKernelError) as got:
+            maximize_ratio(hset, x.values[0], [omega])
+        assert str(got.value) == f"no measure in the set charges atom ({omega},)"
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))

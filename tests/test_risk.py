@@ -365,6 +365,16 @@ class TestReservePlan:
         # conservative: premium dominates the quoted one-shot price
         assert plan.premium >= float(rho(rs, witness, 0).values[0]) - 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_claim_is_a_schema_error(self, model, bad):
+        """Refused, where it priced to a non-finite premium; ``rho`` and
+        ``eta`` still price it."""
+        x = Claim(np.array([bad, 0.0, -1.0, 0.0]))
+        rs = singleton(model, np.full(4, 0.25))
+        assert not np.isfinite(eta(Chain.single(rs), x).claims[0].values).all()
+        with pytest.raises(SchemaError, match="claim values must be finite"):
+            reserve_plan(Chain.single(rs), x)
+
 
 # values of the wrong shape for the 4-outcome model: n - 1, 2n, and 3-D
 BAD_SHAPES = [np.ones(3), np.arange(8.0), np.ones((2, 2, 4))]
