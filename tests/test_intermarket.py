@@ -769,11 +769,12 @@ def lift(p_int, pm):
         pm.model, [np.outer(v, pm.fin.reference).ravel() for v in p_int.vertices])
 
 
-def random_factors(rng, horizon, n_max=3):
+def random_factors(rng, horizon, n_max=3, k_max=4):
     fin, inter = (random_model(rng, n_min=2, n_max=n_max, stages_min=horizon + 1,
                                stages_max=horizon + 1) for _ in range(2))
     pm = product_space(fin, inter)
-    return pm, random_riskset(rng, fin, k_max=3), random_riskset(rng, inter, k_max=3)
+    return (pm, random_riskset(rng, fin, k_max=k_max),
+            random_riskset(rng, inter, k_max=k_max))
 
 
 def cond_max(V, x, model, t, w):
@@ -836,7 +837,7 @@ class TestOnePeriodPremium:
         res = product_reserve(pi, band(pm.inter), Claim(h), pm)
         assert res.premium == pytest.approx(1.25, abs=1e-9)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 10), st.integers(1, 3))
     def test_increments_are_acceptable_at_every_scale(self, seed, k, horizon):
         """The oracle for the acceptability checks the plan does not make: at
@@ -873,7 +874,6 @@ class TestOnePeriodPremium:
             assert inc[0].values.tobytes() == ref.values.tobytes()
 
 
-
 class TestProductReserve:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(1, 3))
@@ -883,7 +883,7 @@ class TestProductReserve:
         independence gives the same plan, field by field, within
         ``tol_at``."""
         rng = np.random.default_rng(seed)
-        pm, p_fin, p_int = random_factors(rng, horizon)
+        pm, p_fin, p_int = random_factors(rng, horizon, k_max=3)
         h = random_claim(rng, pm.model, lo=-10.0 ** k, hi=10.0 ** k)
         got = product_reserve(p_fin, p_int, h, pm)
         want = split_reserve(psi_build(p_fin, lift(p_int, pm), pm), pm.market, h)
