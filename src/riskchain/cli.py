@@ -361,8 +361,8 @@ def cmd_example6(args) -> dict:
     eps = args.epsilon
     _require(0 < eps < 1, "--epsilon must lie strictly between 0 and 1")
     tol = _config(args.tolerance, {}).tol
-    model = twobytwo.build_model()
-    rs = twobytwo.pricing_set(model, eps)
+    mm = twobytwo.market_model()
+    rs = twobytwo.pricing_set(mm.model, eps)
     checks = []
 
     def diff_check(name, value):
@@ -412,17 +412,15 @@ def cmd_example6(args) -> dict:
         worst = max(worst, abs(got - twobytwo.time0_price(x, eps)))
     diff_check("time0_price", worst)
 
-    mm = twobytwo.market_model()
-    rs_mm = RiskSet.from_constraints(mm.model, twobytwo.pricing_constraints(eps))
-    qf_set = qf(rs_mm, mm)
-    qi_set = qi(rs_mm, mm)
+    qf_set = qf(rs, mm)
+    qi_set = qi(rs, mm)
     bool_check("financial_part", set_equal(
         qf_set, RiskSet.from_vertices(mm.model, twobytwo.fin_part_vertices())))
     bool_check("intermediate_part", set_equal(
         qi_set, RiskSet.from_vertices(mm.model, twobytwo.int_part_vertices(eps))))
     bool_check("intersection_recovers_set", set_equal(
-        intersect(qf_set, qi_set), rs_mm))
-    bool_check("pasting_stable", is_mstable(rs_mm))
+        intersect(qf_set, qi_set), rs))
+    bool_check("pasting_stable", is_mstable(rs))
 
     ok = all(c["pass"] for c in checks)
     return {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEDUP_TOL, WORK_BOUND
 from .errors import EmptyKernelError, EngineError, SchemaError, SizeBoundError
-from .risk import Chain, eta, rho
+from .risk import Chain, _atom_means, _finite_claim, eta, rho
 from .riskset import (
     RiskSet,
     _affine_rank,
@@ -32,7 +32,7 @@ from .riskset import (
     member,
     set_equal,
 )
-from .scenario import Claim, condexp
+from .scenario import Claim
 
 
 def paste_assembly(model, sources) -> RiskSet:
@@ -318,25 +318,24 @@ class CheckReport:
 
 def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
     """Vertex one-step conditional expectations of the price process never
-    rise, at the claim's scale, checked on every atom the vertex charges."""
+    rise, at the claim's scale, on every atom the vertex charges (the atom
+    blocks' ``_atom_means``).  The witness is the first failure by stage,
+    vertex, then atom.  The claim must be one finite ``(n,)`` vector (SCHEMA)."""
     model = rs.model
-    band = model.config.tol_at(claim.values)
-    prices = {s: rho(rs, claim, s) for s in range(len(model.stages))}
+    band = model.config.tol_at(_finite_claim(claim, model.n))
+    prices = [rho(rs, claim, s).values for s in range(len(model.stages))]
     for s in range(len(model.stages) - 1):
-        nxt = prices[s + 1]
-        cap = prices[s].values
-        for vi, v in enumerate(rs.vertices):
-            ce = condexp(v, nxt, s, model).values
-            for atom in model.atoms(s):
-                idx = list(atom)
-                if v[idx].sum() <= 0:
-                    continue
-                if ce[idx[0]] > cap[idx[0]] + band:
-                    return CheckReport(False, witness={
-                        "vertex_index": vi,
-                        "stage": model.stages[s].label,
-                        "atom": model.atom_label(s, model.atom_of(s, idx[0])),
-                        "excess": float(ce[idx[0]] - cap[idx[0]])})
+        # one (atom, vertex) per mass, as rho refused an atom no vertex charges
+        atom, vertex = np.nonzero(rs._atom_blocks(s)[5])
+        cap = prices[s][[outcomes[0] for outcomes in model.atoms(s)]][atom]
+        means = _atom_means(rs, prices[s + 1][None], s)[0]
+        fail = np.flatnonzero(means > cap + band)
+        if len(fail):
+            i = fail[vertex[fail].argmin()]     # the lowest vertex, at its first atom
+            return CheckReport(False, witness={
+                "vertex_index": int(vertex[i]), "stage": model.stages[s].label,
+                "atom": model.atom_label(s, int(atom[i])),
+                "excess": float(means[i] - cap[i])})
     return CheckReport(True)
 
 

@@ -279,8 +279,8 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
 def is_purely_financial(pm: ProductModel, claim: Claim) -> bool:
     """Structural test: constant across the intermediate factor per financial
     outcome, at the claim's scale."""
-    return not np.any(np.ptp(pm.grid(claim.values), axis=0)
-                      > pm.model.config.tol_at(claim.values))
+    band = pm.model.config.tol_at(claim.values)
+    return bool(np.all(np.ptp(pm.grid(claim.values), axis=0) <= band))
 
 
 def fin_restriction(pm: ProductModel, claim: Claim) -> Claim:

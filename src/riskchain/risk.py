@@ -25,13 +25,11 @@ def rho(rs: RiskSet, claim: Claim, stage) -> Claim:
     ``claim.values`` is one claim ``(n,)`` or a stack of claims ``(m, n)``,
     one per row, and any other shape is a SCHEMA error; each row is priced
     exactly as it would be alone.  At the final stage this is the identity.
-    A set with vertices prices from its cached per-stage blocks
-    (``maximize_ratio``'s vertex route, with the same arithmetic): each
-    row's values on an atom are copied next to each other, so every row and
-    atom is one matrix-vector product of the atom's block; the ratios are
-    divided by the masses and maximized per atom for all rows at once.  A
-    constraint-only set takes the LP route, row by row, which needs no
-    solver call on a one-outcome atom once the set is known to charge it
+    A set with vertices maximizes, on each atom and for all rows at once, its
+    charged vertices' expectations from the cached blocks (``_atom_means``;
+    ``maximize_ratio``'s vertex route, with the same arithmetic).  A
+    constraint-only set takes the LP route, row by row, which needs no solver
+    call on a one-outcome atom once the set is known to charge it
     (``maximize_ratio``).  An atom that no measure of the set charges raises
     EMPTY_KERNEL, named by its id and stage on either route.
     """
@@ -55,6 +53,15 @@ def _finite_claim(claim: Claim, n: int) -> np.ndarray:
     return x
 
 
+def _atom_means(rs: RiskSet, X: np.ndarray, stage: int) -> np.ndarray:
+    """Per row of ``X`` ``(m, n)``, each charged vertex's expectation on its atom
+    of the stage, ``block @ x[cols[a:e]] / mass``, by ``_atom_blocks``' masses."""
+    cols, blocks, masses = rs._atom_blocks(stage)[:3]
+    Xc = X.take(cols, axis=1)[:, :, None]
+    vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
+    return vals[..., 0] / masses
+
+
 def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
     """``rho``; with ``fill`` a vertex-route atom that no vertex charges
     prices to zero instead of raising."""
@@ -67,10 +74,8 @@ def _rho(rs: RiskSet, claim: Claim, stage, fill: bool) -> Claim:
     if rs.has_vertices:
         if not fill:
             rs._refuse_uncharged([st.index])
-        cols, blocks, masses, starts, ids, _ = rs._atom_blocks(st.index)
-        Xc = X.take(cols, axis=1)[:, :, None]
-        vals = np.concatenate([block @ Xc[:, a:e] for a, e, block in blocks], axis=1)
-        out = np.maximum.reduceat(vals[..., 0] / masses, starts, axis=1).take(ids, axis=1)
+        starts, ids = rs._atom_blocks(st.index)[3:5]
+        out = np.maximum.reduceat(_atom_means(rs, X, st.index), starts, axis=1).take(ids, axis=1)
     else:
         out = np.empty(X.shape)
         for row, xr in zip(out, X):

@@ -602,23 +602,23 @@ class RiskSet:
 
     def _atom_blocks(self, stage: int) -> tuple:
         """The stage's charged-vertex blocks, built on the first call for the
-        stage and kept: the one place that works out which vertices charge
-        an atom of the model, and with what mass, for ``rho``,
-        ``kernel_polytope`` and the m-stability verdict.
+        stage and kept: the one place that works out which vertices charge an
+        atom of the model, and with what mass, for ``rho``, ``kernel_polytope``,
+        the m-stability verdict and the supermartingale test.
 
-        Returns ``(cols, blocks, masses, starts, ids, empty)``: ``cols``
-        lists the outcomes atom after atom (an ``intp`` array); ``blocks``
-        holds, per atom, its span ``(a, e)`` in ``cols`` and the charged
-        vertices' rows on it ``V[charged][:, idx]``; ``masses`` holds those
-        vertices' masses on their atom, atom after atom, and ``starts`` where
-        each atom's run begins; ``ids`` maps every outcome to its atom;
-        ``empty`` lists the ids of atoms no vertex charges.  Such an atom gets
-        one zero row of mass 1, so it prices to zero where the caller allows it.
+        Returns ``(cols, blocks, masses, starts, ids, charged, empty)``:
+        ``cols`` lists the outcomes atom after atom (an ``intp`` array);
+        ``blocks`` holds, per atom, its span ``(a, e)`` in ``cols`` and the
+        rows ``V[charged][:, idx]`` of the vertices its mask in ``charged``
+        marks; ``masses`` holds their masses on their atom, atom after atom,
+        and ``starts`` where each atom's run begins; ``ids`` maps every outcome
+        to its atom; ``empty`` lists the ids of atoms no vertex charges.  Such
+        an atom gets one zero row of mass 1, so it prices to zero if allowed.
         """
         cached = self._blocks.get(stage)
         if cached is None:
             V = self.vertices
-            cols, blocks, masses, empty = [], [], [], []
+            cols, blocks, masses, charges, empty = [], [], [], [], []
             a = 0
             for atom_id, atom in enumerate(self.model.atoms(stage)):
                 idx = np.array(atom, dtype=np.intp)
@@ -632,10 +632,11 @@ class RiskSet:
                 cols.append(idx)
                 blocks.append((a, a + len(idx), block))
                 masses.append(mass)
+                charges.append(charged)
                 a += len(idx)
             starts = np.cumsum([0] + [len(m) for m in masses[:-1]])
             cached = (np.concatenate(cols), blocks, np.concatenate(masses), starts,
-                      self.model.atom_ids(stage), tuple(empty))
+                      self.model.atom_ids(stage), tuple(charges), tuple(empty))
             self._blocks[stage] = cached
         return cached
 
@@ -705,7 +706,7 @@ def kernel_polytope(rs: RiskSet, s, t, atom_id: int) -> np.ndarray:
     rows = rs._kernels.get(key)
     if rows is None:
         rs._refuse_uncharged([st_s.index], atom_id)
-        cols, blocks, masses, starts, _, _ = rs._atom_blocks(st_s.index)
+        cols, blocks, masses, starts = rs._atom_blocks(st_s.index)[:4]
         a, e, block = blocks[atom_id]
         fine = model.atom_ids(st_t)[cols[a:e]]
         rows = np.stack([block[:, fine == c].sum(axis=1)

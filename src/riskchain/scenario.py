@@ -142,10 +142,7 @@ class ScenarioModel:
             raise SchemaError("need exactly one partition per stage")
         self.partitions = [_canonical_atoms(p, self.n) for p in partitions]
 
-        ref = np.asarray(reference, dtype=float)
-        if ref.shape != (self.n,):
-            raise SchemaError("reference measure length does not match outcomes")
-        self.reference = ref
+        self.reference = ref = _outcome_vector(reference, self.n, "reference measure")
         self.config = config
         # outcome -> atom id, one row per stage
         self._atom_index = np.array([atom_index(p, self.n) for p in self.partitions])
@@ -255,7 +252,7 @@ def _outcome_vector(values, n: int, what: str) -> np.ndarray:
     """``values`` as floats, checked to be one value per outcome."""
     v = np.asarray(values, dtype=float)
     if v.shape != (n,):
-        raise SchemaError(f"{what} length does not match outcome count")
+        raise SchemaError(f"{what} has shape {v.shape}, expected ({n},)")
     return v
 
 

@@ -4,7 +4,9 @@ Usage: python tests/library_without_scipy.py
 
 The runs: ``consistency_report`` on a set with more vertices than outcomes
 that is not m-stable, so its verdict compares the set with its pasting hull
-and ``find_witness`` fits a hull vertex by NNLS; then ``check_fi`` and
+and ``find_witness`` fits a hull vertex by NNLS; ``check_supermartingale``
+at that witness on the set, where it fails, and on its hull, where it
+passes, both on the sets' atom blocks; then ``check_fi`` and
 ``split_reserve`` on a random refined market, and ``product_reserve`` on a
 random horizon-2 product.  The last stdout line is the sorted list of loaded
 ``scipy`` modules, ``[]`` when none was imported.
@@ -19,8 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from randmodels import random_claim, random_market, random_model, random_riskset
 
-from riskchain import (check_fi, consistency_report, product_reserve, product_space,
-                       split_reserve)
+from riskchain import (check_fi, check_supermartingale, consistency_report, mstable_hull,
+                       product_reserve, product_space, split_reserve)
 
 rng = np.random.default_rng(3)
 model = random_model(rng, n_min=4, n_max=4, stages_min=3, stages_max=3)
@@ -28,6 +30,9 @@ rs = random_riskset(rng, model, k_min=6, k_max=6)
 report = consistency_report(rs, [random_claim(rng, model) for _ in range(5)])
 if len(rs.vertices) <= model.n or report.mstable or report.witness is None:
     sys.exit("the set does not take the hull route to a witness")
+if (check_supermartingale(rs, report.witness).passed
+        or not check_supermartingale(mstable_hull(rs), report.witness).passed):
+    sys.exit("the witness does not fail the supermartingale test on the set alone")
 
 mkt = random_market(rng)
 rs = random_riskset(rng, mkt.model)

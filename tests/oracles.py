@@ -18,7 +18,11 @@ combination of points, the oracle of ``riskset._hull_nnls``.
 ``check_fi_by_parts`` is the decomposition check by way of both parts, the
 oracle of ``check_fi``, which pastes only the hull.  ``one_period_premium``
 is the former horizon-1 two-stage premium, the oracle of ``product_reserve``
-at horizon 1.
+at horizon 1.  ``supermartingale_terms`` lists each vertex's one-step
+conditional expectation of the price process by ``condexp`` per vertex and a
+mass test per atom, and ``check_supermartingale_by_vertices`` is that nested
+loop's verdict, the oracle of ``check_supermartingale``, which reads the
+set's atom blocks.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from riskchain import (
     SchemaError,
     ScenarioModel,
     SizeBoundError,
+    condexp,
     is_mstable,
     kernel_polytope,
     lift_financial,
@@ -48,6 +53,7 @@ from riskchain import (
     set_equal,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
+from riskchain.consistency import CheckReport
 from riskchain.riskset import (
     _FACET_TOL,
     _affine_rank,
@@ -273,3 +279,33 @@ def one_period_premium(p_fin: RiskSet, p_int: RiskSet, h: Claim, pm) -> OnePerio
     uf = Claim(lift_financial(pm, fin_vals - premium), pm.market.half(0).index)
     ui = Claim(v - lift_financial(pm, fin_vals), pm.model.final_stage.index)
     return OnePeriodPremium(premium, fin_vals, uf, ui)
+
+
+def supermartingale_terms(rs: RiskSet, claim: Claim):
+    """``(stage, vertex, atom, ce, cap)`` for every vertex and every atom of a
+    stage before the last that the vertex charges, in stage, vertex, then
+    atom order: ``ce`` is the vertex's conditional expectation on the atom of
+    the next stage's price (``condexp``), ``cap`` the stage's own price."""
+    model = rs.model
+    prices = [rho(rs, claim, s).values for s in range(len(model.stages))]
+    for s in range(len(model.stages) - 1):
+        for vi, v in enumerate(rs.vertices):
+            ce = condexp(v, prices[s + 1], s, model).values
+            for a, atom in enumerate(model.atoms(s)):
+                idx = list(atom)
+                if v[idx].sum() > 0:
+                    yield s, vi, a, ce[idx[0]], prices[s][idx[0]]
+
+
+def check_supermartingale_by_vertices(rs: RiskSet, claim: Claim) -> CheckReport:
+    """The supermartingale test as a nested vertex-by-atom loop: the first
+    term whose ``ce`` exceeds ``cap`` by more than the band at the claim's
+    scale is the witness."""
+    model = rs.model
+    band = model.config.tol_at(claim.values)
+    for s, vi, a, ce, cap in supermartingale_terms(rs, claim):
+        if ce > cap + band:
+            return CheckReport(False, witness={
+                "vertex_index": vi, "stage": model.stages[s].label,
+                "atom": model.atom_label(s, a), "excess": float(ce - cap)})
+    return CheckReport(True)

@@ -14,6 +14,7 @@ from riskchain import (
     InfeasibleError,
     RiskSet,
     ScenarioModel,
+    SchemaError,
     SizeBoundError,
     check_strong,
     check_supermartingale,
@@ -40,7 +41,7 @@ from riskchain.twobytwo import (
     pricing_set,
 )
 
-from oracles import dual_cone_member, project
+from oracles import check_supermartingale_by_vertices, dual_cone_member, project
 from randmodels import nonstable_set, random_claim, random_model, random_riskset
 
 EPS = 0.2
@@ -259,6 +260,45 @@ class TestCheckSupermartingale:
         report = check_supermartingale(rs, witness)
         assert not report.passed
         assert report.witness["excess"] > 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 10),
+           st.sampled_from(["random", "hull", "witness"]))
+    def test_matches_the_vertex_loop(self, seed, k, kind):
+        """On random sets, their hulls and non-m-stable sets with their
+        witness claims, at claim scale 10^k: the verdict and the witness's
+        vertex, stage and atom are the oracle's, and its excess is within
+        the band."""
+        rng = np.random.default_rng(seed)
+        if kind == "witness":
+            m, rs, _, witness, _ = nonstable_set(rng)
+            x = Claim(witness.values * 10.0 ** k)
+        else:
+            m = random_model(rng)
+            rs = random_riskset(rng, m)
+            if kind == "hull":
+                rs = mstable_hull(rs)
+            x = random_claim(rng, m, lo=-10.0 ** k, hi=10.0 ** k)
+        got = check_supermartingale(rs, x)
+        want = check_supermartingale_by_vertices(rs, x)
+        assert got.passed == want.passed
+        if not want.passed:
+            for key in ("vertex_index", "stage", "atom"):
+                assert got.witness[key] == want.witness[key]
+            assert (abs(got.witness["excess"] - want.witness["excess"])
+                    <= m.config.tol_at(x.values))
+
+    @pytest.mark.parametrize("values", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0],
+                                        [-np.inf, 1, 0, 0]])
+    def test_non_finite_claim_is_a_schema_error(self, values):
+        _, rs = derived_pair()
+        with pytest.raises(SchemaError, match="finite"):
+            check_supermartingale(rs, Claim(np.array(values)))
+
+    def test_stacked_claim_is_a_schema_error(self):
+        _, rs = derived_pair()
+        with pytest.raises(SchemaError, match=r"shape \(2, 4\), expected \(4,\)"):
+            check_supermartingale(rs, Claim(np.zeros((2, 4))))
 
 
 class TestConsistencyReport:

@@ -172,6 +172,15 @@ def test_is_purely_financial(factor):
     assert is_purely_financial(pm, Claim(v)) == (factor < 1)
 
 
+def test_nan_claim_is_neither_purely_financial_nor_measurable():
+    """Both predicates compare ``ptp <= band``, so a NaN answers False."""
+    pm, *_ = product_claim(1.0)
+    v = lift_financial(pm, [4.0, np.nan])
+    assert not is_purely_financial(pm, Claim(v))
+    assert not pm.model.is_measurable(v, pm.model.final_stage)
+    assert is_purely_financial(pm, Claim(lift_financial(pm, [4.0, -4.0])))
+
+
 @FACTORS
 def test_row_verdict_at_the_rows_scale(two, factor):
     """A row ``[a | b]`` with η_0(a) = 3 and ``b`` below it by ``factor``
