@@ -9,9 +9,9 @@
 import numpy as np
 
 from riskchain import Claim, ModelError, ScenarioModel, condexp
-from riskchain.twobytwo import build_model
+from riskchain.twobytwo import market_model
 
-model = build_model()
+model = market_model().model
 print("outcomes:", model.outcomes)
 print("grid:    ", [s.label for s in model.stages])
 for s in model.stages:

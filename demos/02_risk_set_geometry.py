@@ -12,10 +12,10 @@ from riskchain import (
     maximize_ratio,
     member,
 )
-from riskchain.twobytwo import build_model, extreme_points, pricing_set
+from riskchain.twobytwo import extreme_points, market_model, pricing_set
 
 eps = 0.2
-model = build_model()
+model = market_model().model
 rs = pricing_set(model, eps)
 
 print("H-representation rows:", len(rs.constraints))

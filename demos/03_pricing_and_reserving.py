@@ -14,10 +14,10 @@ from riskchain import (
     reserve_plan,
     rho,
 )
-from riskchain.twobytwo import build_model, pricing_set
+from riskchain.twobytwo import market_model, pricing_set
 
 eps = 0.2
-model = build_model()
+model = market_model().model
 rs = pricing_set(model, eps)
 x = Claim(np.array([1.0, 0.0, -1.0, 0.0]))
 

@@ -12,18 +12,18 @@ from riskchain import (
     InfeasibleError,
     RiskSet,
     ScenarioModel,
-    check_strong,
     check_supermartingale,
+    consistency_report,
     decompose_acceptance,
     is_acceptable,
     is_mstable,
     mstable_hull,
     rho,
 )
-from riskchain.twobytwo import build_model, pricing_set
+from riskchain.twobytwo import market_model, pricing_set
 
 # the worked market is consistent
-worked = pricing_set(build_model(), 0.2)
+worked = pricing_set(market_model().model, 0.2)
 print("worked set pasting-stable:", is_mstable(worked))
 
 # a two-vertex set on a three-stage tree is not
@@ -39,9 +39,9 @@ print("hull adds the cross recombination (0.4, 0.1, 0.1, 0.4)")
 
 rng = np.random.default_rng(0)
 sample = [Claim(rng.uniform(-1, 1, 4)) for _ in range(50)]
-report = check_strong(rs, sample)
-print("strong consistency:", report.passed,
-      "| analytic:", report.analytic, "| sampled:", report.sampled)
+report = consistency_report(rs, sample)
+print("strong consistency:", report.strong,
+      "| analytic:", report.mstable, "| sampled:", report.sampled)
 print("witness claim:", np.round(report.witness.values, 4),
       "gap:", round(report.witness_gap, 6))
 

@@ -45,8 +45,6 @@ from .risk import (
 )
 from .consistency import (
     ConsistencyReport,
-    StrongReport,
-    check_strong,
     check_supermartingale,
     consistency_report,
     find_witness,

@@ -3,7 +3,7 @@
 Pasting assembly recombines per-node kernels along the whole grid into an
 exact vertex set, which is m-stable by construction and keeps that verdict
 and its kernels; the m-stable hull is its one-source case.  On top of it sit
-the strong consistency check and the supermartingale test.  The m-stability
+the time-consistency report and the supermartingale test.  The m-stability
 verdict reads η_0 on the set's rows where it has or cheaply gets them, and
 builds the hull only for the other V-sets; ``_analytic`` decides it once per
 set and keeps it there with its witness.
@@ -12,7 +12,7 @@ set and keeps it there with its witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -216,12 +216,17 @@ def is_mstable(rs: RiskSet) -> bool:
     return _analytic(rs)[0]
 
 
-# -- strong -------------------------------------------------------------------
+# -- time-consistency report -------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class StrongReport:
-    passed: bool
-    analytic: bool
+class ConsistencyReport:
+    """Strong time consistency of one set: ``strong`` holds when the
+    m-stability verdict ``mstable`` and the sampled domination test
+    ``sampled`` both pass.  ``witness`` is a claim whose backward price
+    exceeds its one-shot price, by ``witness_gap`` at time 0."""
+
+    strong: bool
+    mstable: bool
     sampled: bool
     max_sampled_gap: float
     witness: Optional[Claim] = None
@@ -259,10 +264,12 @@ def find_witness(rs: RiskSet, hull: RiskSet) -> tuple[Optional[Claim], float]:
     return None, 0.0
 
 
-def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
-    """Two verdicts that must agree: the analytic m-stability test and a
-    sampled domination test of the backward recursion against the one-shot
-    price.
+def consistency_report(rs: RiskSet, sample: Sequence[Claim]) -> ConsistencyReport:
+    """Strong time consistency of the set, from two verdicts that must agree:
+    the analytic m-stability test and a sampled domination test of the
+    backward recursion against the one-shot price.  Lower and weak time
+    consistency hold by definition for one set, so the report has no field
+    for them.
 
     The analytic test is ``_analytic``'s, kept on the set, by one of three
     routes.  A set with rows (an H-set, or a V-set whose facets were
@@ -273,7 +280,7 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
     sampled witness stands in only when that finds none.  Each sampled gap
     is compared at its claim's scale (``Config.tol_at``); ``max_sampled_gap`` is raw.
     """
-    analytic, witness, witness_gap = _analytic(rs)
+    mstable, witness, witness_gap = _analytic(rs)
 
     chain = Chain.single(rs)
     max_gap = 0.0
@@ -294,20 +301,20 @@ def check_strong(rs: RiskSet, sample: Sequence[Claim]) -> StrongReport:
             sampled_witness = sample[best]
         sampled = bool(np.all(top <= rs.model.config.tol_at(X.values)))
 
-    if analytic and not sampled:
+    if mstable and not sampled:
         raise EngineError(
             "internal disagreement: the analytic test passes but domination fails "
             f"with gap {max_gap}")
 
     note = None
-    if not analytic:
+    if not mstable:
         if sampled:
             note = "inconsistent, sample found no witness; the analytic test supplied one"
         if witness is None and sampled_witness is not None:
             witness = sampled_witness
             witness_gap = _stage0_gap(rs, mstable_hull(rs), sampled_witness.values)
-    return StrongReport(analytic and sampled, analytic, sampled, max_gap,
-                        witness, witness_gap, note)
+    return ConsistencyReport(mstable and sampled, mstable, sampled, max_gap,
+                             witness, witness_gap, note)
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,32 +344,3 @@ def check_supermartingale(rs: RiskSet, claim: Claim) -> CheckReport:
                 "atom": model.atom_label(s, int(atom[i])),
                 "excess": float(means[i] - cap[i])})
     return CheckReport(True)
-
-
-# -- assembled report ---------------------------------------------------------
-
-@dataclass(frozen=True, slots=True)
-class ConsistencyReport:
-    """Verdicts for a single-set chain: ``lower`` and ``weak`` hold by
-    definition for one set, and ``strong`` is the checked verdict."""
-
-    lower: bool
-    weak: bool
-    strong: bool
-    mstable: bool
-    gap: float
-    witness: Optional[Claim] = None
-    notes: dict = field(default_factory=dict)
-
-
-def consistency_report(rs: RiskSet, sample: Sequence[Claim]) -> ConsistencyReport:
-    strong = check_strong(rs, sample)
-    notes = {}
-    if strong.note:
-        notes["strong"] = strong.note
-    return ConsistencyReport(
-        lower=True, weak=True,
-        strong=strong.passed, mstable=strong.analytic,
-        gap=strong.witness_gap if strong.witness is not None else strong.max_sampled_gap,
-        witness=strong.witness, notes=notes)
-

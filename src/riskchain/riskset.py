@@ -729,7 +729,8 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
     ``{w}`` every charging measure gives the ratio ``a[w]``, so once an LP
     has found ``w`` charged the set keeps that answer and later calls return
     the LP's value ``-(c . y)`` at ``y_w = 1`` without a solver call: ``a[w]``,
-    with a zero as ``-0.0``.
+    with a zero as ``-0.0``.  An atom that no measure of the set charges
+    raises EMPTY_KERNEL with the same message on either route.
     """
     idx = list(atom)
     n = rs.model.n
@@ -751,7 +752,7 @@ def maximize_ratio(rs: RiskSet, numerator, atom: Iterable[int]) -> float:
     masses = V[:, idx].sum(axis=1)
     charged = masses > 0
     if not charged.any():
-        raise EmptyKernelError(f"no vertex charges atom {tuple(idx)}")
+        raise EmptyKernelError(f"no measure in the set charges atom {tuple(idx)}")
     vals = (V[charged][:, idx] @ a[idx]) / masses[charged]
     return float(vals.max())
 

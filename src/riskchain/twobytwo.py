@@ -24,12 +24,6 @@ OUTCOMES = ["if", "if'", "i'f", "i'f'"]
 COLUMNS = {"f": [0, 2], "f'": [1, 3]}
 
 
-def build_model() -> ScenarioModel:
-    """Grid 0, 0+, 1; the half-step reveals the financial coordinate.  This is
-    the refined model of :func:`market_model`."""
-    return market_model().model
-
-
 def market_model() -> MarketModel:
     """The one-period market with the financial partition made explicit;
     ``build_refined`` inserts the half-step."""
@@ -92,27 +86,25 @@ def int_part_vertices(epsilon: float) -> np.ndarray:
 
 
 def half_step_price(values, epsilon: float) -> np.ndarray:
-    """Closed-form half-step price, one value per financial column.
+    """Closed-form half-step price, one value per financial column, for one
+    claim ``(4,)`` or a stack ``(m, 4)``.
 
     On a column with payoffs (x_top, x_bottom) the reachable kernels form the
     band [(1-eps)/2, (1+eps)/2] on the top state, so the worst case is the
     midpoint plus half the spread times the payoff gap.
     """
     v = np.asarray(values, dtype=float)
-    out = np.empty(2)
-    for k, col in enumerate(COLUMNS.values()):
-        x1, x2 = v[col[0]], v[col[1]]
-        out[k] = 0.5 * (x1 + x2 + epsilon * abs(x1 - x2))
-    return out
+    top, bottom = v[..., :2], v[..., 2:]      # columns f and f', by the outcome order
+    return 0.5 * (top + bottom + epsilon * np.abs(top - bottom))
 
 
-def indicator_price(x: float, epsilon: float) -> float:
+def indicator_price(x, epsilon: float):
     """Half-step price of ``x`` paid on a single outcome of its column."""
-    return 0.5 * (x + epsilon * abs(x))
+    return 0.5 * (x + epsilon * np.abs(x))
 
 
-def time0_price(values, epsilon: float) -> float:
+def time0_price(values, epsilon: float):
     """Time-0 price: plain expectation of the half-step price (the column
     marginals are pinned, so nothing is left to maximize)."""
     half = half_step_price(values, epsilon)
-    return float(0.5 * half[0] + 0.5 * half[1])
+    return 0.5 * half[..., 0] + 0.5 * half[..., 1]

@@ -33,7 +33,6 @@ from riskchain import (
 )
 from riskchain.scenario import ScenarioModel
 from riskchain.twobytwo import (
-    build_model,
     extreme_points,
     fin_part_vertices,
     int_part_vertices,
@@ -82,7 +81,7 @@ def safe_raw_and_hull(rng, model_kwargs, set_kwargs):
 class TestCriterion1:
     @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
     def test_worked_closed_forms(self, eps):
-        model = build_model()
+        model = market_model().model
         rs = pricing_set(model, eps)
         worst = 0.0
 
@@ -352,7 +351,7 @@ class TestCriterion8:
 class TestCriterion9:
     def test_coherence_axioms(self):
         rng = np.random.default_rng(9001)
-        setups = [(build_model(), pricing_set(build_model(), 0.2))]
+        setups = [(market_model().model, pricing_set(market_model().model, 0.2))]
         for _ in range(2):
             m = random_model(rng)
             setups.append((m, random_riskset(rng, m, k_min=3, k_max=5)))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskchain import cli, consistency_report
 from riskchain.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -292,8 +293,13 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["strong"] and doc["mstable"] and doc["lower"] and doc["weak"]
         assert doc["witness"] is None
+        # with no witness, gap is the largest sampled gap
+        bundle = cli.load_spec(TWOBYTWO)
+        report = consistency_report(bundle.risk_sets["Q"],
+                                    cli._sample_claims(bundle.model, 100))
+        assert doc["gap"] == pytest.approx(report.max_sampled_gap, rel=1e-11)
 
-    def test_nonstable_spec_reports_but_exits_zero(self, capsys, tmp_path):
+    def test_nonstable_spec_reports_but_exits_zero(self, capsys, tmp_path, monkeypatch):
         spec = make_spec(tmp_path)
         code, out = run(capsys, ["check", "--spec", spec])
         assert code == 0
@@ -302,6 +308,23 @@ class TestCheck:
         assert not doc["mstable"]
         assert doc["witness"] is not None
         assert doc["gap"] > 1e-6
+        # the report has no field for lower and weak consistency, which hold
+        # by definition for one set; gap is the witness gap when there is a
+        # witness, and notes carry the report's note
+        assert doc["lower"] is True and doc["weak"] is True
+        bundle = cli.load_spec(spec)
+        report = consistency_report(bundle.risk_sets["Q"],
+                                    cli._sample_claims(bundle.model, 100))
+        assert doc["gap"] == pytest.approx(report.witness_gap, rel=1e-11)
+        assert report.note is None and doc["notes"] == {}
+        # with no sample the analytic test supplies the witness, with a note
+        monkeypatch.setattr(cli, "_sample_claims", lambda model, count: [])
+        code, out = run(capsys, ["check", "--spec", spec])
+        doc = json.loads(out)
+        report = consistency_report(cli.load_spec(spec).risk_sets["Q"], [])
+        assert doc["lower"] is True and doc["weak"] is True
+        assert doc["gap"] == pytest.approx(report.witness_gap, rel=1e-11)
+        assert doc["notes"] == {"strong": report.note} and report.note
 
 
 class TestHull:

@@ -16,7 +16,6 @@ from riskchain import (
     ScenarioModel,
     SchemaError,
     SizeBoundError,
-    check_strong,
     check_supermartingale,
     consistency_report,
     decompose_acceptance,
@@ -35,9 +34,9 @@ from riskchain import (
 )
 from riskchain.consistency import _verdict_rows
 from riskchain.twobytwo import (
-    build_model,
     fin_part_vertices,
     int_part_vertices,
+    market_model,
     pricing_set,
 )
 
@@ -49,7 +48,7 @@ EPS = 0.2
 
 @pytest.fixture
 def model():
-    return build_model()
+    return market_model().model
 
 
 @pytest.fixture
@@ -192,22 +191,22 @@ class TestCheckStrong:
         rng = np.random.default_rng(64)
         m = random_model(rng)
         sample = [random_claim(rng, m) for _ in range(30)]
-        report = check_strong(simplex_set(m), sample)
-        assert report.passed and report.analytic and report.sampled
+        report = consistency_report(simplex_set(m), sample)
+        assert report.strong and report.mstable and report.sampled
 
     def test_worked_set_passes_both(self, rs):
         rng = np.random.default_rng(65)
         sample = [random_claim(rng, rs.model) for _ in range(30)]
-        report = check_strong(rs, sample)
-        assert report.passed and report.analytic and report.sampled
+        report = consistency_report(rs, sample)
+        assert report.strong and report.mstable and report.sampled
 
     def test_derived_set_fails_with_witness(self):
         m, rs = derived_pair()
         rng = np.random.default_rng(66)
         sample = [random_claim(rng, m) for _ in range(30)]
-        report = check_strong(rs, sample)
-        assert not report.passed
-        assert not report.analytic
+        report = consistency_report(rs, sample)
+        assert not report.strong
+        assert not report.mstable
         assert report.witness is not None
         assert report.witness_gap > 1e-6
         # confirm the witness gap by brute force over hull and set vertices
@@ -225,13 +224,13 @@ class TestCheckStrong:
         rs = pricing_set(model, 0.3)
         rng = np.random.default_rng(29)
         sample = [random_claim(rng, model, lo=-1e8, hi=1e8) for _ in range(20)]
-        report = check_strong(rs, sample)
-        assert report.passed and report.analytic and report.sampled
+        report = consistency_report(rs, sample)
+        assert report.strong and report.mstable and report.sampled
         assert report.max_sampled_gap > model.config.tol
         assert consistency_report(rs, sample).strong
         _, derived = derived_pair()
         big = [Claim(1e8 * x.values) for x in sample]
-        assert not check_strong(derived, big).sampled
+        assert not consistency_report(derived, big).sampled
 
     def test_witness_search_is_deterministic(self):
         m, rs = derived_pair()
@@ -307,7 +306,6 @@ class TestConsistencyReport:
         sample = [random_claim(rng, rs.model) for _ in range(20)]
         report = consistency_report(rs, sample)
         assert report.strong
-        assert report.weak and report.lower
         assert report.mstable
         assert report.witness is None
 
@@ -318,9 +316,8 @@ class TestConsistencyReport:
         report = consistency_report(rs, sample)
         assert not report.strong
         assert not report.mstable
-        assert report.lower and report.weak
         assert report.witness is not None
-        assert report.gap > 1e-6
+        assert report.witness_gap > 1e-6
 
 
 class TestDualCone:
@@ -411,9 +408,9 @@ class TestVerdictRoutes:
         for rs, has_rows in cases:
             if has_rows:
                 assert _verdict_rows(rs) is not None
-            report = check_strong(rs, [random_claim(rng, m) for _ in range(5)])
+            report = consistency_report(rs, [random_claim(rng, m) for _ in range(5)])
             verdict = is_mstable(rs)
-            assert report.analytic == verdict == hull_verdict(rs)
+            assert report.mstable == verdict == hull_verdict(rs)
             if not verdict and has_rows:
                 check_witness(rs, report.witness, report.witness_gap)
 
@@ -428,8 +425,8 @@ class TestVerdictRoutes:
     def test_derived_pair_witness_is_a_row(self):
         m, rs = derived_pair()
         assert _verdict_rows(rs) is not None
-        report = check_strong(rs, [])
-        assert not report.analytic and report.sampled
+        report = consistency_report(rs, [])
+        assert not report.mstable and report.sampled
         assert report.note == ("inconsistent, sample found no witness; "
                                "the analytic test supplied one")
         check_witness(rs, report.witness, report.witness_gap)
@@ -447,9 +444,10 @@ class TestResidualWitness:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["many", "patched"]))
     def test_hull_route_failures_get_a_certified_witness(self, seed, route):
         """Non-m-stable sets on the hull route, by having more than n
-        vertices or by the row route being switched off: ``check_strong``
-        with no sample still names a witness, whose brute-force gap clears
-        ``tol``, and neither it nor the acceptance split solves an LP."""
+        vertices or by the row route being switched off:
+        ``consistency_report`` with no sample still names a witness, whose
+        brute-force gap clears ``tol``, and neither it nor the acceptance
+        split solves an LP."""
         rng = np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             if route == "patched":
@@ -462,7 +460,7 @@ class TestResidualWitness:
                     break
             mp.setattr(scipy.optimize, "linprog", refuse_lp)
             rs = RiskSet.from_vertices(m, rs.vertices)
-            report = check_strong(rs, [])
+            report = consistency_report(rs, [])
             x = random_claim(rng, m)
             x = Claim(x.values - float(rho(rs, x, 0).values[0]))
             for s in (rs, RiskSet.from_constraints(m, rs.constraints)):
@@ -470,7 +468,7 @@ class TestResidualWitness:
                     decompose_acceptance(s, x)
                 except InfeasibleError:
                     pass
-        assert not report.analytic and report.witness is not None
+        assert not report.mstable and report.witness is not None
         hull = mstable_hull(rs)
         x = report.witness.values
         brute = max(hull.vertices @ x) - max(rs.vertices @ x)
@@ -504,7 +502,7 @@ class TestVerdictKeptOnTheSet:
         fresh = [RiskSet.from_vertices(m, verts) for _ in range(3)]
         verdict = is_mstable(fresh[0])
         assert is_mstable(fresh[0]) == verdict == hull_verdict(fresh[0])
-        assert check_strong(fresh[1], []).analytic == verdict
+        assert consistency_report(fresh[1], []).mstable == verdict
         assert is_mstable(fresh[1]) == verdict
         zero = Claim(np.zeros(m.n))
         assert reserve_plan(Chain.single(fresh[2]), zero).time_consistent == verdict
@@ -548,4 +546,4 @@ class TestVerdictsWithoutConstructions:
         report = consistency_report(rs, [random_claim(rng, m) for _ in range(10)])
         assert not report.mstable and not report.strong
         assert report.witness is not None
-        assert report.gap > m.config.tol
+        assert report.witness_gap > m.config.tol

@@ -2,7 +2,8 @@
 
 ``tests/golden/demos/<name>.txt`` holds the stdout of ``demos/<name>.py``.
 Each demo runs in a fresh interpreter, as a reader runs it, so a change that
-moves any printed digit (a price, a witness) shows here.
+moves any printed digit (a price, a witness) shows here.  The interpreter
+runs with ``-W error``, so a warning a demo raises fails its test.
 """
 
 import math
@@ -21,8 +22,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_stdout_matches_golden(demo):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=path))
+    run = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT,
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr.decode()
     assert run.stdout == (GOLDEN / f"{demo.stem}.txt").read_bytes()
 

@@ -6,9 +6,9 @@ oracles: pairwise greedy dedup, NNLS-only extreme points, pasting by
 candidate, the array H->V cut that cuts by both rows of an equality pair,
 the per-outcome loops that built the LP rows of the
 acceptance-split oracle and ``dual_cone_member``, ``rho`` as a loop of
-``maximize_ratio`` calls, ``check_strong`` with one ``eta`` per row and per
-sampled claim, and V-set ``member`` as one NNLS test.  The array kernels
-must give bit-identical arrays and the same verdicts.
+``maximize_ratio`` calls, ``consistency_report`` with one ``eta`` per row
+and per sampled claim, and V-set ``member`` as one NNLS test.  The array
+kernels must give bit-identical arrays and the same verdicts.
 """
 
 import functools
@@ -33,7 +33,7 @@ from riskchain import (
     RiskSet,
     ScenarioModel,
     SizeBoundError,
-    check_strong,
+    consistency_report,
     decompose_acceptance,
     eta,
     is_mstable,
@@ -42,7 +42,7 @@ from riskchain import (
     rho,
     set_equal,
 )
-from riskchain.consistency import StrongReport
+from riskchain.consistency import ConsistencyReport
 from riskchain.riskset import (
     _dedup_rows,
     _enumerate_vertices,
@@ -55,7 +55,7 @@ from riskchain.riskset import (
     member,
 )
 from riskchain.config import DEDUP_TOL, WORK_BOUND
-from riskchain.twobytwo import build_model
+from riskchain.twobytwo import market_model
 
 import oracles
 from oracles import atom_masses, dual_cone_member
@@ -375,9 +375,10 @@ def row_verdict_ref(rs, A, b):
     return False, Claim(x), float(eta0[worst] - (V @ x).max())
 
 
-def check_strong_ref(rs, sample):
-    """``check_strong`` with the per-claim loops: one ``eta`` per row of the
-    verdict and one ``eta`` plus one ``rho`` per sampled claim and date."""
+def consistency_report_ref(rs, sample):
+    """``consistency_report`` with the per-claim loops: one ``eta`` per row
+    of the verdict and one ``eta`` plus one ``rho`` per sampled claim and
+    date."""
     tol = rs.model.config.tol
     rows = consistency._verdict_rows(rs)
     hull = None
@@ -385,9 +386,9 @@ def check_strong_ref(rs, sample):
     witness_gap = 0.0
     if rows is None:
         hull = mstable_hull(rs)
-        analytic = set_equal(rs, hull)
+        mstable = set_equal(rs, hull)
     else:
-        analytic, witness, witness_gap = row_verdict_ref(rs, *rows)
+        mstable, witness, witness_gap = row_verdict_ref(rs, *rows)
     chain = Chain.single(rs)
     max_gap = 0.0
     sampled_witness = None
@@ -399,10 +400,10 @@ def check_strong_ref(rs, sample):
                 max_gap = gap
                 sampled_witness = x
     sampled = max_gap <= tol
-    if analytic and not sampled:
+    if mstable and not sampled:
         raise EngineError("internal disagreement")
     note = None
-    if not analytic:
+    if not mstable:
         if hull is not None:
             witness, witness_gap = consistency.find_witness(rs, hull)
         if sampled:
@@ -410,8 +411,8 @@ def check_strong_ref(rs, sample):
         if witness is None and sampled_witness is not None:
             witness = sampled_witness
             witness_gap = consistency._stage0_gap(rs, hull, sampled_witness.values)
-    return StrongReport(analytic and sampled, analytic, sampled, max_gap,
-                        witness, witness_gap, note)
+    return ConsistencyReport(mstable and sampled, mstable, sampled, max_gap,
+                             witness, witness_gap, note)
 
 
 def captured_linprog(monkeypatch, module):
@@ -985,10 +986,10 @@ class TestRho:
             sample += [Claim(x.values.copy()) for x in sample] + [sample[0]]
             rng.shuffle(sample)
             with np.errstate(invalid="ignore"):
-                want = check_strong_ref(RiskSet.from_vertices(model, verts), sample)
-                got = check_strong(RiskSet.from_vertices(model, verts), sample)
-        assert (got.passed, got.analytic, got.sampled, got.note) == \
-            (want.passed, want.analytic, want.sampled, want.note)
+                want = consistency_report_ref(RiskSet.from_vertices(model, verts), sample)
+                got = consistency_report(RiskSet.from_vertices(model, verts), sample)
+        assert (got.strong, got.mstable, got.sampled, got.note) == \
+            (want.strong, want.mstable, want.sampled, want.note)
         assert got.max_sampled_gap.hex() == want.max_sampled_gap.hex()
         assert got.witness_gap.hex() == want.witness_gap.hex()
         if any(want.witness is x for x in sample):
@@ -1070,6 +1071,14 @@ class TestRhoLP:
         with pytest.raises(EmptyKernelError) as got:
             maximize_ratio(hset, x.values[0], [omega])
         assert str(got.value) == f"no measure in the set charges atom ({omega},)"
+        # the vertex route words it the same, on the twin and on the H-set
+        # once its vertices are read
+        hset.vertices
+        for rs in (twin, hset):
+            assert rs.has_vertices
+            with pytest.raises(EmptyKernelError) as got:
+                maximize_ratio(rs, x.values[0], [omega])
+            assert str(got.value) == f"no measure in the set charges atom ({omega},)"
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -1094,7 +1103,7 @@ class TestRhoLP:
         """The facet H-set of a 2-vertex set prices uniform claims of every
         magnitude as its vertices do; unscaled, HiGHS stopped with status 4
         on some claims from 1e11 on."""
-        model = build_model()
+        model = market_model().model
         vset = RiskSet.from_vertices(model, [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4]])
         hset = RiskSet.from_constraints(model, vset.constraints)
         X = np.random.default_rng(decade).uniform(-10.0 ** decade, 10.0 ** decade, (40, 4))
@@ -1105,7 +1114,7 @@ class TestRhoLP:
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(x).max()
 
     def test_claims_below_one_keep_their_objective(self):
-        model = build_model()
+        model = market_model().model
         vset = RiskSet.from_vertices(model, [[0.4, 0.1, 0.4, 0.1], [0.1, 0.4, 0.1, 0.4]])
         hset = RiskSet.from_constraints(model, vset.constraints)
         x = np.array([0.75, -0.5, 0.999, -0.25])

@@ -23,7 +23,7 @@ from riskchain import (
     rho,
     singleton,
 )
-from riskchain.twobytwo import build_model, extreme_points, pricing_set
+from riskchain.twobytwo import extreme_points, market_model, pricing_set
 
 from randmodels import (
     hulled_set,
@@ -38,7 +38,7 @@ EPS = 0.2
 
 @pytest.fixture
 def model():
-    return build_model()
+    return market_model().model
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from riskchain.riskset import (
     _nnls,
     _nnls_threshold,
 )
-from riskchain.twobytwo import build_model, extreme_points, pricing_set
+from riskchain.twobytwo import extreme_points, market_model, pricing_set
 
 from oracles import hull_nnls, node_kernel, qhull_facets
 from randmodels import random_model, random_riskset
@@ -46,7 +46,7 @@ EPS = 0.2
 
 @pytest.fixture
 def model():
-    return build_model()
+    return market_model().model
 
 
 @pytest.fixture
@@ -351,7 +351,7 @@ class TestMaximizeRatio:
         few cuts through the reference, so every atom is charged."""
         if seed is None:
             rng = np.random.default_rng(21)
-            model = build_model()
+            model = market_model().model
             rs = pricing_set(model, EPS)
             atoms = [(0, 1, 2, 3), (0, 2), (1, 3)]
         else:

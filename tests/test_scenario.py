@@ -15,14 +15,14 @@ from riskchain import (
 )
 from riskchain.config import MIN_TOL, Config
 from riskchain.scenario import crossing_atom
-from riskchain.twobytwo import build_model
+from riskchain.twobytwo import market_model
 
 from randmodels import random_claim, random_model
 
 
 @pytest.fixture
 def model():
-    return build_model()
+    return market_model().model
 
 
 def model_error(outcomes, grid, partitions, reference) -> ModelError:
