@@ -12,6 +12,7 @@ computed exactly as a vertex maximum or as a homogenized LP.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Optional
 
@@ -63,8 +64,83 @@ def _constraint_rows(rows, n: int) -> np.ndarray:
     return H
 
 
-# elements per block of the row-blocked score and count arrays
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+
+# elements per block: of the score and count arrays that ``_top_scores`` and
+# ``_cut`` build in row blocks, and of the candidate pairs times columns that
+# ``_dedup_rows`` tests in one chunk of rows (one row's window may hold more)
 _BLOCK = 1 << 16
+# ``_dedup_rows`` tests all pairs at once while k * k * d is at most this;
+# up to there that is cheaper than sorting a projection
+_SMALL = 1 << 12
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_weights(d: int) -> np.ndarray:
+    """``_dedup_rows``'s projection weights: positive, distinct per column
+    (so rows of one sum, such as measures, do not all tie), and in
+    ``[1/(2d), 1/d)``, so no projection of a finite row can overflow."""
+    w = (1.0 + np.modf(np.arange(1, d + 1) * 0.6180339887498949)[0]) / (2 * d)
+    w.flags.writeable = False
+    return w
+
+
+def _screened_keep(rows: np.ndarray, tol: float) -> np.ndarray:
+    """``_dedup_rows``' keep mask of finite rows, screened by projection."""
+    k, d = rows.shape
+    w = _screen_weights(d)
+    r = rows @ w
+    window = 2.0 * (tol * w.sum()
+                    + 2 * (d + 1) * _EPS * float((np.abs(rows) @ w).max(initial=0.0))) \
+        + d * _TINY
+    order = np.argsort(r, kind="stable")
+    ranked = r[order]
+    lo = np.searchsorted(ranked, r - window, "left")
+    span = np.searchsorted(ranked, r + window, "right") - lo
+    keep = np.ones(k, dtype=bool)
+    # a row alone in its window is near no row
+    rivals = np.flatnonzero(span > 1)
+    if len(rivals) == 0:
+        return keep
+    # alive[p]: the row at place p of ``order`` is not dropped; dropped rows
+    # leave the windows of later chunks, so a cluster of near rows costs
+    # about one test per row
+    alive = np.ones(k, dtype=bool)
+    place = np.empty(k, dtype=np.intp)
+    place[order] = np.arange(k)
+    ends = np.cumsum(span[rivals])
+    budget = max(1, _BLOCK // d)
+    s = 0
+    while s < len(rivals):
+        # rows in row order whose full windows hold at most ``budget``
+        # candidates, or one row
+        e = max(s + 1, int(np.searchsorted(ends, ends[s] - span[rivals[s]] + budget, "right")))
+        chunk, s = rivals[s:e], e
+        pos = np.flatnonzero(alive & (order <= chunk[-1]))
+        a = np.searchsorted(ranked[pos], r[chunk] - window, "left")
+        n = np.searchsorted(ranked[pos], r[chunk] + window, "right") - a
+        I = np.repeat(chunk, n)
+        J = order[pos[np.arange(len(I)) - np.repeat(np.cumsum(n) - n - a, n)]]
+        I, J = I[J < I], J[J < I]
+        with np.errstate(over="ignore"):
+            near = (np.abs(rows[I] - rows[J]) <= tol).all(axis=1)
+        if near.any():
+            _drop_near(keep, I[near], J[near])
+            alive[place[chunk[~keep[chunk]]]] = False
+    return keep
+
+
+def _drop_near(keep: np.ndarray, I: np.ndarray, J: np.ndarray) -> None:
+    """Drop each row ``I`` near a kept earlier row ``J``, in row order.
+
+    The pairs come sorted by ``I``, and every row before ``I[0]`` is decided
+    already, so its pairs are read at once and the rest one at a time."""
+    done = J < I[0]
+    keep[I[done][keep[J[done]]]] = False
+    for i, j in zip(I[~done].tolist(), J[~done].tolist()):
+        if keep[j]:
+            keep[i] = False
 
 
 def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -72,28 +148,45 @@ def _dedup_rows(rows: np.ndarray, tol: float) -> np.ndarray:
 
     A row is kept iff its max-norm distance to every earlier *kept* row is
     more than ``tol``: of a chain of near-duplicates the first row survives,
-    and a row near only to dropped rows survives too.  The near pairs come
-    from row blocks of the lower-triangular distance test, one column at a
-    time, so no k x k x d array is built; only rows with an earlier near row
-    take part in the sequential greedy pass.
+    and a row near only to dropped rows survives too.  A row with a NaN or
+    an infinity is near no row (no difference with it is ``<= tol``), so it
+    is kept and takes no part in the test.
+
+    While ``k * k * d`` is at most ``_SMALL`` one broadcast test gives the
+    near pairs.  Larger inputs are screened by the projection ``r = rows @
+    w`` on fixed positive weights ``w``: a row takes the exact test only
+    against the earlier rows, not dropped in an earlier chunk, whose
+    computed ``r`` lies within ``window`` of its own; a chunk's candidates
+    number at most ``_BLOCK`` elements (or one row's).
+
+    The screen is exact.  Rows within ``tol`` differ by at most
+    ``tol * (1 + eps)`` in every column, so their exact projections differ
+    by at most that times ``sum(w)``; each computed projection is within
+    ``d * eps * (|x| @ w)`` of the exact one in any summation order (plus
+    ``d`` subnormal steps of underflow).  ``window`` is twice
+    ``tol * sum(w) + 2 (d + 1) eps max(|rows| @ w)`` plus that underflow,
+    which covers the sum of these bounds and the rounding of ``window`` and
+    of ``r +- window``, so no near pair falls outside it.  A dropped row can
+    drop no later row, so leaving it out changes nothing, and the greedy
+    pass reads every near pair of the all-pairs test that can decide a row.
     """
-    k = len(rows)
-    if k <= 1:
-        return rows.copy()
+    k, d = rows.shape
+    if k * k * d <= _SMALL:
+        # a difference with a NaN or an infinity is NaN or infinite, never near
+        with np.errstate(invalid="ignore", over="ignore"):
+            near = (np.abs(rows[:, None] - rows[None]) <= tol).all(axis=2)
+        near.flat[::k + 1] = False
+        # most calls have no near pair, and a copy is cheaper than a mask
+        if not near.any():
+            return rows.copy()
+        I, J = np.nonzero(near)
+        keep = np.ones(k, dtype=bool)
+        _drop_near(keep, I[J < I], J[J < I])
+        return rows[keep]
+    finite = np.isfinite(rows).all(axis=1)
     keep = np.ones(k, dtype=bool)
-    step = max(1, _BLOCK // k)
-    for s in range(0, k, step):
-        e = min(s + step, k)
-        # near[i, j]: row s+i is within tol of the earlier row j
-        near = np.arange(e) < np.arange(s, e)[:, None]
-        for col in rows.T:
-            near &= np.abs(col[s:e, None] - col[:e]) <= tol
-        for i in np.flatnonzero(near.any(axis=1)):
-            keep[s + i] = not (near[i] & keep[:e]).any()
+    keep[finite] = _screened_keep(rows[finite], tol)
     return rows[keep]
-
-
-_EPS = np.finfo(float).eps
 
 
 def _entering(A: np.ndarray, b: np.ndarray, r: np.ndarray, B: np.ndarray,

@@ -22,7 +22,10 @@ at horizon 1.  ``supermartingale_terms`` lists each vertex's one-step
 conditional expectation of the price process by ``condexp`` per vertex and a
 mass test per atom, and ``check_supermartingale_by_vertices`` is that nested
 loop's verdict, the oracle of ``check_supermartingale``, which reads the
-set's atom blocks.
+set's atom blocks.  ``dedup_pairwise`` is the former blocked all-pairs
+greedy dedup, the oracle of ``_dedup_rows``' projection screen; the oracles
+here and in ``test_kernel_oracles`` dedup with it, so none shares the kernel
+it checks.
 """
 
 from __future__ import annotations
@@ -57,9 +60,38 @@ from riskchain.consistency import CheckReport
 from riskchain.riskset import (
     _FACET_TOL,
     _affine_rank,
-    _dedup_rows,
 )
 from riskchain.scenario import Claim
+
+
+# elements per block of the row-blocked near test
+_BLOCK = 1 << 16
+
+
+def dedup_pairwise(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Greedy max-norm dedup in row order.
+
+    A row is kept iff its max-norm distance to every earlier *kept* row is
+    more than ``tol``: of a chain of near-duplicates the first row survives,
+    and a row near only to dropped rows survives too.  The near pairs come
+    from row blocks of the lower-triangular distance test, one column at a
+    time, so no k x k x d array is built; only rows with an earlier near row
+    take part in the sequential greedy pass.
+    """
+    k = len(rows)
+    if k <= 1:
+        return rows.copy()
+    keep = np.ones(k, dtype=bool)
+    step = max(1, _BLOCK // k)
+    for s in range(0, k, step):
+        e = min(s + step, k)
+        # near[i, j]: row s+i is within tol of the earlier row j
+        near = np.arange(e) < np.arange(s, e)[:, None]
+        for col in rows.T:
+            near &= np.abs(col[s:e, None] - col[:e]) <= tol
+        for i in np.flatnonzero(near.any(axis=1)):
+            keep[s + i] = not (near[i] & keep[:e]).any()
+    return rows[keep]
 
 
 def atom_masses(model: ScenarioModel, V: np.ndarray, s, t) -> np.ndarray:
@@ -107,7 +139,7 @@ def project(rs: RiskSet, s, t) -> RiskSet:
                 for i, outcome in zip(charged, combo):
                     mu[outcome] = probs[i]
                 rows.append(mu)
-    return RiskSet._of_extreme(model, _dedup_rows(np.array(rows), DEDUP_TOL))
+    return RiskSet._of_extreme(model, dedup_pairwise(np.array(rows), DEDUP_TOL))
 
 
 def dual_cone_member(rs: RiskSet, claim: Claim, s, t) -> bool:
@@ -231,7 +263,7 @@ def qhull_facets(verts: np.ndarray) -> np.ndarray:
     A = eqs[:, :-1] @ basis
     b = -eqs[:, -1] + A @ v0
     pairs = [row for w in vt[rank:] for row in (np.r_[w, w @ v0], -np.r_[w, w @ v0])]
-    return np.vstack(pairs + [_dedup_rows(np.column_stack([A, b]), _FACET_TOL)])
+    return np.vstack(pairs + [dedup_pairwise(np.column_stack([A, b]), _FACET_TOL)])
 
 
 def hull_nnls(points: np.ndarray, x: np.ndarray) -> float:

@@ -14,6 +14,8 @@ kernels must give bit-identical arrays and the same verdicts.
 import functools
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +60,7 @@ from riskchain.config import DEDUP_TOL, WORK_BOUND
 from riskchain.twobytwo import market_model
 
 import oracles
-from oracles import atom_masses, dual_cone_member
+from oracles import atom_masses, dedup_pairwise, dual_cone_member
 from randmodels import random_model, random_riskset, refine_once
 
 TOL = DEDUP_TOL
@@ -230,7 +232,7 @@ def enumerate_cut_ref(n, H):
                 return np.empty((0, n))
             continue
         pending.append(row / nrm)
-    rows = _dedup_rows(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
+    rows = dedup_pairwise(np.array(pending), 1e-12) if pending else np.empty((0, n + 1))
     verts = np.eye(n)
     for t, row in enumerate(rows):
         a, b = row[:-1], float(row[-1])
@@ -247,12 +249,12 @@ def enumerate_cut_ref(n, H):
         if len(iu):
             lam = np.clip((b - fu[iu]) / denom[iu, iv], 0.0, 1.0)
             u = kept[iu]
-            cand = _dedup_rows(u + lam[:, None] * (dropped[iv] - u), atol)
+            cand = dedup_pairwise(u + lam[:, None] * (dropped[iv] - u), atol)
             cut_rows = [(r[:-1], r[-1]) for r in rows[:t + 1]]
             good = [w for w in cand if is_vertex_ref(w, cut_rows, atol)]
             if good:
                 pieces.append(np.array(good))
-        verts = _dedup_rows(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
+        verts = dedup_pairwise(np.vstack(pieces), atol) if len(kept) or len(iu) else verts[:0]
         if len(verts) > WORK_BOUND:
             raise SizeBoundError("work bound", bound=WORK_BOUND, reached=len(verts),
                                  layer="riskset.vertices")
@@ -485,6 +487,44 @@ def point_clouds(draw):
     return rows[rng.permutation(len(rows))]
 
 
+@st.composite
+def screen_cases(draw):
+    """Rows on both sides of ``_dedup_rows``' switch from the all-pairs test
+    to the projection screen: 2-300 random rows of 1-17 columns at one scale
+    from 1e-6 to 1e6, plus exact duplicates, chains whose neighbours are
+    within ``tol`` but whose ends are not, rows moved by ``tol`` in every
+    column, and rows moved off others along a direction the projection
+    does not see, some within ``tol``, some not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 17))
+    k = draw(st.integers(2, 300))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.3]))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rows = rng.uniform(-1.0, 1.0, (k, d)) * scale
+    pieces = [rows]
+    if draw(st.booleans()):
+        pieces.append(rows[rng.integers(0, k, int(rng.integers(1, k + 1)))])
+    if draw(st.booleans()):
+        steps = rng.choice([-0.7, 0.0, 0.7], size=(4, 6, d)) * tol
+        starts = rows[rng.integers(0, k, 4)]
+        pieces.append((starts[:, None] + np.cumsum(steps, axis=1)).reshape(-1, d))
+    if draw(st.booleans()):
+        # a shift of tol in every column moves the projection the most
+        pieces.append(rows[rng.integers(0, k, 8)] + tol * rng.choice([-1.0, 1.0], size=(8, 1)))
+    if d >= 2 and draw(st.booleans()):
+        w = riskset._screen_weights(d)
+        i, j = rng.choice(d, 2, replace=False)
+        tie = np.zeros(d)
+        tie[i], tie[j] = w[j], -w[i]    # tie @ w is zero
+        tie /= np.abs(tie).max()
+        gaps = (tol or 1e-3 * scale) * rng.choice([0.5, 0.999, 1.5, 3.0], size=8)
+        pieces.append(rows[rng.integers(0, k, 8)] + gaps[:, None] * tie)
+    rows = np.vstack(pieces)
+    if draw(st.booleans()):
+        rows = rows[rng.permutation(len(rows))]
+    return rows, tol
+
+
 # -- dedup ---------------------------------------------------------------------
 
 class TestDedup:
@@ -507,12 +547,80 @@ class TestDedup:
         assert _dedup_rows(np.empty((0, 3)), TOL).shape == (0, 3)
         assert_identical(_dedup_rows(np.ones((1, 3)), TOL), np.ones((1, 3)))
 
-    def test_many_rows_cross_row_blocks(self):
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(screen_cases())
+    def test_both_paths_match_the_oracles(self, case):
+        rows, tol = case
+        got = _dedup_rows(rows, tol)
+        assert_identical(got, dedup_pairwise(rows, tol))
+        assert_identical(got, dedup_ref(rows, tol))
+
+    def test_many_rows_take_the_screened_path(self, monkeypatch):
+        """600 rows, a shifted copy of each within ``DEDUP_TOL`` and 30
+        copies of one row, in chunks whose windows hold at most 10
+        candidates: each copy is a chunk of its own, and rows decided in
+        earlier chunks drop later ones; the projection screen decides it."""
         rng = np.random.default_rng(5)
         base = rng.dirichlet(np.ones(4), size=200)
-        rows = np.vstack([base, base + 4e-10, base[::-1]])[rng.permutation(600)]
-        assert riskset._BLOCK // len(rows) < len(rows)
-        assert_identical(_dedup_rows(rows, TOL), dedup_ref(rows, TOL))
+        rows = np.vstack([base, base + 4e-10, base[::-1], np.tile(base[7], (30, 1))])
+        rows = rows[rng.permutation(len(rows))]
+        assert len(rows) ** 2 * 4 > riskset._SMALL
+        screened = []
+        real = riskset._screen_weights
+        monkeypatch.setattr(riskset, "_screen_weights", lambda d: screened.append(d) or real(d))
+        monkeypatch.setattr(riskset, "_BLOCK", 40)
+        got = _dedup_rows(rows, TOL)
+        assert screened == [4]
+        assert_identical(got, dedup_pairwise(rows, TOL))
+        assert_identical(got, dedup_ref(rows, TOL))
+
+    def test_rows_an_ulp_apart_at_large_scale(self):
+        """Rows near 1e4 and their copies moved by an ulp in every column,
+        one way, with ``tol`` one ulp: the rounding of the projections, some
+        ulps of their partial sums, takes the computed gap to about four
+        times the ``tol * sum(w)`` of the exact one, so only the screen's
+        rounding slack keeps these pairs."""
+        rng = np.random.default_rng(9)
+        x = rng.uniform(1e4, 1.6e4, (300, 17))
+        y = x + np.spacing(x) * rng.choice([-1.0, 1.0], size=(300, 1))
+        rows = np.vstack([x, y])[rng.permutation(600)]
+        tol = float(np.spacing(1e4))
+        got = _dedup_rows(rows, tol)
+        assert len(got) == 300
+        assert_identical(got, dedup_pairwise(rows, tol))
+
+    def test_copies_of_one_row_are_one_row(self):
+        """Every pair of 4,096 copies is near; the screen tests a chunk of
+        rows at a time, against the rows not yet dropped, so its arrays stay
+        far below the k^2 pairs' 128 MB of indices."""
+        rows = np.tile([0.25, 0.75], (4096, 1))
+        tracemalloc.start()
+        try:
+            got = _dedup_rows(rows, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_identical(got, rows[:1])
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("k", [4, 300])
+    def test_non_finite_rows_are_kept_and_near_no_row(self, k):
+        """Rows with a NaN or an infinity, each one twice, among duplicated
+        finite rows: all are kept, on both paths, with no warning."""
+        rng = np.random.default_rng(k)
+        base = rng.dirichlet(np.ones(5), size=k // 2)
+        bad = np.tile(base[:1], (4, 1))
+        bad[0, 1], bad[1, 2], bad[2] = np.nan, np.inf, -np.inf
+        bad[3, [0, 4]] = np.inf, -np.inf
+        rows = np.vstack([base, base, bad, bad])[rng.permutation(k // 2 * 2 + 8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _dedup_rows(rows, TOL)
+        with np.errstate(invalid="ignore"):
+            assert_identical(got, dedup_pairwise(rows, TOL))
+        assert (~np.isfinite(got).all(axis=1)).sum() == 8
+        assert len(got) == k // 2 + 8
 
 
 # -- extreme points ------------------------------------------------------------
@@ -567,6 +675,23 @@ def near_midpoint_set(rng):
     return RiskSet.from_vertices(model, np.vstack([V, mid]))
 
 
+def spy_on_dedup(monkeypatch):
+    """The ``(rows in, rows out)`` of every ``_dedup_rows`` call in the
+    package that drops a row, as the calls are made."""
+    dropped = []
+    real = riskset._dedup_rows
+
+    def spy(rows, tol):
+        out = real(rows, tol)
+        if len(out) < len(rows):
+            dropped.append((len(rows), len(out)))
+        return out
+
+    monkeypatch.setattr(riskset, "_dedup_rows", spy)
+    monkeypatch.setattr(consistency, "_dedup_rows", spy)
+    return dropped
+
+
 class TestPasting:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
@@ -613,10 +738,11 @@ class TestPasting:
         if smallest > 1e-6:
             assert len(out) == count
 
-    def test_products_on_a_tiny_mass_child_are_one_vertex(self):
+    def test_products_on_a_tiny_mass_child_are_one_vertex(self, monkeypatch):
         """A root kernel that puts 2e-12 on a child makes products that
         differ only on that child fall within ``DEDUP_TOL``: they are one
-        vertex, so 8 kernel choices give 6 rows."""
+        vertex, so 8 kernel choices give 6 rows, and ``_dedup_rows`` is
+        what drops the two."""
         model = ScenarioModel(["a", "b", "c", "d"], ["0", "1", "2"],
                               [[[0, 1, 2, 3]], [[0, 1], [2, 3]], [[0], [1], [2], [3]]],
                               [0.25] * 4)
@@ -624,20 +750,25 @@ class TestPasting:
                                            [0.2, 0.3, 0.1, 0.4],
                                            [0.6, 0.4 - 2e-12, 1e-12, 1e-12]])
         sources = [rs] * (len(model.stages) - 1)
+        dropped = spy_on_dedup(monkeypatch)
         out = mstable_hull(rs).vertices
+        assert (8, 6) in dropped
         assert kernel_choices(model, sources)[0] == 8
         assert len(out) == 6
         assert_identical(_extreme_rows(out), out)
         assert_identical(out, paste_with_ref_kernels(model, sources))
 
     @pytest.mark.parametrize("seed", [22, 25, 117])
-    def test_near_degenerate_set_keeps_exact_extreme_rows(self, seed):
+    def test_near_degenerate_set_keeps_exact_extreme_rows(self, seed, monkeypatch):
         """Near-degenerate kernels give pasted rows that NNLS at
         ``DEDUP_TOL`` finds in the hull of the others, yet which are exact
         extreme points.  Pasting keeps them, so the hull has more rows than
         the reduced reference; it holds every reference row, is the same
-        set, and gives the same verdicts and time-0 prices."""
+        set, and gives the same verdicts and time-0 prices.  Some rows on
+        the way are within ``DEDUP_TOL`` of others, and ``_dedup_rows``
+        drops them."""
         rng = np.random.default_rng(seed)
+        dropped = spy_on_dedup(monkeypatch)
         rs = near_midpoint_set(rng)
         model = rs.model
         ref = paste_ref(model, [rs] * (len(model.stages) - 1))
@@ -654,6 +785,7 @@ class TestPasting:
         for V in (ref.vertices, hull.vertices):
             np.testing.assert_allclose(eta0, (V @ X.T).max(axis=0),
                                        rtol=0.0, atol=model.config.tol)
+        assert dropped     # near rows still meet the dedup kernel
 
     # seeded ladder: every atom splits at every stage, so hulls reach
     # 8-1024 vertices (1024 at 16 outcomes x 5 stages)
@@ -728,6 +860,39 @@ class TestEnumeration:
         got, want = _enumerate_vertices(n, cons), enumerate_cut_ref(n, cons)
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+    def test_crossing_near_another_kept_vertex(self, monkeypatch):
+        """A needle tip at ``u``: the edge to ``t`` on one side, and on the
+        other a vertex ``w`` 1.7e-9 from ``u``, yet 0.95e-9 (max norm) from
+        the point ``x`` 1.2e-9 along the edge, since it lies off the edge
+        along a normal of 1-norm above one.  The last row cuts through ``x``
+        and ``w``: its crossing on the edge ``(u, t)`` is within
+        ``DEDUP_TOL`` of the kept ``w`` but not of its own kept end ``u``.
+        The dedup drops it, as the reference does."""
+        def side(p, q, inside):
+            a = np.cross(p - q, np.ones(3))
+            row = np.r_[a, a @ p]
+            return row if a @ inside <= row[-1] else -row
+
+        off, along = np.array([1.0, -2.0, 1.0]), np.array([-1.0, 0.0, 1.0])
+        u = np.array([0.5, 0.3, 0.2])
+        t, x = u + 0.15 * along, u + 1.2e-9 * along
+        s, w = t - 0.02 * off, x - 0.475e-9 * off
+        H = np.array([side(u, t, s), side(t, s, u), side(u, w, t), side(w, s, u),
+                      side(x, w, u)])
+        calls = []
+        real = riskset._dedup_rows
+        monkeypatch.setattr(riskset, "_dedup_rows",
+                            lambda rows, tol: calls.append(rows) or real(rows, tol))
+        got = _enumerate_vertices(3, H)
+        rows = calls[-1]
+        out = real(rows, DEDUP_TOL)
+        crossing = rows[np.abs(rows - x).max(axis=1) <= 1e-15]
+        assert len(crossing) == 1
+        assert np.abs(crossing - u).max() > DEDUP_TOL >= np.abs(crossing - w).max()
+        assert crossing[0].tobytes() not in {row.tobytes() for row in out}
+        assert len(got) == 2
+        assert_identical(got, enumerate_cut_ref(3, H))
 
 
 # -- atom-mass LP rows ---------------------------------------------------------

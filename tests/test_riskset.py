@@ -1,5 +1,7 @@
 """Risk-set geometry: representations, kernels and the ratio primitive."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -603,11 +605,23 @@ class TestVertexEnumeration:
         assert exc.value.details == {"bound": 16, "reached": 17, "layer": "riskset.vertices"}
 
     def test_box_vertices(self):
-        # two weights at 0.34 and one at 0.32
-        V = np.sort(box_of_sixteen(0.34).vertices, axis=1)
+        # two weights at 0.34 and one at 0.32; the pinned bytes catch a kernel
+        # change that moves, drops or reorders a vertex
+        V = box_of_sixteen(0.34).vertices
+        assert hashlib.sha256(V.tobytes()).hexdigest() == (
+            "b241bf99c30905abdf6f261fe0528256112fe25d43f612fb126169b43cb5b028")
+        V = np.sort(V, axis=1)
         assert V.shape == (16 * 15 * 14 // 2, 16)
         assert np.allclose(V[:, -3:], [0.32, 0.34, 0.34], atol=1e-12)
         assert V[:, :-3].max() <= 1e-12
+
+    @pytest.mark.parametrize("cap", [0.3, 0.26])
+    def test_box_refusal_is_pinned(self, cap):
+        # the cut that reaches 4,944 vertices is refused before its crossings
+        with pytest.raises(SizeBoundError) as exc:
+            _ = box_of_sixteen(cap).vertices
+        assert exc.value.details == {"bound": WORK_BOUND, "reached": 4944,
+                                     "layer": "riskset.vertices"}
 
     def test_too_many_crossings_refused_before_building(self):
         # q_i <= 0.118 on 16 outcomes has ~10^5 vertices
