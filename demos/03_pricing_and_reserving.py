@@ -25,7 +25,7 @@ for label in ("1", "0+", "0"):
     print(f"rho at {label:>2}:", np.round(rho(rs, x, label).values, 6))
 
 process = eta(Chain.single(rs), x)
-print("eta stages:", [model.stages[s].label for s in process.stage_indices])
+print("eta stages:", [model.stages[c.stage].label for c in process.claims])
 print("eta at 0+: ", process.claims[1].values)
 print("premium:   ", process.claims[0].values[0])
 
@@ -36,7 +36,8 @@ print("after charging the premium:", is_acceptable(rs, funded))
 plan = reserve_plan(Chain.single(rs), x)
 print("reserve plan premium:", plan.premium,
       "time-consistent:", plan.time_consistent)
-for s, inc in zip(plan.stage_indices, plan.increments):
+for inc in plan.increments:
+    s = inc.stage - 1
     label = model.stages[s].label
     print(f"  increment at {label:>2}:", inc.values,
           "in cone:", cone_member(rs, inc, s, inc.stage))

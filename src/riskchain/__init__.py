@@ -56,7 +56,6 @@ from .intermarket import (
     FiReport,
     MarketModel,
     ProductModel,
-    SplitReservePlan,
     build_refined,
     check_fi,
     extend_pi,

@@ -296,9 +296,9 @@ def cmd_reserve(args) -> dict:
     plan = reserve_plan(Chain.single(rs), x)
     model = bundle.model
     incs = []
-    for s, inc in zip(plan.stage_indices, plan.increments):
+    for inc in plan.increments:
         incs.append({
-            "stage": model.stages[s].label,
+            "stage": model.stages[inc.stage - 1].label,
             "next_stage": model.stages[inc.stage].label,
             "values": list(inc.values),
         })

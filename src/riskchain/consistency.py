@@ -292,8 +292,8 @@ def consistency_report(rs: RiskSet, sample: Sequence[Claim]) -> ConsistencyRepor
         # first claim with the largest positive gap
         X = Claim(np.array([x.values for x in sample]))
         process = eta(chain, X)
-        gaps = [np.max(eta_s.values - rho(rs, X, s).values, axis=1)
-                for eta_s, s in zip(process.claims, process.stage_indices[:-1])]
+        gaps = [np.max(eta_s.values - rho(rs, X, eta_s.stage).values, axis=1)
+                for eta_s in process.claims[:-1]]
         top = np.fmax.reduce(gaps, axis=0, initial=0.0)
         best = int(top.argmax())
         if top[best] > 0.0:

@@ -12,13 +12,13 @@ intermediate set into a time-consistent global pricing mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .consistency import _analytic, _part, is_mstable, mstable_hull, paste_assembly
 from .errors import NotCoarserError, SchemaError
-from .risk import Chain, _finite_claim, reserve_plan, rho
+from .risk import AdaptedProcess, Chain, ReservePlan, _finite_claim, _plan, reserve_plan, rho
 from .riskset import RiskSet, _check_same_model, set_equal
 from .scenario import (Claim, ScenarioModel, _canonical_atoms, atom_index,
                        crossing_atom, parse_stage_label)
@@ -174,40 +174,18 @@ def check_fi(rs: RiskSet, mm: MarketModel) -> FiReport:
     return FiReport(mstable=mst, equals_intersection=eq, parts_agree=(eq == mst))
 
 
-@dataclass(frozen=True, slots=True)
-class SplitReservePlan:
-    """Premium plus per-period financial and intermediate increments."""
-
-    premium: float
-    fin_increments: tuple[Claim, ...]   # u^F_t, measurable at t+
-    int_increments: tuple[Claim, ...]   # u^I_t, measurable at t+1
-    time_consistent: bool
-    warning: Optional[str] = None
-
-    def total(self, model: ScenarioModel) -> np.ndarray:
-        out = np.full(model.n, self.premium)
-        for inc in self.fin_increments + self.int_increments:
-            out = out + inc.values
-        return out
-
-
-def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> SplitReservePlan:
+def split_reserve(rs: RiskSet, mm: MarketModel, claim: Claim) -> ReservePlan:
     """Reserve schedule split into hedgeable and residual increments.
 
     ``reserve_plan`` on the refined grid ``0, 0+, 1, 1+, ...``, so the
-    increments alternate financial and intermediate.  Each is an η
-    difference, so it prices to zero at its own date by cash invariance,
-    time-consistent set or not; the split telescopes to the claim.  A set on
-    another model than the market's is a SCHEMA error.
+    increments alternate financial and intermediate (``fin_increments``,
+    ``int_increments``).  Each is an η difference, so it prices to zero at
+    its own date by cash invariance, time-consistent set or not; the split
+    telescopes to the claim.  A set on another model than the market's is a
+    SCHEMA error.
     """
     _check_same_model(rs.model, mm.model)
-    plan = reserve_plan(Chain.single(rs), claim)
-    warning = None
-    if not plan.time_consistent:
-        warning = ("set is not time-consistent on the refined grid; plan uses "
-                   "the minimal dominating prices")
-    return SplitReservePlan(plan.premium, plan.increments[0::2], plan.increments[1::2],
-                            plan.time_consistent, warning)
+    return reserve_plan(Chain.single(rs), claim)
 
 
 # -- product spaces -----------------------------------------------------------
@@ -260,7 +238,9 @@ def extend_pi(pi: RiskSet, pm: ProductModel) -> RiskSet:
     """Extend a financial pricing set by independence: each vertex becomes its
     product with the intermediate reference.  Made once per product model
     object and kept on ``pi``, so ``psi_build`` and ``psi_verify`` share it
-    and its parts."""
+    and its parts.  A set on another model than ``pm``'s financial factor is
+    a SCHEMA error."""
+    _check_same_model(pi.model, pm.fin)
     return _part(pi, "extend", pm.model, lambda: RiskSet.from_vertices(
         pm.model, [np.outer(pm.inter.reference, v).ravel() for v in pi.vertices]))
 
@@ -271,7 +251,10 @@ def psi_build(pi: RiskSet, phi: RiskSet, pm: ProductModel) -> RiskSet:
     intermediate part of ``phi``.  Assembled directly by pasting the
     extension's financial-step kernels with ``phi``'s intermediate-step
     kernels, which is the same set; a pasted set is pasting-stable and has
-    those two parts by construction, which ``psi_verify`` reports."""
+    those two parts by construction, which ``psi_verify`` reports.  A set on
+    another model than the factor's (``pi``) or the product's (``phi``) is a
+    SCHEMA error."""
+    _check_same_model(phi.model, pm.model)
     hat_pi = extend_pi(pi, pm)
     return paste_assembly(pm.model, _step_sources(pm.market, hat_pi, phi))
 
@@ -298,13 +281,13 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
     """Report the construction identities on sampled claims: the backward
     composition through both parts, and financial agreement when the
     financial pricing is itself time-consistent.  An ``_ok`` flag compares
-    each claim at its own scale (``Config.tol_at``); a ``_max_dev`` is raw."""
+    each claim at its own scale (``Config.tol_at``); a ``_max_dev`` is raw.
+    A claim other than one finite ``(n,)`` vector is a SCHEMA error."""
+    n = pm.model.n
+    X = Claim(np.array([_finite_claim(x, n) for x in claims]).reshape(-1, n))   # one row per claim
     hat_pi = extend_pi(pi, pm)
     qf_part = qf(hat_pi, pm.market)
     qi_part = qi(phi, pm.market)
-    # one row per claim; a row's deviation is NaN when any outcome's is, and
-    # the maxima over rows and dates skip NaN
-    X = Claim(np.array([x.values for x in claims]).reshape(-1, pm.model.n))
     # q's prices at every date, the horizon's being the claims themselves
     prices = [rho(q, X, str(t)).values for t in range(pm.market.horizon + 1)]
     comp_dev = np.zeros(len(X.values))
@@ -334,7 +317,7 @@ def psi_verify(pi: RiskSet, phi: RiskSet, pm: ProductModel, q: RiskSet,
 
 
 def product_reserve(p_fin: RiskSet, p_int: RiskSet, claim: Claim,
-                    pm: ProductModel) -> SplitReservePlan:
+                    pm: ProductModel) -> ReservePlan:
     """``split_reserve`` on ``psi_build``'s set from ``p_fin`` and ``p_int``
     extended by independence, without building it: backward over the
     periods, ``p_int`` prices the value once per financial outcome, then
@@ -343,12 +326,12 @@ def product_reserve(p_fin: RiskSet, p_int: RiskSet, claim: Claim,
     than ``pm``'s factor, or a claim not one finite ``(n,)`` vector, is SCHEMA."""
     _check_same_model(p_fin.model, pm.fin)
     _check_same_model(p_int.model, pm.inter)
+    mkt = pm.market
     v = pm.grid(_finite_claim(claim, pm.model.n))
-    fin_incs, int_incs = [], []
-    for t in range(pm.market.horizon - 1, -1, -1):
+    # the η process on the refined grid, latest date first
+    claims = [Claim(v.ravel(), mkt.whole(mkt.horizon).index)]
+    for t in range(mkt.horizon - 1, -1, -1):
         half = rho(p_int, Claim(v.T), t).values.T
-        price = rho(p_fin, Claim(half), t).values
-        fin_incs.insert(0, Claim((half - price).ravel(), pm.market.half(t).index))
-        int_incs.insert(0, Claim((v - half).ravel(), pm.market.whole(t + 1).index))
-        v = price
-    return SplitReservePlan(float(v[0, 0]), tuple(fin_incs), tuple(int_incs), True)
+        v = rho(p_fin, Claim(half), t).values
+        claims += [Claim(half.ravel(), mkt.half(t).index), Claim(v.ravel(), mkt.whole(t).index)]
+    return _plan(AdaptedProcess(tuple(reversed(claims))), True)

@@ -102,9 +102,9 @@ class Chain:
 
 @dataclass(frozen=True, slots=True)
 class AdaptedProcess:
-    """One claim per date (each measurable there), e.g. the eta recursion."""
+    """One claim per date, in date order, each measurable at its ``stage``,
+    e.g. the eta recursion."""
 
-    stage_indices: tuple[int, ...]
     claims: tuple[Claim, ...]
 
 
@@ -124,14 +124,14 @@ def _eta(rs: RiskSet, claim: Claim, price) -> AdaptedProcess:
     for s in range(final - 1, -1, -1):
         current = price(rs, current, s)
         claims.append(current)
-    return AdaptedProcess(tuple(range(final + 1)), tuple(reversed(claims)))
+    return AdaptedProcess(tuple(reversed(claims)))
 
 
 def _increments(process: AdaptedProcess) -> list[Claim]:
     """The differences of consecutive prices, each measurable at its later
     date."""
-    c, dates = process.claims, process.stage_indices
-    return [Claim(c[p + 1].values - c[p].values, dates[p + 1]) for p in range(len(c) - 1)]
+    c = process.claims
+    return [Claim(b.values - a.values, b.stage) for a, b in zip(c, c[1:])]
 
 
 def is_acceptable(rs: RiskSet, claim: Claim) -> bool:
@@ -187,19 +187,46 @@ def decompose_acceptance(rs: RiskSet, claim: Claim) -> list[Claim]:
 
 @dataclass(frozen=True, slots=True)
 class ReservePlan:
-    """Premium plus adapted acceptable increments telescoping to the claim."""
+    """Premium plus adapted acceptable increments telescoping to the claim.
+
+    Increment ``u`` spans ``u.stage - 1 -> u.stage`` and is measurable at
+    ``u.stage``.  On a ``build_refined`` grid ``0, 0+, 1, ...`` the even
+    increments are the financial (hedgeable) stream and the odd ones the
+    intermediate (residual) stream.
+    """
 
     premium: float
-    stage_indices: tuple[int, ...]  # increment u_s is measurable at the next stage
     increments: tuple[Claim, ...]
     time_consistent: bool
     warning: Optional[str] = None
+
+    @property
+    def fin_increments(self) -> tuple[Claim, ...]:
+        """``u^F_t`` on a refined grid, measurable at ``t+``."""
+        return self.increments[0::2]
+
+    @property
+    def int_increments(self) -> tuple[Claim, ...]:
+        """``u^I_t`` on a refined grid, measurable at ``t+1``."""
+        return self.increments[1::2]
 
     def total(self, model: ScenarioModel) -> np.ndarray:
         out = np.full(model.n, self.premium)
         for inc in self.increments:
             out = out + inc.values
         return out
+
+
+def _plan(process: AdaptedProcess, time_consistent: bool) -> ReservePlan:
+    """The plan of a price process: the time-0 price as premium, one
+    increment per step, and a warning where the prices are only the minimal
+    dominating ones."""
+    warning = None
+    if not time_consistent:
+        warning = ("chain is not time-consistent; plan uses the minimal "
+                   "dominating prices, premium may exceed the quoted price")
+    return ReservePlan(float(process.claims[0].values[0]), tuple(_increments(process)),
+                       time_consistent, warning)
 
 
 def reserve_plan(chain: Chain, claim: Claim) -> ReservePlan:
@@ -216,11 +243,4 @@ def reserve_plan(chain: Chain, claim: Claim) -> ReservePlan:
 
     _finite_claim(claim, chain.rs.model.n)
     time_consistent = is_mstable(chain.rs)
-    process = eta(chain, claim)
-    premium = float(process.claims[0].values[0])
-    warning = None
-    if not time_consistent:
-        warning = ("chain is not time-consistent; plan uses the minimal "
-                   "dominating prices, premium may exceed the quoted price")
-    return ReservePlan(premium, process.stage_indices[:-1], tuple(_increments(process)),
-                       time_consistent, warning)
+    return _plan(eta(chain, claim), time_consistent)

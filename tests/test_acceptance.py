@@ -154,11 +154,11 @@ class TestCriterion3:
             for _ in range(100):
                 x = random_claim(rng, m)
                 process = eta(chain, x)
-                for s, c in zip(process.stage_indices, process.claims):
+                for c in process.claims:
                     worst_dom = max(worst_dom, float(
-                        np.max(rho(rs, x, s).values - c.values)))
+                        np.max(rho(rs, x, c.stage).values - c.values)))
                     worst_hull = max(worst_hull, float(
-                        np.max(np.abs(c.values - rho(hull, x, s).values))))
+                        np.max(np.abs(c.values - rho(hull, x, c.stage).values))))
         report("C3.domination", worst_dom <= TOL, f"max excess {worst_dom:.2e}")
         report("C3.hull_identity", worst_hull <= TOL, f"max diff {worst_hull:.2e}")
 

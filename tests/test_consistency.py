@@ -153,8 +153,8 @@ class TestMstableHull:
             for _ in range(20):
                 x = random_claim(rng, m)
                 process = eta(chain, x)
-                for s, c in zip(process.stage_indices, process.claims):
-                    assert np.allclose(c.values, rho(hull, x, s).values, atol=1e-9)
+                for c in process.claims:
+                    assert np.allclose(c.values, rho(hull, x, c.stage).values, atol=1e-9)
 
     def test_second_hull_runs_no_solver(self, no_nnls):
         """Once the set's vertices and kernels are cached, pasting solves

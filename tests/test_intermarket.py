@@ -14,10 +14,12 @@ from scipy.optimize import linprog
 import riskchain.consistency as consistency
 import riskchain.intermarket as intermarket
 from riskchain import (
+    Chain,
     Claim,
     EmptyKernelError,
     InfeasibleError,
     NotCoarserError,
+    ReservePlan,
     RiskSet,
     ScenarioModel,
     SchemaError,
@@ -25,6 +27,7 @@ from riskchain import (
     build_refined,
     check_fi,
     decompose_acceptance,
+    eta,
     extend_pi,
     fin_restriction,
     includes,
@@ -41,6 +44,7 @@ from riskchain import (
     psi_verify,
     qf,
     qi,
+    reserve_plan,
     rho,
     set_equal,
     simplex_set,
@@ -59,7 +63,7 @@ from riskchain.twobytwo import (
 )
 
 from oracles import check_fi_by_parts, one_period_premium, project
-from randmodels import random_claim, random_market, random_model, random_riskset
+from randmodels import hulled_set, random_claim, random_market, random_model, random_riskset
 
 EPS = 0.2
 
@@ -560,6 +564,49 @@ class TestPsiBuild:
         assert set_equal(qf(q1, pm.market), qf(extend_pi(pi, pm), pm.market))
 
 
+class TestProductInputs:
+    """The product-space builders refuse a factor set on another model, as
+    ``product_reserve`` does, and ``psi_verify`` a claim that is not one
+    finite ``(n,)`` vector, as ``product_reserve`` and ``split_reserve`` do."""
+
+    PHI = [[0.3, 0.3, 0.2, 0.2], [0.1, 0.2, 0.3, 0.4]]
+
+    def test_financial_set_on_another_model_is_schema_error(self, pm):
+        """``pi`` on another two-outcome model priced as if it lived on the
+        financial factor; a set on an equal model built again passes."""
+        phi = RiskSet.from_vertices(pm.model, self.PHI)
+        claims = [Claim(np.array([1.0, -2.0, 0.5, 3.0]))]
+        for labels, refused in ((["f", "f'"], False), (["u", "d"], True)):
+            pi = RiskSet.from_vertices(two_state_factor(labels, (0.3, 0.7)),
+                                       [[0.4, 0.6], [0.7, 0.3]])
+            for call in (lambda: extend_pi(pi, pm), lambda: psi_build(pi, phi, pm),
+                         lambda: psi_verify(pi, phi, pm, phi, claims)):
+                if refused:
+                    with pytest.raises(SchemaError, match="different models"):
+                        call()
+                else:
+                    call()
+
+    def test_phi_on_the_plain_product_model_is_schema_error(self, pm):
+        """``phi`` on the product's outcomes without the half steps."""
+        pi = singleton(pm.fin, [0.5, 0.5])
+        plain = ScenarioModel(pm.model.outcomes, ["0", "1"],
+                              [[[0, 1, 2, 3]], [[0], [1], [2], [3]]], pm.model.reference)
+        with pytest.raises(SchemaError, match="different models"):
+            psi_build(pi, RiskSet.from_vertices(plain, self.PHI), pm)
+
+    @pytest.mark.parametrize("values", [np.ones(3), np.ones(5), np.ones((2, 4)),
+                                        [0.0, np.nan, 1.0, 2.0],
+                                        [0.0, np.inf, 1.0, 2.0], [-np.inf, 0.0, 1.0, 2.0]],
+                             ids=["short", "long", "stack", "nan", "inf", "-inf"])
+    def test_psi_verify_claim_other_than_one_finite_vector_is_schema_error(self, pm, values):
+        pi = RiskSet.from_vertices(pm.fin, [[0.4, 0.6], [0.7, 0.3]])
+        phi = RiskSet.from_vertices(pm.model, self.PHI)
+        q = psi_build(pi, phi, pm)
+        with pytest.raises(SchemaError, match="claim"):
+            psi_verify(pi, phi, pm, q, [Claim(np.zeros(4)), Claim(np.asarray(values))])
+
+
 def random_product(rng):
     """Product of two random factors of 2-3 outcomes on a common grid."""
     stages = int(rng.integers(2, 4))
@@ -984,6 +1031,75 @@ class TestProductReserve:
         pi = singleton(pm.fin, [0.5, 0.5])
         with pytest.raises(SchemaError):
             product_reserve(pi, band(pm.inter), Claim(np.asarray(values)), pm)
+
+
+def assert_refined_dates(plan, mkt):
+    """One ``ReservePlan`` whose increments are dated one stage apart from
+    ``0+`` on, the financial ones at the half steps and the intermediate ones
+    at the whole times."""
+    assert type(plan) is ReservePlan
+    assert [u.stage for u in plan.increments] == list(range(1, mkt.model.final_stage.index + 1))
+    assert [u.stage for u in plan.fin_increments] == [mkt.half(t).index
+                                                      for t in range(mkt.horizon)]
+    assert [u.stage for u in plan.int_increments] == [mkt.whole(t + 1).index
+                                                      for t in range(mkt.horizon)]
+
+
+def assert_same_plan(got, want):
+    """Field by field, values and dates byte for byte, warning included."""
+    assert np.float64(got.premium).tobytes() == np.float64(want.premium).tobytes()
+    assert (got.time_consistent, got.warning) == (want.time_consistent, want.warning)
+    assert len(got.increments) == len(want.increments)
+    for u, r in zip(got.increments, want.increments):
+        assert u.stage == r.stage and u.values.tobytes() == r.values.tobytes()
+
+
+class TestPlanDates:
+    """Every reserve route builds one ``ReservePlan``, and each date is kept
+    on its claim: an increment spans ``stage - 1 -> stage``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    def test_dates_are_on_the_claims(self, seed, horizon):
+        rng = np.random.default_rng(seed)
+        m = random_model(rng, n_max=6)
+        rs = random_riskset(rng, m)
+        x = random_claim(rng, m)
+        final = m.final_stage.index
+        assert [c.stage for c in eta(Chain.single(rs), x).claims] == list(range(final + 1))
+        plan = reserve_plan(Chain.single(rs), x)
+        assert type(plan) is ReservePlan
+        assert [u.stage for u in plan.increments] == list(range(1, final + 1))
+
+        mkt = random_market(rng)
+        assert_refined_dates(split_reserve(random_riskset(rng, mkt.model), mkt,
+                                           random_claim(rng, mkt.model)), mkt)
+        pm, p_fin, p_int = random_factors(rng, horizon)
+        assert_refined_dates(product_reserve(p_fin, p_int, random_claim(rng, pm.model), pm),
+                             pm.market)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_split_reserve_is_reserve_plan(self, seed, hulled):
+        """Each on its own copy of the set, drawn from the same seed, so that
+        neither call reads what the other kept on the set."""
+        rng = np.random.default_rng(seed)
+        mkt = random_market(rng)
+        x = random_claim(rng, mkt.model)
+        set_seed = int(rng.integers(2**32))
+        rs, twin = ((hulled_set if hulled else random_riskset)(
+            np.random.default_rng(set_seed), mkt.model) for _ in range(2))
+        got = split_reserve(rs, mkt, x)
+        assert_same_plan(got, reserve_plan(Chain.single(twin), x))
+        if hulled:
+            assert got.time_consistent and got.warning is None
+
+    def test_split_on_a_nonstable_set_warns_as_reserve_plan(self, mm):
+        rs = random_riskset(np.random.default_rng(37), mm.model)
+        x = Claim(np.array([1.0, 0.0, -1.0, 0.0]))
+        plan = split_reserve(rs, mm, x)
+        assert not plan.time_consistent
+        assert plan.warning == reserve_plan(Chain.single(rs), x).warning is not None
 
 
 def financial_cone_feasible(rs, mkt, x_values):

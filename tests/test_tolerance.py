@@ -68,9 +68,9 @@ def test_identities_hold_at_every_scale(seed, k, hulled):
     parts = decompose_acceptance(rs, y)
     assert np.all(np.abs(sum(u.values for u in parts) - y.values) <= band(y.values))
     plan = reserve_plan(chain, x)
-    for s, u in zip(plan.stage_indices, plan.increments):
+    for u in plan.increments:
         claim(model, u.values, u.stage)
-        assert np.all(rho(rs, u, s).values <= band(np.r_[x.values, u.values]))
+        assert np.all(rho(rs, u, u.stage - 1).values <= band(np.r_[x.values, u.values]))
     if hulled:
         assert check_supermartingale(rs, x).passed
 
